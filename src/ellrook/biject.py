@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .boards import file_placements, rook_placements
 
 Cell = tuple[int, int]
 
@@ -539,17 +538,5 @@ def abel_count(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1) * n ** (n - k)
 
 
-def abel_count_r(n: int, k: int, r: int) -> int:
-    return math.comb(n - r, k - r) * n ** (n - k)
-
-
 def abel_count_general(m: int, n: int, k: int, r: int = 1) -> int:
     return math.comb(n - r, k - r) * m ** (n - k)
-
-
-def count_file_placements(heights, k: int) -> int:
-    return sum(1 for _ in file_placements(tuple(heights), k))
-
-
-def count_rook_placements(heights, k: int) -> int:
-    return sum(1 for _ in rook_placements(tuple(heights), k))

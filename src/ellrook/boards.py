@@ -375,11 +375,6 @@ def file_uncancelled(heights, cells) -> set[Cell]:
     return out
 
 
-def file_uncancelled_cells(placement: Placement) -> set[Cell]:
-    heights, _ = _board_parts(placement.board)
-    return file_uncancelled(heights, placement.cells)
-
-
 def file_above_cells(heights, cells) -> set[Cell]:
     """Cells lying strictly above some rook in its column."""
     out = set()

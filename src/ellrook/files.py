@@ -14,12 +14,13 @@ from functools import lru_cache
 
 from .boards import SkylineBoard, file_above_cells, file_placements, file_uncancelled
 from .numeric import CheckEntry, guard_condition
+# rook's evaluators under this module's own names, so each layer can be traced apart
+from .rook import Signature, evaluate_signature as _evaluate
+from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude
 from .weights import WeightFamily, WeightTable
 
 ROW_ONLY = "row"
 ABOVE_ROOK = "above"
-
-Signature = tuple[tuple[tuple[int, ...], int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -43,28 +44,6 @@ def file_signature(heights: tuple[int, ...], k: int, weighting: str) -> Signatur
     if weighting == ABOVE_ROOK:
         return above
     raise ValueError(f"unknown file weighting {weighting!r}")
-
-
-def _evaluate(sig: Signature, table: WeightTable):
-    total = 0
-    for exps, count in sig:
-        prod = count
-        for e in exps:
-            prod = prod * table[e]
-        total = total + prod
-    return total
-
-
-def _evaluate_with_magnitude(sig: Signature, table: WeightTable):
-    total = 0
-    scale = 0.0
-    for exps, count in sig:
-        prod = count
-        for e in exps:
-            prod = prod * table[e]
-        total = total + prod
-        scale = scale + abs(prod)
-    return total, scale
 
 
 def file_number(board: SkylineBoard, k: int, fam: WeightFamily, weighting: str = ROW_ONLY):

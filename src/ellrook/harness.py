@@ -5,6 +5,12 @@ generic parameter points from a seeded generator, resampling whenever a
 pole is hit, and aggregating the worst relative error into a CheckReport.
 Reports are bit-reproducible given (seed, identity, board, trials).
 
+Each identity is one registry entry: a runner, its default trial count and
+its tolerance.  A runner reads its board and parameters once and returns
+either one trial, a callable that run_check's single trial loop calls
+`trials` times keeping the worst error, or, for the whole-run checks, that
+error itself.
+
 Counting identities (bijection-*) are exact: max_rel_err holds the number
 of mismatches and the tolerance is 0.5, so passed still means
 max_rel_err < tolerance.
@@ -12,18 +18,18 @@ max_rel_err < tolerance.
 
 from __future__ import annotations
 
-import cmath
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 
 from . import biject, files, jattack, rook, special
 from . import weights as weights_defaults
 from .boards import SkylineBoard, file_placements, j_rook_placements, rook_placements
 from .errors import BadBoardSpec, IllConditioned, PoleEncountered, UnknownIdentity
 from .numeric import relative_error
-from .theta import theta
+from .theta import ThetaEvalConfig, theta
 from .weights import (
     ABq,
     Aq,
@@ -31,6 +37,7 @@ from .weights import (
     FullElliptic,
     PlainQ,
     ZeroBq,
+    _polar,
     q_falling,
     q_number,
     random_family,
@@ -77,16 +84,7 @@ class CheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "identity_name": self.identity_name,
-            "board": self.board,
-            "family": self.family,
-            "trials": self.trials,
-            "max_rel_err": self.max_rel_err,
-            "resamples": self.resamples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -117,7 +115,6 @@ class _Context:
     trials: int
     config: SamplerConfig
     resamples: int = 0
-    extras: dict = field(default_factory=dict)
 
     def require_board(self) -> SkylineBoard:
         if not isinstance(self.board, SkylineBoard):
@@ -157,50 +154,41 @@ class _Context:
         )
 
 
+def _worst_trial(ctx: _Context, trial) -> float:
+    """The trial loop: call trial() ctx.trials times, keep the worst error."""
+    worst = 0.0
+    for _ in range(ctx.trials):
+        worst = max(worst, trial())
+    return worst
+
+
 def _grid_error(pairs) -> float:
     return max((relative_error(lhs, rhs) for lhs, rhs in pairs), default=0.0)
+
+
+def _grid(ctx: _Context, pairs):
+    """One trial: the worst error over the (lhs, rhs) pairs that pairs(fam)
+    yields, at a family redrawn until no pole."""
+    return partial(ctx.with_retry, lambda fam: _grid_error(pairs(fam)))
 
 
 # --- product formulas -------------------------------------------------------
 
 
-def _run_product_rook(ctx: _Context) -> float:
-    board = ctx.require_board()
-    worst = 0.0
-    for _ in range(ctx.trials):
+def _product(check):
+    """Runner for a factorization judged by check(board, fam, z, max_condition)."""
+
+    def run(ctx: _Context):
+        board = ctx.require_board()
+        z_given = ctx.params.get("z")
+
         def attempt(fam):
-            z = ctx.params.get("z")
-            if z is None:
-                z = ctx.draw_z()
-            return rook.product_formula_check(board, fam, z, MAX_CONDITION).rel_err
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+            z = z_given if z_given is not None else ctx.draw_z()
+            return check(board, fam, z, MAX_CONDITION).rel_err
 
+        return partial(ctx.with_retry, attempt)
 
-def _run_product_file(ctx: _Context) -> float:
-    board = ctx.require_board()
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            z = ctx.params.get("z")
-            if z is None:
-                z = ctx.draw_z()
-            return files.file_product_check(board, fam, z, MAX_CONDITION).rel_err
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
-
-
-def _run_product_file_above(ctx: _Context) -> float:
-    board = ctx.require_board()
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            z = ctx.params.get("z")
-            if z is None:
-                z = ctx.draw_z()
-            return files.file_above_product_check(board, fam, z, MAX_CONDITION).rel_err
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+    return run
 
 
 def mp_family(fam, precision: float = 1e-30):
@@ -208,281 +196,226 @@ def mp_family(fam, precision: float = 1e-30):
 
     The weighted sums over deep board extensions cancel catastrophically in
     doubles, so enumeration cross-checks run at extended precision; the
-    generic family code evaluates unchanged over mpc values.
+    generic family code evaluates unchanged over mpc values.  A PlainQ at an
+    exact q is returned as it is.
     """
     from mpmath import mpc
 
-    from .theta import ThetaEvalConfig
-
+    if isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction)):
+        return fam
+    numbers = {f.name: mpc(getattr(fam, f.name)) for f in fields(fam) if f.name != "cfg"}
     if isinstance(fam, FullElliptic):
-        cfg = ThetaEvalConfig(truncation_tolerance=precision)
-        return FullElliptic(mpc(fam.a), mpc(fam.b), mpc(fam.q), mpc(fam.p), cfg)
-    if isinstance(fam, ABq):
-        return ABq(mpc(fam.a), mpc(fam.b), mpc(fam.q))
-    if isinstance(fam, Aq):
-        return Aq(mpc(fam.a), mpc(fam.q))
-    if isinstance(fam, ZeroBq):
-        return ZeroBq(mpc(fam.b), mpc(fam.q))
-    if isinstance(fam, FrakPQ):
-        return FrakPQ(mpc(fam.a), mpc(fam.b), mpc(fam.fp), mpc(fam.q))
-    if isinstance(fam, PlainQ) and not isinstance(fam.q, (int, Fraction)):
-        return PlainQ(mpc(fam.q))
-    return fam
+        numbers["cfg"] = ThetaEvalConfig(truncation_tolerance=precision)
+    return replace(fam, **numbers)
 
 
-def _run_product_jump(ctx: _Context) -> float:
+def _run_product_jump(ctx: _Context):
     from mpmath import mp
 
     board = ctx.require_board()
     jump = ctx.param("J", 1)
     z_given = ctx.params.get("z")
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            z = z_given if z_given is not None else ctx.draw_z()
-            entry = jattack.jump_product_check(board, jump, fam, z, MAX_CONDITION)
-            err = entry.rel_err
-            if isinstance(z, int) and z >= jump * board.n:
-                with mp.workdps(35):
-                    precise = mp_family(fam)
-                    exact_entry = jattack.jump_product_check(board, jump, precise, z)
-                    total = jattack.jump_enumeration_total(board, jump, z, precise)
-                    err = max(
-                        err,
-                        float(relative_error(total, exact_entry.lhs)),
-                        float(relative_error(total, exact_entry.rhs)),
-                    )
-            return err
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def attempt(fam):
+        z = z_given if z_given is not None else ctx.draw_z()
+        entry = jattack.jump_product_check(board, jump, fam, z, MAX_CONDITION)
+        err = entry.rel_err
+        if isinstance(z, int) and z >= jump * board.n:
+            with mp.workdps(35):
+                precise = mp_family(fam)
+                exact_entry = jattack.jump_product_check(board, jump, precise, z)
+                total = jattack.jump_enumeration_total(board, jump, z, precise)
+                err = max(
+                    err,
+                    float(relative_error(total, exact_entry.lhs)),
+                    float(relative_error(total, exact_entry.rhs)),
+                )
+        return err
+
+    return partial(ctx.with_retry, attempt)
 
 
-def _run_max_identity(ctx: _Context) -> float:
+def _run_max_identity(ctx: _Context):
     board = ctx.require_board()
     depth = ctx.params.get("z")
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            k = depth if depth is not None else ctx.rng.randrange(0, 3)
-            return rook.max_identity_check(board, fam, int(k), MAX_CONDITION).rel_err
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def attempt(fam):
+        k = depth if depth is not None else ctx.rng.randrange(0, 3)
+        return rook.max_identity_check(board, fam, int(k), MAX_CONDITION).rel_err
+
+    return partial(ctx.with_retry, attempt)
 
 
 # --- recursions --------------------------------------------------------------
 
 
-def _run_recursion_rook(ctx: _Context) -> float:
+def _run_recursion_rook(ctx: _Context):
     board = ctx.require_board()
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            return _grid_error(
-                (
-                    rook.rook_number_via_recursion(board, k, fam),
-                    rook.rook_number(board, k, fam),
-                )
-                for k in range(board.n + 1)
-            )
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for k in range(board.n + 1):
+            yield rook.rook_number_via_recursion(board, k, fam), rook.rook_number(board, k, fam)
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_file(ctx: _Context) -> float:
+def _run_recursion_file(ctx: _Context):
     board = ctx.require_board()
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            return _grid_error(
-                (
-                    files.file_number_via_recursion(board, k, fam),
-                    files.file_number(board, k, fam),
-                )
-                for k in range(board.n + 1)
-            )
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for k in range(board.n + 1):
+            yield files.file_number_via_recursion(board, k, fam), files.file_number(board, k, fam)
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_binomial(ctx: _Context) -> float:
+def _run_recursion_binomial(ctx: _Context):
     n_max = ctx.params.get("n", 5)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(n_max + 1):
-                for k in range(n + 2):
-                    lhs = fam.binomial(n + 1, k)
-                    rhs = fam.binomial(n, k)
-                    if k >= 1:
-                        w = fam.scaled(k - 1, 2 * k - 2).big_weight(n + 1 - k)
-                        rhs = rhs + fam.binomial(n, k - 1) * w
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(n_max + 1):
+            for k in range(n + 2):
+                lhs = fam.binomial(n + 1, k)
+                rhs = fam.binomial(n, k)
+                if k >= 1:
+                    w = fam.scaled(k - 1, 2 * k - 2).big_weight(n + 1 - k)
+                    rhs = rhs + fam.binomial(n, k - 1) * w
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_stirling2(ctx: _Context) -> float:
+def _run_recursion_stirling2(ctx: _Context):
     n_max = ctx.params.get("n", 5)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(n_max):
-                for k in range(n + 2):
-                    lhs = special.stirling2(n + 1, k, fam)
-                    rhs = fam.number(k) * special.stirling2(n, k, fam)
-                    if k >= 1:
-                        rhs = rhs + fam.big_weight(k - 1) * special.stirling2(n, k - 1, fam)
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(n_max):
+            for k in range(n + 2):
+                lhs = special.stirling2(n + 1, k, fam)
+                rhs = fam.number(k) * special.stirling2(n, k, fam)
+                if k >= 1:
+                    rhs = rhs + fam.big_weight(k - 1) * special.stirling2(n, k - 1, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_stirling2_r(ctx: _Context) -> float:
+def _run_recursion_stirling2_r(ctx: _Context):
     n_max = ctx.params.get("n", 5)
     r = ctx.param("r", 2)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(r, n_max):
-                for k in range(r - 1, n + 2):
-                    lhs = special.stirling2_r(n + 1, k, r, fam)
-                    rhs = fam.number(k) * special.stirling2_r(n, k, r, fam)
-                    if k >= 1:
-                        rhs = rhs + fam.big_weight(k - 1) * special.stirling2_r(
-                            n, k - 1, r, fam
-                        )
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(r, n_max):
+            for k in range(r - 1, n + 2):
+                lhs = special.stirling2_r(n + 1, k, r, fam)
+                rhs = fam.number(k) * special.stirling2_r(n, k, r, fam)
+                if k >= 1:
+                    rhs = rhs + fam.big_weight(k - 1) * special.stirling2_r(n, k - 1, r, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_lah(ctx: _Context) -> float:
+def _run_recursion_lah(ctx: _Context):
     n_max = ctx.params.get("n", 5)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(1, n_max):
-                sh = fam.shifted(-n)
-                for k in range(n + 2):
-                    lhs = special.lah(n + 1, k, fam)
-                    rhs = sh.number(n + k) * special.lah(n, k, fam)
-                    if k >= 1:
-                        rhs = rhs + sh.big_weight(n + k - 1) * special.lah(n, k - 1, fam)
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(1, n_max):
+            sh = fam.shifted(-n)
+            for k in range(n + 2):
+                lhs = special.lah(n + 1, k, fam)
+                rhs = sh.number(n + k) * special.lah(n, k, fam)
+                if k >= 1:
+                    rhs = rhs + sh.big_weight(n + k - 1) * special.lah(n, k - 1, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_lah_r(ctx: _Context) -> float:
+def _run_recursion_lah_r(ctx: _Context):
     n_max = ctx.params.get("n", 5)
     r = ctx.param("r", 2)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(r, n_max):
-                sh = fam.shifted(-n)
-                for k in range(r, n + 2):
-                    lhs = special.lah_r(n + 1, k, r, fam)
-                    rhs = sh.number(n + k) * special.lah_r(n, k, r, fam)
-                    rhs = rhs + sh.big_weight(n + k - 1) * special.lah_r(n, k - 1, r, fam)
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(r, n_max):
+            sh = fam.shifted(-n)
+            for k in range(r, n + 2):
+                lhs = special.lah_r(n + 1, k, r, fam)
+                rhs = sh.number(n + k) * special.lah_r(n, k, r, fam)
+                rhs = rhs + sh.big_weight(n + k - 1) * special.lah_r(n, k - 1, r, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_stirling1(ctx: _Context) -> float:
+def _run_recursion_stirling1(ctx: _Context):
     n_max = ctx.params.get("n", 5)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(n_max):
-                sh = fam.shifted(-n)
-                for k in range(n + 2):
-                    lhs = special.stirling1(n + 1, k, fam)
-                    rhs = sh.number(n) * special.stirling1(n, k, fam)
-                    if k >= 1:
-                        rhs = rhs + sh.big_weight(n) * special.stirling1(n, k - 1, fam)
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(n_max):
+            sh = fam.shifted(-n)
+            for k in range(n + 2):
+                lhs = special.stirling1(n + 1, k, fam)
+                rhs = sh.number(n) * special.stirling1(n, k, fam)
+                if k >= 1:
+                    rhs = rhs + sh.big_weight(n) * special.stirling1(n, k - 1, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_stirling1_r(ctx: _Context) -> float:
+def _run_recursion_stirling1_r(ctx: _Context):
     n_max = ctx.params.get("n", 5)
     r = ctx.param("r", 2)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(r, n_max):
-                sh = fam.shifted(-n)
-                for k in range(r - 1, n + 2):
-                    lhs = special.stirling1_r(n + 1, k, r, fam)
-                    rhs = sh.number(n) * special.stirling1_r(n, k, r, fam)
-                    if k >= 1:
-                        rhs = rhs + sh.big_weight(n) * special.stirling1_r(n, k - 1, r, fam)
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(r, n_max):
+            sh = fam.shifted(-n)
+            for k in range(r - 1, n + 2):
+                lhs = special.stirling1_r(n + 1, k, r, fam)
+                rhs = sh.number(n) * special.stirling1_r(n, k, r, fam)
+                if k >= 1:
+                    rhs = rhs + sh.big_weight(n) * special.stirling1_r(n, k - 1, r, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_gen_stirling2(ctx: _Context) -> float:
+def _run_recursion_gen_stirling2(ctx: _Context):
     n_max = ctx.params.get("n", 5)
     offset = ctx.param("I", 0)
     jump = ctx.param("J", 1)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            sh = fam.shifted(-offset)
-            pairs = []
-            for n in range(n_max):
-                for k in range(n + 2):
-                    lhs = jattack.gen_stirling2(offset, jump, n + 1, k, fam)
-                    rhs = sh.number(offset + k * jump) * jattack.gen_stirling2(
-                        offset, jump, n, k, fam
-                    )
-                    if k >= 1:
-                        rhs = rhs + sh.big_weight(
-                            offset + (k - 1) * jump
-                        ) * jattack.gen_stirling2(offset, jump, n, k - 1, fam)
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        sh = fam.shifted(-offset)
+        for n in range(n_max):
+            for k in range(n + 2):
+                lhs = jattack.gen_stirling2(offset, jump, n + 1, k, fam)
+                rhs = sh.number(offset + k * jump) * jattack.gen_stirling2(offset, jump, n, k, fam)
+                if k >= 1:
+                    w = sh.big_weight(offset + (k - 1) * jump)
+                    rhs = rhs + w * jattack.gen_stirling2(offset, jump, n, k - 1, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
-def _run_recursion_gen_stirling1(ctx: _Context) -> float:
+def _run_recursion_gen_stirling1(ctx: _Context):
     n_max = ctx.params.get("n", 5)
     offset = ctx.param("I", 0)
     jump = ctx.param("J", 1)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(n_max):
-                coeff = fam.shifted(-(offset + n * (jump - 1))).number(offset + n * jump)
-                for k in range(n + 2):
-                    lhs = jattack.gen_stirling1(offset, jump, n + 1, k, fam)
-                    rhs = coeff * jattack.gen_stirling1(offset, jump, n, k, fam)
-                    if k >= 1:
-                        rhs = rhs + jattack.gen_stirling1(offset, jump, n, k - 1, fam)
-                    pairs.append((lhs, rhs))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(n_max):
+            coeff = fam.shifted(-(offset + n * (jump - 1))).number(offset + n * jump)
+            for k in range(n + 2):
+                lhs = jattack.gen_stirling1(offset, jump, n + 1, k, fam)
+                rhs = coeff * jattack.gen_stirling1(offset, jump, n, k, fam)
+                if k >= 1:
+                    rhs = rhs + jattack.gen_stirling1(offset, jump, n, k - 1, fam)
+                yield lhs, rhs
+
+    return _grid(ctx, pairs)
 
 
 # --- closed forms -------------------------------------------------------------
@@ -493,161 +426,109 @@ def _aq_sample(ctx: _Context) -> Aq:
     return Aq(a, q)
 
 
-def _run_closed_form_rect_aq(ctx: _Context) -> float:
+def _run_closed_form_rect_aq(ctx: _Context):
     board = ctx.require_board()
     heights = set(board.heights)
     if len(heights) != 1:
         raise BadBoardSpec("closed-form-rect-aq needs a rectangular board")
     m = heights.pop()
     ell = board.n
-    worst = 0.0
-    for _ in range(ctx.trials):
-        fam = _aq_sample(ctx)
-        pairs = []
+
+    def pairs(fam):
         for k in range(min(ell, m) + 1):
-            pairs.append(
-                (
-                    rook.rook_number(board, k, fam),
-                    rook.rect_rook_number_aq(ell, m, k, fam.a, fam.q),
-                )
-            )
-        worst = max(worst, _grid_error(pairs))
-    return worst
+            closed = rook.rect_rook_number_aq(ell, m, k, fam.a, fam.q)
+            yield rook.rook_number(board, k, fam), closed
+
+    return lambda: _grid_error(pairs(_aq_sample(ctx)))
 
 
-def _run_closed_form_lah_aq(ctx: _Context) -> float:
+def _run_closed_form_lah_aq(ctx: _Context):
     n_max = ctx.param("n", 5)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        fam = _aq_sample(ctx)
-        pairs = []
+
+    def pairs(fam):
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
-                pairs.append(
-                    (special.lah(n, k, fam), special.lah_aq_closed(n, k, fam.a, fam.q))
-                )
-        worst = max(worst, _grid_error(pairs))
-    return worst
+                yield special.lah(n, k, fam), special.lah_aq_closed(n, k, fam.a, fam.q)
+
+    return lambda: _grid_error(pairs(_aq_sample(ctx)))
 
 
-def _run_closed_form_lah_r_aq(ctx: _Context) -> float:
+def _run_closed_form_lah_r_aq(ctx: _Context):
     n_max = ctx.param("n", 5)
     r = ctx.param("r", 2)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        fam = _aq_sample(ctx)
-        pairs = []
+
+    def pairs(fam):
         for n in range(r, n_max + 1):
             for k in range(r, n + 1):
-                pairs.append(
-                    (
-                        special.lah_r(n, k, r, fam),
-                        special.lah_r_aq_closed(n, k, r, fam.a, fam.q),
-                    )
-                )
-        worst = max(worst, _grid_error(pairs))
-    return worst
+                yield special.lah_r(n, k, r, fam), special.lah_r_aq_closed(n, k, r, fam.a, fam.q)
+
+    return lambda: _grid_error(pairs(_aq_sample(ctx)))
 
 
-def _run_closed_form_lah_r_q(ctx: _Context) -> float:
+def _run_closed_form_lah_r_q(ctx: _Context):
     n_max = ctx.param("n", 5)
     r = ctx.param("r", 2)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        _, _, q, _ = random_generic_point(ctx.rng)
-        fam = PlainQ(q)
-        pairs = []
+
+    def pairs(fam):
         for n in range(r, n_max + 1):
             for k in range(r, n + 1):
-                pairs.append(
-                    (special.lah_r(n, k, r, fam), special.lah_r_q_closed(n, k, r, q))
-                )
-        worst = max(worst, _grid_error(pairs))
-    return worst
+                yield special.lah_r(n, k, r, fam), special.lah_r_q_closed(n, k, r, fam.q)
+
+    return lambda: _grid_error(pairs(PlainQ(random_generic_point(ctx.rng)[2])))
 
 
-def _run_closed_form_abel(ctx: _Context) -> float:
+def _run_closed_form_abel(ctx: _Context):
     n_max = ctx.param("n", 5)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(1, n_max + 1):
-                for k in range(1, n + 1):
-                    pairs.append(
-                        (special.abel(n, k, fam), special.abel_closed(n, k, fam))
-                    )
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(1, n_max + 1):
+            for k in range(1, n + 1):
+                yield special.abel(n, k, fam), special.abel_closed(n, k, fam)
+
+    return _grid(ctx, pairs)
 
 
-def _run_closed_form_abel_r(ctx: _Context) -> float:
+def _run_closed_form_abel_r(ctx: _Context):
     n_max = ctx.param("n", 5)
     r = ctx.param("r", 2)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(r, n_max + 1):
-                for k in range(r, n + 1):
-                    pairs.append(
-                        (
-                            special.abel_r(n, k, r, fam),
-                            special.abel_r_closed(n, k, r, fam),
-                        )
-                    )
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(r, n_max + 1):
+            for k in range(r, n + 1):
+                yield special.abel_r(n, k, r, fam), special.abel_r_closed(n, k, r, fam)
+
+    return _grid(ctx, pairs)
 
 
-def _run_closed_form_abel_general(ctx: _Context) -> float:
+def _run_closed_form_abel_general(ctx: _Context):
     n_max = ctx.param("n", 4)
     m = ctx.param("m", 8)
     r = ctx.params.get("r", 1)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(max(r, 1), n_max + 1):
-                for k in range(r, n + 1):
-                    pairs.append(
-                        (
-                            special.abel_gen(m, n, k, r, fam),
-                            special.abel_gen_closed(m, n, k, r, fam),
-                        )
-                    )
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(max(r, 1), n_max + 1):
+            for k in range(r, n + 1):
+                yield special.abel_gen(m, n, k, r, fam), special.abel_gen_closed(m, n, k, r, fam)
+
+    return _grid(ctx, pairs)
 
 
-def _run_closed_form_stirling2_small_k(ctx: _Context) -> float:
+def _run_closed_form_stirling2_small_k(ctx: _Context):
     n_max = ctx.param("n", 5)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for n in range(1, n_max + 1):
-                for k in range(min(n, 3) + 1):
-                    pairs.append(
-                        (
-                            special.stirling2(n, k, fam),
-                            special.stirling2_small_k(n, k, fam),
-                        )
-                    )
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for n in range(1, n_max + 1):
+            for k in range(min(n, 3) + 1):
+                yield special.stirling2(n, k, fam), special.stirling2_small_k(n, k, fam)
+
+    return _grid(ctx, pairs)
 
 
 # --- degenerations ------------------------------------------------------------
 
 
-def _run_degeneration_chain(ctx: _Context) -> float:
-    worst = 0.0
-    for _ in range(ctx.trials):
+def _run_degeneration_chain(ctx: _Context):
+    def trial():
         a, b, q, _ = random_generic_point(ctx.rng)
         k = ctx.rng.randrange(-4, 5)
         full = FullElliptic(a, b, q, 0)
@@ -668,11 +549,9 @@ def _run_degeneration_chain(ctx: _Context) -> float:
         plain = PlainQ(q)
         pairs.append((plain.small_weight(k), q))
         pairs.append((plain.big_weight(k), q**k))
-        try:
-            worst = max(worst, _grid_error(pairs))
-        except PoleEncountered:
-            ctx.resamples += 1
-    return worst
+        return _grid_error(pairs)
+
+    return trial
 
 
 def _run_degeneration_q(ctx: _Context) -> float:
@@ -704,86 +583,66 @@ def _run_degeneration_q(ctx: _Context) -> float:
     return float(mismatches)
 
 
-def _run_degeneration_pq(ctx: _Context) -> float:
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            if not isinstance(fam, FrakPQ):
-                fam = FrakPQ(fam.a, fam.b, 1.1 + 0.2j, fam.q)
-            delegate = ABq(fam.a, fam.b, fam.q / fam.fp)
-            k = ctx.rng.randrange(-3, 4)
-            z = ctx.draw_z()
-            pairs = [
-                (fam.small_weight(k), delegate.small_weight(k)),
-                (fam.number(z), delegate.number(z)),
-                (fam.big_weight(k), delegate.big_weight(k)),
-            ]
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+def _run_degeneration_pq(ctx: _Context):
+    def pairs(fam):
+        if not isinstance(fam, FrakPQ):
+            fam = FrakPQ(fam.a, fam.b, 1.1 + 0.2j, fam.q)
+        delegate = ABq(fam.a, fam.b, fam.q / fam.fp)
+        k = ctx.rng.randrange(-3, 4)
+        z = ctx.draw_z()
+        yield fam.small_weight(k), delegate.small_weight(k)
+        yield fam.number(z), delegate.number(z)
+        yield fam.big_weight(k), delegate.big_weight(k)
+
+    return _grid(ctx, pairs)
 
 
-def _run_ellipticity(ctx: _Context) -> float:
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            if not isinstance(fam, FullElliptic):
-                raise BadBoardSpec("ellipticity is a full-elliptic statement")
-            k = ctx.rng.randrange(-4, 5)
-            base = fam.small_weight(k)
-            shifted_a = FullElliptic(fam.a * fam.p, fam.b, fam.q, fam.p)
-            shifted_b = FullElliptic(fam.a, fam.b * fam.p, fam.q, fam.p)
-            return _grid_error(
-                [(base, shifted_a.small_weight(k)), (base, shifted_b.small_weight(k))]
-            )
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+def _run_ellipticity(ctx: _Context):
+    def pairs(fam):
+        if not isinstance(fam, FullElliptic):
+            raise BadBoardSpec("ellipticity is a full-elliptic statement")
+        k = ctx.rng.randrange(-4, 5)
+        base = fam.small_weight(k)
+        shifted_a = FullElliptic(fam.a * fam.p, fam.b, fam.q, fam.p)
+        shifted_b = FullElliptic(fam.a, fam.b * fam.p, fam.q, fam.p)
+        yield base, shifted_a.small_weight(k)
+        yield base, shifted_b.small_weight(k)
+
+    return _grid(ctx, pairs)
 
 
 # --- theta substrate ----------------------------------------------------------
 
 
-def _random_nonzero(rng: random.Random) -> complex:
-    return rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0.0, 6.283185307179586))
+def _run_theta_inversion(ctx: _Context):
+    def trial():
+        x = _polar(ctx.rng, 0.5, 2.0)
+        p = _polar(ctx.rng, 0.05, 0.4)
+        return relative_error(theta(x, p), -x * theta(1 / x, p))
+
+    return trial
 
 
-def _random_nome(rng: random.Random) -> complex:
-    return rng.uniform(0.05, 0.4) * cmath.exp(1j * rng.uniform(0.0, 6.283185307179586))
+def _run_theta_quasiperiod(ctx: _Context):
+    def trial():
+        x = _polar(ctx.rng, 0.5, 2.0)
+        p = _polar(ctx.rng, 0.05, 0.4)
+        return relative_error(theta(p * x, p), -theta(x, p) / x)
+
+    return trial
 
 
-def _run_theta_inversion(ctx: _Context) -> float:
-    worst = 0.0
-    for _ in range(ctx.trials):
-        x = _random_nonzero(ctx.rng)
-        p = _random_nome(ctx.rng)
-        lhs = theta(x, p)
-        rhs = -x * theta(1 / x, p)
-        worst = max(worst, relative_error(lhs, rhs))
-    return worst
-
-
-def _run_theta_quasiperiod(ctx: _Context) -> float:
-    worst = 0.0
-    for _ in range(ctx.trials):
-        x = _random_nonzero(ctx.rng)
-        p = _random_nome(ctx.rng)
-        lhs = theta(p * x, p)
-        rhs = -theta(x, p) / x
-        worst = max(worst, relative_error(lhs, rhs))
-    return worst
-
-
-def _run_addition_formula(ctx: _Context) -> float:
-    worst = 0.0
-    for _ in range(ctx.trials):
-        x, y, u, v = (_random_nonzero(ctx.rng) for _ in range(4))
-        p = _random_nome(ctx.rng)
+def _run_addition_formula(ctx: _Context):
+    def trial():
+        x, y, u, v = (_polar(ctx.rng, 0.5, 2.0) for _ in range(4))
+        p = _polar(ctx.rng, 0.05, 0.4)
         t1 = theta(x * y, p) * theta(x / y, p) * theta(u * v, p) * theta(u / v, p)
         t2 = theta(x * v, p) * theta(x / v, p) * theta(u * y, p) * theta(u / y, p)
         t3 = (u / y) * theta(y * v, p) * theta(y / v, p) * theta(x * u, p) * theta(x / u, p)
         scale = max(abs(t1), abs(t2), abs(t3), 1e-30)
-        worst = max(worst, abs(t1 - t2 - t3) / scale)
-    return worst
+        return abs(t1 - t2 - t3) / scale
+
+    return trial
 
 
 # --- bijections (exact counting) ---------------------------------------------
@@ -904,56 +763,49 @@ def _run_bijection_rg(ctx: _Context) -> float:
     return float(mismatches)
 
 
-def _run_bijection_rg_weight(ctx: _Context) -> float:
+def _run_bijection_rg_weight(ctx: _Context):
     n = ctx.param("n", 4)
     offset = ctx.param("I", 1)
     jump = ctx.param("J", 2)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            pairs = []
-            for k in range(n + 1):
-                for gamma in jattack.enumerate_rg_words(offset, jump, n, k):
-                    pairs.append(jattack.rg_word_weight_identity(gamma, fam))
-            return _grid_error(pairs)
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def pairs(fam):
+        for k in range(n + 1):
+            for gamma in jattack.enumerate_rg_words(offset, jump, n, k):
+                yield jattack.rg_word_weight_identity(gamma, fam)
+
+    return _grid(ctx, pairs)
 
 
-def _run_matrix_inverse(ctx: _Context) -> float:
+def _run_matrix_inverse(ctx: _Context):
     n_max = ctx.params.get("n", 6)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        def attempt(fam):
-            big_s = {}
-            small_s = {}
-            for n in range(n_max + 1):
-                for k in range(n + 1):
-                    big_s[(n, k)] = jattack.gen_stirling2_normalized(0, 1, n, k, fam)
-                    small_s[(n, k)] = (-1) ** (n - k) * jattack.gen_stirling1(
-                        0, 1, n, k, fam
-                    )
-            err = 0.0
-            for n in range(n_max + 1):
-                for target in range(n + 1):
-                    terms = [
-                        big_s[(n, k)] * small_s[(k, target)] for k in range(target, n + 1)
-                    ]
-                    total = sum(terms)
-                    want = 1 if target == n else 0
-                    scale = max(1.0, max(abs(t) for t in terms))
-                    err = max(err, abs(total - want) / scale)
-            return err
-        worst = max(worst, ctx.with_retry(attempt))
-    return worst
+
+    def attempt(fam):
+        big_s = {}
+        small_s = {}
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                big_s[(n, k)] = jattack.gen_stirling2_normalized(0, 1, n, k, fam)
+                small_s[(n, k)] = (-1) ** (n - k) * jattack.gen_stirling1(0, 1, n, k, fam)
+        err = 0.0
+        for n in range(n_max + 1):
+            for target in range(n + 1):
+                terms = [big_s[(n, k)] * small_s[(k, target)] for k in range(target, n + 1)]
+                total = sum(terms)
+                want = 1 if target == n else 0
+                scale = max(1.0, max(abs(t) for t in terms))
+                err = max(err, abs(total - want) / scale)
+        return err
+
+    return partial(ctx.with_retry, attempt)
 
 
 # --- registry -----------------------------------------------------------------
 
+# name -> (runner, default trials, default tolerance)
 _IDENTITIES = {
-    "product-rook": (_run_product_rook, 25, 1e-8),
-    "product-file": (_run_product_file, 25, 1e-8),
-    "product-file-above": (_run_product_file_above, 25, 1e-8),
+    "product-rook": (_product(rook.product_formula_check), 25, 1e-8),
+    "product-file": (_product(files.file_product_check), 25, 1e-8),
+    "product-file-above": (_product(files.file_above_product_check), 25, 1e-8),
     "product-jump": (_run_product_jump, 25, 1e-8),
     "max-identity": (_run_max_identity, 10, 1e-9),
     "recursion-rook": (_run_recursion_rook, 5, 1e-9),
@@ -1018,31 +870,20 @@ def run_check(
     trials = default_trials if trials is None else trials
     tol = default_tol if tol is None else tol
     parsed = parse_board_spec(board)
-    params: dict = {}
-    board_obj = None
-    if isinstance(parsed, dict):
-        params.update(parsed)
-    elif parsed is not None:
-        board_obj = parsed
-    if z is not None:
-        params["z"] = z
-    if jump is not None:
-        params["J"] = jump
-    if offset is not None:
-        params["I"] = offset
-    if restriction is not None:
-        params["r"] = restriction
-    if general_m is not None:
-        params["m"] = general_m
+    sized = isinstance(parsed, dict)
+    params = dict(parsed) if sized else {}
+    named = {"z": z, "J": jump, "I": offset, "r": restriction, "m": general_m}
+    params.update((key, value) for key, value in named.items() if value is not None)
     ctx = _Context(
         rng=random.Random(seed),
         family_tag=family,
-        board=board_obj,
+        board=None if sized else parsed,
         params=params,
         trials=trials,
         config=config,
     )
-    max_rel_err = runner(ctx)
+    outcome = runner(ctx)
+    max_rel_err = _worst_trial(ctx, outcome) if callable(outcome) else outcome
     return CheckReport(
         identity_name=identity,
         board="" if board is None else str(board),

@@ -22,9 +22,10 @@ from .boards import (
 from .errors import NotJAttackingBoard
 from .files import ABOVE_ROOK, file_number
 from .numeric import CheckEntry, guard_condition
+# rook's evaluators under this module's own names, so each layer can be traced apart
+from .rook import Signature, evaluate_signature as _evaluate
+from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude
 from .weights import WeightFamily, WeightTable
-
-Signature = tuple[tuple[tuple[int, ...], int], ...]
 
 
 def b_board(offset: int, jump: int, n: int) -> SkylineBoard:
@@ -42,28 +43,6 @@ def j_rook_signature(heights: tuple[int, ...], jump: int, k: int) -> Signature:
         exps.sort()
         counts[tuple(exps)] += 1
     return tuple(sorted(counts.items()))
-
-
-def _evaluate(sig: Signature, table: WeightTable):
-    total = 0
-    for exps, count in sig:
-        prod = count
-        for e in exps:
-            prod = prod * table[e]
-        total = total + prod
-    return total
-
-
-def _evaluate_with_magnitude(sig: Signature, table: WeightTable):
-    total = 0
-    scale = 0.0
-    for exps, count in sig:
-        prod = count
-        for e in exps:
-            prod = prod * table[e]
-        total = total + prod
-        scale = scale + abs(prod)
-    return total, scale
 
 
 def _require_j_attacking(board: SkylineBoard, jump: int) -> None:

@@ -44,17 +44,6 @@ def evaluate_signature(sig: Signature, table: WeightTable):
     return total
 
 
-def signature_magnitude(sig: Signature, table: WeightTable) -> float:
-    """Sum of absolute term magnitudes: the cancellation scale of the sum."""
-    total = 0.0
-    for exps, count in sig:
-        prod = float(count)
-        for e in exps:
-            prod = prod * abs(table[e])
-        total = total + prod
-    return total
-
-
 def evaluate_signature_with_magnitude(sig: Signature, table: WeightTable):
     """Signature value together with its pre-cancellation magnitude."""
     total = 0

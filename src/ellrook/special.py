@@ -219,11 +219,6 @@ def lah_r(n: int, k: int, r: int, fam: WeightFamily):
     return rook_number(lah_board_r(n, r), n - k, fam.shifted(1 - r))
 
 
-def lah_r_unshifted(n: int, k: int, r: int, fam: WeightFamily):
-    """Rook number of the restricted Lah board without the parameter shift."""
-    return rook_number(lah_board_r(n, r), n - k, fam)
-
-
 def lah_r_via_recursion(n: int, k: int, r: int, fam: WeightFamily):
     """Restricted Lah number via the recursion, seeded exactly at n = r."""
     if n < r:
@@ -403,42 +398,20 @@ def abel_gen_closed(m: int, n: int, k: int, r: int, fam: WeightFamily):
 # tables
 # ---------------------------------------------------------------------------
 
-TABLE_FAMILIES = (
-    "stirling2",
-    "stirling2r",
-    "lah",
-    "lahr",
-    "stirling1",
-    "stirling1r",
-    "abel",
-    "abelr",
-    "abelgen",
-    "abelgenr",
-)
-
-
-def _table_value(family: str, n: int, k: int, fam: WeightFamily, r: int, m: int):
-    if family == "stirling2":
-        return stirling2(n, k, fam)
-    if family == "stirling2r":
-        return stirling2_r(n, k, r, fam)
-    if family == "lah":
-        return lah(n, k, fam)
-    if family == "lahr":
-        return lah_r(n, k, r, fam)
-    if family == "stirling1":
-        return stirling1(n, k, fam)
-    if family == "stirling1r":
-        return stirling1_r(n, k, r, fam)
-    if family == "abel":
-        return abel(n, k, fam)
-    if family == "abelr":
-        return abel_r(n, k, r, fam)
-    if family == "abelgen":
-        return abel_gen(m, n, k, 1, fam)
-    if family == "abelgenr":
-        return abel_gen(m, n, k, r, fam)
-    raise ValueError(f"unknown table family {family!r}")
+# table family -> value(n, k, fam, r, m)
+_TABLE_VALUES = {
+    "stirling2": lambda n, k, fam, r, m: stirling2(n, k, fam),
+    "stirling2r": lambda n, k, fam, r, m: stirling2_r(n, k, r, fam),
+    "lah": lambda n, k, fam, r, m: lah(n, k, fam),
+    "lahr": lambda n, k, fam, r, m: lah_r(n, k, r, fam),
+    "stirling1": lambda n, k, fam, r, m: stirling1(n, k, fam),
+    "stirling1r": lambda n, k, fam, r, m: stirling1_r(n, k, r, fam),
+    "abel": lambda n, k, fam, r, m: abel(n, k, fam),
+    "abelr": lambda n, k, fam, r, m: abel_r(n, k, r, fam),
+    "abelgen": lambda n, k, fam, r, m: abel_gen(m, n, k, 1, fam),
+    "abelgenr": lambda n, k, fam, r, m: abel_gen(m, n, k, r, fam),
+}
+TABLE_FAMILIES = tuple(_TABLE_VALUES)
 
 
 def _is_trivial(fam: WeightFamily) -> bool:
@@ -462,11 +435,11 @@ class SpecialNumberTable:
         if family not in TABLE_FAMILIES:
             raise ValueError(f"unknown table family {family!r}")
         table = cls(family, n_max, getattr(fam, "tag", "?"), _is_trivial(fam))
-        lo = 0
-        for n in range(lo, n_max + 1):
+        value_of = _TABLE_VALUES[family]
+        for n in range(n_max + 1):
             for k in range(n + 1):
                 try:
-                    value = _table_value(family, n, k, fam, r, m)
+                    value = value_of(n, k, fam, r, m)
                 except ValueError:
                     continue
                 table.values[(n, k)] = value

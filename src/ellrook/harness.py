@@ -28,7 +28,7 @@ from . import biject, files, jattack, rook, special
 from . import weights as weights_defaults
 from .boards import SkylineBoard, file_placements, j_rook_placements, rook_placements
 from .errors import BadBoardSpec, IllConditioned, PoleEncountered, UnknownIdentity
-from .numeric import relative_error
+from .numeric import relative_error, worst_error
 from .theta import ThetaEvalConfig, theta
 from .weights import (
     ABq,
@@ -156,14 +156,11 @@ class _Context:
 
 def _worst_trial(ctx: _Context, trial) -> float:
     """The trial loop: call trial() ctx.trials times, keep the worst error."""
-    worst = 0.0
-    for _ in range(ctx.trials):
-        worst = max(worst, trial())
-    return worst
+    return worst_error(*(trial() for _ in range(ctx.trials)))
 
 
 def _grid_error(pairs) -> float:
-    return max((relative_error(lhs, rhs) for lhs, rhs in pairs), default=0.0)
+    return worst_error(*(relative_error(lhs, rhs) for lhs, rhs in pairs))
 
 
 def _grid(ctx: _Context, pairs):
@@ -225,7 +222,7 @@ def _run_product_jump(ctx: _Context):
                 precise = mp_family(fam)
                 exact_entry = jattack.jump_product_check(board, jump, precise, z)
                 total = jattack.jump_enumeration_total(board, jump, z, precise)
-                err = max(
+                err = worst_error(
                     err,
                     float(relative_error(total, exact_entry.lhs)),
                     float(relative_error(total, exact_entry.rhs)),
@@ -793,7 +790,7 @@ def _run_matrix_inverse(ctx: _Context):
                 total = sum(terms)
                 want = 1 if target == n else 0
                 scale = max(1.0, max(abs(t) for t in terms))
-                err = max(err, abs(total - want) / scale)
+                err = worst_error(err, abs(total - want) / scale)
         return err
 
     return partial(ctx.with_retry, attempt)

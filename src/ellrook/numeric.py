@@ -56,6 +56,16 @@ def relative_error(lhs, rhs, floor: float = REL_ERR_FLOOR) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
 
 
+def worst_error(*errors) -> float:
+    """The largest of errors, 0.0 for none.  Unlike max(), a NaN anywhere
+    makes the result NaN, so a non-finite error is never outvoted."""
+    worst = 0.0
+    for err in errors:
+        if err > worst or err != err:
+            worst = err
+    return worst
+
+
 def guard_condition(term_scale, result_scale, max_condition) -> None:
     """Reject evaluations whose cancellation exceeds max_condition.
 

@@ -24,7 +24,7 @@ from ellrook.jattack import (
     phi,
     rg_word_weight_identity,
 )
-from ellrook.numeric import relative_error
+from ellrook.numeric import relative_error, worst_error
 from ellrook.rook import (
     product_formula_check,
     q_rook_number,
@@ -87,7 +87,7 @@ def test_criterion_01_rook_factorization_all_small_ferrers():
             while True:
                 try:
                     err = product_formula_check(board, fam, z, MAX_CONDITION).rel_err
-                    worst = max(worst, err)
+                    worst = worst_error(worst, err)
                     break
                 except (IllConditioned, PoleEncountered):
                     resamples += 1
@@ -110,7 +110,7 @@ def test_criterion_02_square_board_example():
             lhs = rook_number(board, 3, fam)
             rhs = fam.shifted(-3).number(3) * fam.shifted(-2).number(2)
             return relative_error(lhs, rhs)
-        worst = max(worst, _retry(rng, attempt))
+        worst = worst_error(worst, _retry(rng, attempt))
     ok = worst < 1e-10
     _report(
         "criterion 2: full-rook value on the 3x3 board",
@@ -187,9 +187,9 @@ def test_criterion_05_recursions_match_enumerations():
             for k in range(board.n + 1):
                 enum, mag = _value_mag(rook_signature(board.heights, k), table)
                 rec = rook_number_via_recursion(board, k, fam)
-                err = max(err, _guarded_error(rec, enum, mag))
+                err = worst_error(err, _guarded_error(rec, enum, mag))
             return err
-        worst = max(worst, _retry(rng, attempt))
+        worst = worst_error(worst, _retry(rng, attempt))
 
     # file-number recursion on sorted and shuffled skyline profiles
     profiles = [
@@ -208,9 +208,9 @@ def test_criterion_05_recursions_match_enumerations():
                 for k in range(board.n + 1):
                     enum, mag = _value_mag(file_signature(heights, k, ROW_ONLY), table)
                     rec = file_number_via_recursion(board, k, fam)
-                    err = max(err, _guarded_error(rec, enum, mag))
+                    err = worst_error(err, _guarded_error(rec, enum, mag))
                 return err
-            worst = max(worst, _retry(rng, attempt))
+            worst = worst_error(worst, _retry(rng, attempt))
 
     # generalized second-kind recursion over the offset/jump grid
     for offset in range(3):
@@ -227,9 +227,9 @@ def test_criterion_05_recursions_match_enumerations():
                             j_rook_signature(boards[n].heights, jump, n - k), table
                         )
                         rec = gen_stirling2_via_recursion(offset, jump, n, k, fam)
-                        err = max(err, _guarded_error(rec, enum, mag))
+                        err = worst_error(err, _guarded_error(rec, enum, mag))
                 return err
-            worst = max(worst, _retry(rng, attempt))
+            worst = worst_error(worst, _retry(rng, attempt))
 
     # Lah and restricted-Lah recursions, on enumerated values with scales
     def lah_vm(n, k, table):
@@ -252,10 +252,10 @@ def test_criterion_05_recursions_match_enumerations():
                 scale = max(
                     lhs_mag, abs(coef_same) * same_mag, abs(coef_below) * below_mag
                 )
-                err = max(err, _guarded_error(lhs, rhs, scale))
+                err = worst_error(err, _guarded_error(lhs, rhs, scale))
         return err
 
-    worst = max(worst, _retry(rng, lah_attempt))
+    worst = worst_error(worst, _retry(rng, lah_attempt))
 
     def lah_r_vm(n, k, r, table):
         if n < r or not 0 <= n - k <= n:
@@ -280,10 +280,10 @@ def test_criterion_05_recursions_match_enumerations():
                     scale = max(
                         lhs_mag, abs(coef_same) * same_mag, abs(coef_below) * below_mag
                     )
-                    err = max(err, _guarded_error(lhs, rhs, scale))
+                    err = worst_error(err, _guarded_error(lhs, rhs, scale))
         return err
 
-    worst = max(worst, _retry(rng, lah_r_attempt))
+    worst = worst_error(worst, _retry(rng, lah_r_attempt))
 
     # first-kind recursion
     def stirling1_vm(n, k, table):
@@ -308,10 +308,10 @@ def test_criterion_05_recursions_match_enumerations():
                 scale = max(
                     lhs_mag, abs(coef_same) * same_mag, abs(coef_below) * below_mag
                 )
-                err = max(err, _guarded_error(lhs, rhs, scale))
+                err = worst_error(err, _guarded_error(lhs, rhs, scale))
         return err
 
-    worst = max(worst, _retry(rng, stirling1_attempt))
+    worst = worst_error(worst, _retry(rng, stirling1_attempt))
 
     # binomial-coefficient recursion (three-term, no enumeration involved)
     def binomial_attempt(fam, _z):
@@ -327,11 +327,11 @@ def test_criterion_05_recursions_match_enumerations():
                     second = fam.binomial(n, k - 1) * w
                     rhs = rhs + second
                     scale = max(scale, abs(second))
-                err = max(err, _guarded_error(lhs, rhs, scale))
+                err = worst_error(err, _guarded_error(lhs, rhs, scale))
         return err
 
     for _ in range(3):
-        worst = max(worst, _retry(rng, binomial_attempt))
+        worst = worst_error(worst, _retry(rng, binomial_attempt))
 
     ok = worst < 1e-9
     _report(
@@ -359,7 +359,7 @@ def test_criterion_06_closed_forms():
                 for k in range(min(ell, m) + 1):
                     got = rook_number(rectangle(ell, m), k, fam)
                     want = rect_rook_number_aq(ell, m, k, a, q)
-                    worst = max(worst, relative_error(got, want))
+                    worst = worst_error(worst, relative_error(got, want))
 
     # Lah closed forms
     for _ in range(3):
@@ -367,7 +367,7 @@ def test_criterion_06_closed_forms():
         fam = Aq(a, q)
         for n in range(1, 6):
             for k in range(1, n + 1):
-                worst = max(
+                worst = worst_error(
                     worst,
                     relative_error(
                         special.lah(n, k, fam), special.lah_aq_closed(n, k, a, q)
@@ -376,14 +376,14 @@ def test_criterion_06_closed_forms():
         for r in (1, 2):
             for n in range(r, 6):
                 for k in range(r, n + 1):
-                    worst = max(
+                    worst = worst_error(
                         worst,
                         relative_error(
                             special.lah_r(n, k, r, fam),
                             special.lah_r_aq_closed(n, k, r, a, q),
                         ),
                     )
-                    worst = max(
+                    worst = worst_error(
                         worst,
                         relative_error(
                             special.lah_r(n, k, r, PlainQ(q)),
@@ -397,7 +397,7 @@ def test_criterion_06_closed_forms():
         try:
             for n in range(1, 6):
                 for k in range(1, n + 1):
-                    worst = max(
+                    worst = worst_error(
                         worst,
                         relative_error(
                             special.abel(n, k, fam), special.abel_closed(n, k, fam)
@@ -406,7 +406,7 @@ def test_criterion_06_closed_forms():
             for r in (1, 2):
                 for n in range(r, 6):
                     for k in range(r, n + 1):
-                        worst = max(
+                        worst = worst_error(
                             worst,
                             relative_error(
                                 special.abel_r(n, k, r, fam),
@@ -417,7 +417,7 @@ def test_criterion_06_closed_forms():
                 for r in (1, 2):
                     for n in range(max(r, 2), 6):
                         for k in range(r, n + 1):
-                            worst = max(
+                            worst = worst_error(
                                 worst,
                                 relative_error(
                                     special.abel_gen(m, n, k, r, fam),
@@ -452,7 +452,7 @@ def test_criterion_07_jump_product_formula():
                     precise = mp_family(fam)
                     entry = jump_product_check(board, jump, precise, z_int)
                     total = jump_enumeration_total(board, jump, z_int, precise)
-                    worst_enum = max(
+                    worst_enum = worst_error(
                         worst_enum,
                         float(relative_error(total, entry.lhs)),
                         float(relative_error(total, entry.rhs)),
@@ -464,7 +464,7 @@ def test_criterion_07_jump_product_formula():
                         return jump_product_check(
                             board, jump, fam2, z, MAX_CONDITION
                         ).rel_err
-                    worst_formula = max(worst_formula, _retry(rng, attempt))
+                    worst_formula = worst_error(worst_formula, _retry(rng, attempt))
     ok = worst_enum < 1e-8 and worst_formula < 1e-8
     _report(
         "criterion 7: jump product formula with extension cross-check",
@@ -488,7 +488,7 @@ def test_criterion_08_rg_statistic():
                 counts_ok = False
             images = set()
             for gamma in words:
-                worst = max(worst, rg_word_weight_identity(gamma, fam).rel_err)
+                worst = worst_error(worst, rg_word_weight_identity(gamma, fam).rel_err)
                 images.add(phi(gamma))
             if images != placements:
                 counts_ok = False
@@ -622,20 +622,20 @@ def test_criterion_10_analytic_substrate():
 
     for _ in range(200):
         x, p = nonzero(), nome()
-        worst_two = max(worst_two, relative_error(theta(x, p), -x * theta(1 / x, p)))
-        worst_two = max(worst_two, relative_error(theta(p * x, p), -theta(x, p) / x))
+        worst_two = worst_error(worst_two, relative_error(theta(x, p), -x * theta(1 / x, p)))
+        worst_two = worst_error(worst_two, relative_error(theta(p * x, p), -theta(x, p) / x))
     for _ in range(200):
         x, y, u, v = nonzero(), nonzero(), nonzero(), nonzero()
         p = nome()
         t1 = theta(x * y, p) * theta(x / y, p) * theta(u * v, p) * theta(u / v, p)
         t2 = theta(x * v, p) * theta(x / v, p) * theta(u * y, p) * theta(u / y, p)
         t3 = (u / y) * theta(y * v, p) * theta(y / v, p) * theta(x * u, p) * theta(x / u, p)
-        worst_add = max(worst_add, abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3)))
+        worst_add = worst_error(worst_add, abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3)))
     for _ in range(200):
         a, b, q, p = random_generic_point(rng)
         k = rng.randrange(-4, 5)
         base = FullElliptic(a, b, q, p).small_weight(k)
-        worst_ell = max(
+        worst_ell = worst_error(
             worst_ell,
             relative_error(base, FullElliptic(a * p, b, q, p).small_weight(k)),
             relative_error(base, FullElliptic(a, b * p, q, p).small_weight(k)),
@@ -674,7 +674,7 @@ def test_criterion_11_matrix_inverse():
                 total = sum(terms)
                 want = 1 if target == n else 0
                 scale = max(1.0, max(abs(t) for t in terms))
-                worst = max(worst, abs(total - want) / scale)
+                worst = worst_error(worst, abs(total - want) / scale)
     ok = worst < 1e-9
     _report(
         "criterion 11: first/second-kind matrices are inverse at offset 0, jump 1",
@@ -694,7 +694,7 @@ def test_criterion_12_rook_and_file_equivalence():
                 lah_like = rectangle(n, n - 1)
                 evens = SkylineBoard(tuple(2 * i for i in range(n)))
                 for k in range(n + 1):
-                    err = max(
+                    err = worst_error(
                         err,
                         relative_error(
                             rook_number(lah_like, n - k, fam),
@@ -702,7 +702,7 @@ def test_criterion_12_rook_and_file_equivalence():
                         ),
                     )
             return err
-        worst = max(worst, _retry(rng, attempt))
+        worst = worst_error(worst, _retry(rng, attempt))
 
     base = (0, 1, 3, 3, 5)
     for _ in range(2):
@@ -712,9 +712,11 @@ def test_criterion_12_rook_and_file_equivalence():
             for perm in set(itertools.permutations(base)):
                 board = SkylineBoard(perm)
                 for k in range(6):
-                    err = max(err, relative_error(file_number(board, k, fam), reference[k]))
+                    err = worst_error(
+                        err, relative_error(file_number(board, k, fam), reference[k])
+                    )
             return err
-        worst = max(worst, _retry(rng, attempt))
+        worst = worst_error(worst, _retry(rng, attempt))
     ok = worst < 1e-9
     _report(
         "criterion 12: rook and file equivalences",

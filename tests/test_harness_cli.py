@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -95,6 +96,13 @@ def test_every_identity_is_runnable():
         assert report.passed, (name, report.max_rel_err)
 
 
+def test_nan_trials_fail():
+    # at z = 2+60i both sides of 24 of the 25 trials are nan+nanj
+    report = run_check("product-rook", "0,2,3,5,5", z=complex(2, 60))
+    assert math.isnan(report.max_rel_err)
+    assert report.passed is False
+
+
 def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "ellrook.cli", *args],
@@ -172,3 +180,9 @@ def test_cli_table(tmp_path):
     assert result.returncode == 0
     text = out.read_text()
     assert "stirling2,4,2,7" in text
+
+
+def test_cli_nan_trials_exit_code():
+    result = _cli("check", "product-rook", "--board", "0,2,3,5,5", "--z", "2,60")
+    assert result.returncode == 1
+    assert result.stdout.startswith("FAIL")

@@ -7,7 +7,8 @@
                   [--r r] [--m m] [--seed S]
     ellrook demo <bijection> --input "<board part>|<cells part>"
 
-Exit status is 0 exactly when every requested check passed.
+Exit status is 0 when the check passed, 1 when it failed (a non-finite
+error fails), and 2 on an ellrook error such as a bad board spec.
 """
 
 from __future__ import annotations

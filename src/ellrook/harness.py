@@ -7,9 +7,9 @@ Reports are bit-reproducible given (seed, identity, board, trials).
 
 Each identity is one registry entry: a runner, its default trial count and
 its tolerance.  A runner reads its board and parameters once and returns
-either one trial, a callable that run_check's single trial loop calls
-`trials` times keeping the worst error, or, for the whole-run checks, that
-error itself.
+one trial: a callable that run_check's one trial loop calls `trials` times,
+keeping the worst error.  The checks judged over a whole run at once (the
+bijection counts and degeneration-q) return that error instead.
 
 Counting identities (bijection-*) are exact: max_rel_err holds the number
 of mismatches and the tolerance is 0.5, so passed still means

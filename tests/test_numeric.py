@@ -11,8 +11,7 @@ def test_worst_error_is_max_of_finite_errors():
 
 
 def test_worst_error_propagates_nan_and_inf():
-    # max() keeps its first argument when the next is NaN; worst_error does not
-    assert max(0.0, NAN) == 0.0
+    # max(0.0, nan) is 0.0: max() keeps its first argument when the next is NaN
     for errors in ((NAN, 1.0), (1.0, NAN), (0.0, NAN, 2.0), (math.inf, NAN)):
         assert math.isnan(worst_error(*errors))
     assert worst_error(1.0, math.inf, 2.0) == math.inf

@@ -9,6 +9,7 @@ from .errors import (
     NoConvergence,
     NotJAttackingBoard,
     PoleEncountered,
+    ResamplesExhausted,
     UnknownIdentity,
     ZeroArgument,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "Placement",
     "PlainQ",
     "PoleEncountered",
+    "ResamplesExhausted",
     "SamplerConfig",
     "SkylineBoard",
     "ThetaEvalConfig",

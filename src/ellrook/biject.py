@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator
 
 
@@ -58,21 +58,22 @@ def partition_to_rooks(partition) -> tuple[Cell, ...]:
 
 def set_partitions(n: int, k: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All set partitions of [n], optionally restricted to k blocks."""
+    yield from _grow_partitions(1, n, k, [])
 
-    def rec(x: int, blocks: list[list[int]]):
-        if x > n:
-            if k is None or len(blocks) == k:
-                yield tuple(sorted((tuple(b) for b in blocks), key=min))
-            return
-        for b in blocks:
-            b.append(x)
-            yield from rec(x + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from rec(x + 1, blocks)
-        blocks.pop()
 
-    yield from rec(1, [])
+def _grow_partitions(x: int, n: int, k: int | None, blocks: list[list[int]]):
+    """Every way to place x..n into blocks, the partition of [x-1] so far."""
+    if x > n:
+        if k is None or len(blocks) == k:
+            yield tuple(sorted((tuple(b) for b in blocks), key=min))
+        return
+    for b in blocks:
+        b.append(x)
+        yield from _grow_partitions(x + 1, n, k, blocks)
+        b.pop()
+    blocks.append([x])
+    yield from _grow_partitions(x + 1, n, k, blocks)
+    blocks.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -364,58 +365,35 @@ def rooted_forests(n: int, m: int | None = None, r: int = 1) -> set[RootedForest
                     return False
         return True
 
-    def rec(v: int, parent: dict[int, int]):
-        if v > n:
-            if not acyclic(parent):
-                return
-            if any(color_limit(u) == 0 for u in parent.values()):
-                return
-            restricted = list(range(1, r + 1))
-            root_set = {x for x in range(1, n + 1) if x not in parent}
-            # restriction: 1..r in distinct trees, 1..r-1 all roots
-            if any(x not in root_set for x in restricted[:-1]):
-                return
+    restricted = list(range(1, r + 1))
+    # every partial map v -> parent[v] != v, then the forests among them
+    choices = [[pa for pa in range(n + 1) if pa != v] for v in range(1, n + 1)]
+    for pick in product(*choices):
+        parent = {v: pa for v, pa in enumerate(pick, 1) if pa}
+        if not acyclic(parent):
+            continue
+        if any(color_limit(u) == 0 for u in parent.values()):
+            continue
+        root_set = frozenset(x for x in range(1, n + 1) if x not in parent)
+        # restriction: 1..r in distinct trees, 1..r-1 all roots
+        if any(x not in root_set for x in restricted[:-1]):
+            continue
 
-            def tree_of(x: int) -> int:
-                while x in parent:
-                    x = parent[x]
-                return x
+        def tree_of(x: int) -> int:
+            while x in parent:
+                x = parent[x]
+            return x
 
-            if len({tree_of(x) for x in restricted}) != len(restricted):
-                return
-            if colors_used:
-                def rec_color(vertices: list[int], acc: dict[int, int]):
-                    if not vertices:
-                        out.add(
-                            RootedForest(
-                                n,
-                                tuple(sorted(parent.items())),
-                                frozenset(root_set),
-                                tuple(sorted(acc.items())),
-                            )
-                        )
-                        return
-                    v0, rest = vertices[0], vertices[1:]
-                    for c in range(1, color_limit(parent[v0]) + 1):
-                        acc[v0] = c
-                        rec_color(rest, acc)
-                        del acc[v0]
-
-                rec_color(sorted(parent), {})
-            else:
-                out.add(
-                    RootedForest(n, tuple(sorted(parent.items())), frozenset(root_set))
-                )
-            return
-        for pa in range(n + 1):
-            if pa == 0:
-                rec(v + 1, parent)
-            elif pa != v:
-                parent[v] = pa
-                rec(v + 1, parent)
-                del parent[v]
-
-    rec(1, {})
+        if len({tree_of(x) for x in restricted}) != len(restricted):
+            continue
+        edges = tuple(sorted(parent.items()))
+        if colors_used:
+            vertices = sorted(parent)
+            limits = [range(1, color_limit(parent[v]) + 1) for v in vertices]
+            for colors in product(*limits):
+                out.add(RootedForest(n, edges, root_set, tuple(zip(vertices, colors))))
+        else:
+            out.add(RootedForest(n, edges, root_set))
     return out
 
 
@@ -513,18 +491,8 @@ def tube_placements(n: int, k: int, r: int) -> set[TubePlacement]:
         holders = [b for b in part if any(x <= r for x in b)]
         if sum(1 for b in part for x in b if x <= r) != r or len(holders) != r:
             continue
-        blocks = [list(b) for b in part]
-
-        def rec(idx: int, acc: list[tuple[int, ...]]):
-            if idx == len(blocks):
-                out.add(TubePlacement(_canonical_tubes(acc, r)))
-                return
-            for perm in permutations(blocks[idx]):
-                acc.append(tuple(perm))
-                rec(idx + 1, acc)
-                acc.pop()
-
-        rec(0, [])
+        for tubes in product(*(permutations(b) for b in part)):
+            out.add(TubePlacement(_canonical_tubes(tubes, r)))
     return out
 
 

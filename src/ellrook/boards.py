@@ -170,51 +170,46 @@ class Placement:
 
 def rook_placements(heights, k: int, depth: int = 0) -> Iterator[tuple[Cell, ...]]:
     """All nonattacking placements of k rooks, column-major order."""
-    n = len(heights)
-    if k < 0 or k > n:
+    if 0 <= k <= len(heights):
+        yield from _add_rooks(heights, depth, 1, k, [], set())
+
+
+def _add_rooks(heights, depth: int, col: int, remaining: int, cells: list, used_rows: set):
+    """Every way to add `remaining` rooks in columns col.. to cells."""
+    if remaining == 0:
+        yield tuple(cells)
         return
-    cells: list[Cell] = []
-    used_rows: set[int] = set()
-
-    def rec(col: int, remaining: int) -> Iterator[tuple[Cell, ...]]:
-        if remaining == 0:
-            yield tuple(cells)
-            return
-        if remaining > n - col + 1:
-            return
-        yield from rec(col + 1, remaining)
-        for row in range(heights[col - 1], -depth, -1):
-            if row in used_rows:
-                continue
-            cells.append((col, row))
-            used_rows.add(row)
-            yield from rec(col + 1, remaining - 1)
-            used_rows.discard(row)
-            cells.pop()
-
-    yield from rec(1, k)
+    if remaining > len(heights) - col + 1:
+        return
+    yield from _add_rooks(heights, depth, col + 1, remaining, cells, used_rows)
+    for row in range(heights[col - 1], -depth, -1):
+        if row in used_rows:
+            continue
+        cells.append((col, row))
+        used_rows.add(row)
+        yield from _add_rooks(heights, depth, col + 1, remaining - 1, cells, used_rows)
+        used_rows.discard(row)
+        cells.pop()
 
 
 def file_placements(heights, k: int) -> Iterator[tuple[Cell, ...]]:
     """All file placements of k rooks (distinct columns, rows free)."""
-    n = len(heights)
-    if k < 0 or k > n:
+    if 0 <= k <= len(heights):
+        yield from _add_file_rooks(heights, 1, k, [])
+
+
+def _add_file_rooks(heights, col: int, remaining: int, cells: list):
+    """Every way to add `remaining` file rooks in columns col.. to cells."""
+    if remaining == 0:
+        yield tuple(cells)
         return
-    cells: list[Cell] = []
-
-    def rec(col: int, remaining: int) -> Iterator[tuple[Cell, ...]]:
-        if remaining == 0:
-            yield tuple(cells)
-            return
-        if remaining > n - col + 1:
-            return
-        yield from rec(col + 1, remaining)
-        for row in range(heights[col - 1], 0, -1):
-            cells.append((col, row))
-            yield from rec(col + 1, remaining - 1)
-            cells.pop()
-
-    yield from rec(1, k)
+    if remaining > len(heights) - col + 1:
+        return
+    yield from _add_file_rooks(heights, col + 1, remaining, cells)
+    for row in range(heights[col - 1], 0, -1):
+        cells.append((col, row))
+        yield from _add_file_rooks(heights, col + 1, remaining - 1, cells)
+        cells.pop()
 
 
 def _attack_rows_above_ground(row: int, jump: int, attacked: dict[int, int]) -> list[int]:
@@ -279,33 +274,30 @@ def j_rook_placements(
     heights, jump: int, k: int, depth: int = 0
 ) -> Iterator[tuple[tuple[Cell, ...], dict[int, int]]]:
     """All jump-nonattacking placements of k rooks with their attack maps."""
-    n = len(heights)
-    if k < 0 or k > n:
+    if 0 <= k <= len(heights):
+        yield from _add_j_rooks(heights, jump, 1 - depth, 1, k, [], {})
+
+
+def _add_j_rooks(heights, jump, bottom, col, remaining, cells: list, attacked: dict):
+    """Every way to add `remaining` jump rooks in columns col.. to cells,
+    whose attack map is attacked."""
+    if remaining == 0:
+        yield tuple(cells), dict(attacked)
         return
-    bottom = 1 - depth
-    cells: list[Cell] = []
-    attacked: dict[int, int] = {}
-
-    def rec(col: int, remaining: int):
-        if remaining == 0:
-            yield tuple(cells), dict(attacked)
-            return
-        if remaining > n - col + 1:
-            return
-        yield from rec(col + 1, remaining)
-        for row in range(heights[col - 1], bottom - 1, -1):
-            if row in attacked:
-                continue
-            rows = _rook_attack_rows(row, jump, attacked, bottom)
-            for r in rows:
-                attacked[r] = col
-            cells.append((col, row))
-            yield from rec(col + 1, remaining - 1)
-            cells.pop()
-            for r in rows:
-                del attacked[r]
-
-    yield from rec(1, k)
+    if remaining > len(heights) - col + 1:
+        return
+    yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining, cells, attacked)
+    for row in range(heights[col - 1], bottom - 1, -1):
+        if row in attacked:
+            continue
+        rows = _rook_attack_rows(row, jump, attacked, bottom)
+        for r in rows:
+            attacked[r] = col
+        cells.append((col, row))
+        yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining - 1, cells, attacked)
+        cells.pop()
+        for r in rows:
+            del attacked[r]
 
 
 def enumerate_placements(board: Board, kind: str, k: int, jump: int = 1) -> Iterator[Placement]:

@@ -22,6 +22,11 @@ class IllConditioned(EllrookError, ArithmeticError):
     near-pole or near-zero of a theta factor makes the check meaningless."""
 
 
+class ResamplesExhausted(EllrookError, ArithmeticError):
+    """Every parameter point the harness drew within its resample budget
+    failed numerically; the message names the last failure."""
+
+
 class NotJAttackingBoard(EllrookError, ValueError):
     """Board violates the jump-attacking height condition."""
 

@@ -2,8 +2,10 @@
 
 run_check drives one named identity for a number of trials, sampling
 generic parameter points from a seeded generator, resampling whenever a
-pole is hit, and aggregating the worst relative error into a CheckReport.
-Reports are bit-reproducible given (seed, identity, board, trials).
+point fails numerically (a pole, ill-conditioning, an overflow or a zero
+theta argument), and aggregating the worst relative error into a
+CheckReport.  Reports are bit-reproducible given (seed, identity, board,
+trials).
 
 Each identity is one registry entry: a runner, its default trial count and
 its tolerance.  A runner reads its board and parameters once and returns
@@ -27,7 +29,14 @@ from functools import partial
 from . import biject, files, jattack, rook, special
 from . import weights as weights_defaults
 from .boards import SkylineBoard, file_placements, j_rook_placements, rook_placements
-from .errors import BadBoardSpec, IllConditioned, PoleEncountered, UnknownIdentity
+from .errors import (
+    BadBoardSpec,
+    IllConditioned,
+    PoleEncountered,
+    ResamplesExhausted,
+    UnknownIdentity,
+    ZeroArgument,
+)
 from .numeric import relative_error, worst_error
 from .theta import ThetaEvalConfig, theta
 from .weights import (
@@ -106,6 +115,11 @@ def parse_board_spec(text: str | None):
     return SkylineBoard.parse(text)
 
 
+# a pole, a cancellation doubles cannot resolve, an overflow, or a theta
+# argument that underflowed to 0 (q^z at a z of large imaginary part)
+_RESAMPLED = (PoleEncountered, IllConditioned, OverflowError, ZeroArgument)
+
+
 @dataclass
 class _Context:
     rng: random.Random
@@ -142,15 +156,18 @@ class _Context:
         return random_z(self.rng, self.config.z_real, self.config.z_imag)
 
     def with_retry(self, attempt):
-        """Evaluate attempt(fam) at fresh random families until no pole."""
+        """Evaluate attempt(fam) at fresh random families until one is
+        usable; each numeric failure of _RESAMPLED counts as a resample."""
         for _ in range(self.config.max_resamples + 1):
             fam = self.draw_family()
             try:
                 return attempt(fam)
-            except (IllConditioned, PoleEncountered):
+            except _RESAMPLED as exc:
                 self.resamples += 1
-        raise PoleEncountered(
-            f"still hitting poles after {self.config.max_resamples} resamples"
+                failure = f"{type(exc).__name__}: {exc}"
+        raise ResamplesExhausted(
+            f"no usable parameter point after {self.config.max_resamples} resamples; "
+            f"the last failed with {failure}"
         )
 
 
@@ -581,6 +598,12 @@ def _run_degeneration_q(ctx: _Context) -> float:
 
 
 def _run_degeneration_pq(ctx: _Context):
+    if ctx.family_tag not in ("elliptic", "abq", "pq"):
+        raise BadBoardSpec(
+            f"degeneration-pq needs a family with parameters a and b "
+            f"(elliptic, abq or pq), not {ctx.family_tag!r}"
+        )
+
     def pairs(fam):
         if not isinstance(fam, FrakPQ):
             fam = FrakPQ(fam.a, fam.b, 1.1 + 0.2j, fam.q)

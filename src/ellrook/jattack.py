@@ -108,37 +108,34 @@ def jump_enumeration_total(board: SkylineBoard, jump: int, z: int, fam: WeightFa
     n = board.n
     if z < jump * n:
         raise ValueError(f"extension depth {z} below jump*n = {jump * n}")
-    heights = board.heights
-    bottom = 1 - z
-    table = WeightTable(fam)
-    attacked: dict[int, int] = {}
-    placed_rows: list[int] = []
-    total = 0
+    return _add_jump_placements(0, 1, 1, board.heights, jump, 1 - z, WeightTable(fam), {}, [])
 
-    def rec(col: int, weight):
-        nonlocal total
-        if col > n:
-            total = total + weight
-            return
-        prefix = weight
-        for row in range(heights[col - 1], bottom - 1, -1):
-            if row in attacked:
-                continue
-            rows = _rook_attack_rows(row, jump, attacked, bottom)
-            for r in rows:
-                attacked[r] = col
-            placed_rows.append(row)
-            rec(col + 1, prefix)
-            placed_rows.pop()
-            for r in rows:
-                del attacked[r]
-            nw = 0
-            for r in placed_rows:
-                if r > row:
-                    nw += 1
-            prefix = prefix * table[jump * (col - 1) + 1 - row - jump * nw]
 
-    rec(1, 1)
+def _add_jump_placements(total, col, weight, heights, jump, bottom, table, attacked, placed_rows):
+    """total plus the weights of every completion of the rooks placed_rows in
+    columns 1..col-1, whose uncancelled cells so far weigh weight; the sum
+    runs in placement order."""
+    if col > len(heights):
+        return total + weight
+    prefix = weight
+    for row in range(heights[col - 1], bottom - 1, -1):
+        if row in attacked:
+            continue
+        rows = _rook_attack_rows(row, jump, attacked, bottom)
+        for r in rows:
+            attacked[r] = col
+        placed_rows.append(row)
+        total = _add_jump_placements(
+            total, col + 1, prefix, heights, jump, bottom, table, attacked, placed_rows
+        )
+        placed_rows.pop()
+        for r in rows:
+            del attacked[r]
+        nw = 0
+        for r in placed_rows:
+            if r > row:
+                nw += 1
+        prefix = prefix * table[jump * (col - 1) + 1 - row - jump * nw]
     return total
 
 
@@ -281,38 +278,29 @@ def enumerate_rg_words(offset: int, jump: int, n: int, k: int) -> list[RGWord]:
     if not 0 <= offset <= jump:
         raise ValueError("words require 0 <= offset <= jump")
     out: list[RGWord] = []
-    word = [0]
-    colors: list[int] = []
-
-    def rec(s: int, seen_max: int):
-        if s > n:
-            if seen_max == k:
-                out.append(RGWord(offset, jump, tuple(word), tuple(colors)))
-            return
-        if seen_max + (n - s + 1) < k:
-            return
-        for e in range(offset):
-            word.append(0)
-            colors.append(e)
-            rec(s + 1, seen_max)
-            word.pop()
-            colors.pop()
-        for w in range(1, seen_max + 1):
-            for e in range(jump):
-                word.append(w)
-                colors.append(e)
-                rec(s + 1, seen_max)
-                word.pop()
-                colors.pop()
-        if seen_max + 1 <= k:
-            word.append(seen_max + 1)
-            colors.append(0)
-            rec(s + 1, seen_max + 1)
-            word.pop()
-            colors.pop()
-
-    rec(1, 0)
+    _extend_rg_words(offset, jump, n, k, (0,), (), 0, out)
     return out
+
+
+def _extend_rg_words(offset, jump, n, k, word, colors, seen_max, out) -> None:
+    """Append to out every valid word (w : e) with n letters and k nonzero
+    blocks that starts with the prefix (word : colors), whose largest letter
+    is seen_max."""
+    s = len(word)
+    if s > n:
+        if seen_max == k:
+            out.append(RGWord(offset, jump, word, colors))
+        return
+    if seen_max + (n - s + 1) < k:
+        return
+    for e in range(offset):
+        _extend_rg_words(offset, jump, n, k, word + (0,), colors + (e,), seen_max, out)
+    for w in range(1, seen_max + 1):
+        for e in range(jump):
+            _extend_rg_words(offset, jump, n, k, word + (w,), colors + (e,), seen_max, out)
+    if seen_max + 1 <= k:
+        grown = word + (seen_max + 1,)
+        _extend_rg_words(offset, jump, n, k, grown, colors + (0,), seen_max + 1, out)
 
 
 def phi(gamma: RGWord) -> tuple[tuple[int, int], ...]:

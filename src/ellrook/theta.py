@@ -7,11 +7,25 @@ within the configured tolerance of 1, using the a-priori bound
 |p|^j * max(|x|, |p|/|x|).  The nome p = 0 takes a dedicated exact path
 (theta = 1 - x) so that every q-degeneration is free of truncation error.
 
-All functions here are pure and safe for concurrent use.
+theta memoizes its values for one nome at a time.  Every weight at a
+parameter point (a, b, q, p) is a quotient of theta values at the same p,
+and most of their arguments repeat, so theta keeps the values of the last
+nome and config it saw and starts an empty memo whenever p differs (by !=)
+or cfg is another object (by is).  Only calls with a Python complex x and p
+use it: mpmath numbers on the extended-precision path compare and hash
+equal to the doubles they were built from, and must never be answered
+with a double-precision value.  Exact, float and Nome inputs go straight
+to the product.  The memo holds at most the distinct arguments of one
+parameter point.
+
+All functions here are pure and safe for concurrent use: the memo is
+replaced, never cleared, and theta reads it into a local first, so a racing
+thread can only cost a hit, never return another nome's value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NoConvergence, ZeroArgument
@@ -52,8 +66,29 @@ def _nome_value(p) -> complex:
     return p
 
 
+# (p, cfg, {x: theta(x; p)}) for the last complex nome theta was called with
+_memo: tuple = (None, None, {})
+
+
 def theta(x, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
-    """Modified Jacobi theta function theta(x; p)."""
+    """Modified Jacobi theta function theta(x; p), memoized per nome."""
+    global _memo
+    if type(x) is not complex or type(p) is not complex:
+        return _theta_product(x, p, cfg)
+    memo_p, memo_cfg, values = _memo
+    if memo_p != p or memo_cfg is not cfg:
+        values = {}
+        _memo = (p, cfg, values)
+    else:
+        value = values.get(x)
+        if value is not None:
+            return value
+    value = values[x] = _theta_product(x, p, cfg)
+    return value
+
+
+def _theta_product(x, p, cfg: ThetaEvalConfig):
+    """theta(x; p) as its truncated product, unmemoized."""
     if x == 0:
         raise ZeroArgument("theta argument must be nonzero")
     pv = _nome_value(p)
@@ -61,6 +96,8 @@ def theta(x, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
         return 1 - x
     abs_p = abs(pv)
     bound = max(abs(x), abs_p / abs(x))
+    if bound == math.inf:
+        raise OverflowError(f"theta argument {x} out of range")
     out = 1
     pj = 1
     for _ in range(cfg.max_terms):

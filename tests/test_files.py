@@ -11,7 +11,7 @@ from ellrook.files import (
     file_product_check,
     q_file_number,
 )
-from ellrook.numeric import relative_error
+from ellrook.numeric import relative_error, worst_error
 from ellrook.weights import PlainQ, q_number, random_z
 
 
@@ -115,7 +115,7 @@ def test_both_factorizations_on_all_small_profiles(rng):
             for fam, z in points:
                 while True:
                     try:
-                        worst = max(
+                        worst = worst_error(
                             worst,
                             file_product_check(board, fam, z, 1e6).rel_err,
                             file_above_product_check(board, fam, z, 1e6).rel_err,

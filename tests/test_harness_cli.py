@@ -1,11 +1,12 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from ellrook.errors import BadBoardSpec, UnknownIdentity
+from ellrook.errors import BadBoardSpec, ResamplesExhausted, UnknownIdentity
 from ellrook.harness import CheckReport, identity_names, parse_board_spec, run_check
 
 
@@ -186,3 +187,47 @@ def test_cli_nan_trials_exit_code():
     result = _cli("check", "product-rook", "--board", "0,2,3,5,5", "--z", "2,60")
     assert result.returncode == 1
     assert result.stdout.startswith("FAIL")
+
+
+def test_overflow_and_zero_argument_are_resampled():
+    # at z = 2+300i, q^z overflows at most draws; at 2-300i it underflows to 0,
+    # a zero theta argument.  Those draws are redrawn; the trials left are NaN
+    for z in (complex(2, 300), complex(2, -300)):
+        report = run_check("product-rook", "0,2,3,5,5", z=z)
+        assert report.resamples > 0
+        assert math.isnan(report.max_rel_err) and report.passed is False
+
+
+def test_spent_resample_budget_names_the_failure():
+    with pytest.raises(ResamplesExhausted, match="after 50 resamples.*OverflowError"):
+        run_check("product-rook", "0,2,3,5,5", z=complex(2, -3000))
+
+
+@pytest.mark.parametrize("z", ["2,300", "2,-300"])
+def test_cli_out_of_range_z_is_resampled(z):
+    result = _cli("check", "product-rook", "--board", "0,2,3,5,5", "--z", z)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 1
+    assert result.stdout.startswith("FAIL") and "max_rel_err=nan" in result.stdout
+    assert int(re.search(r"resamples=(\d+)", result.stdout).group(1)) > 0
+
+
+@pytest.mark.parametrize("z, failure", [("2,3000", "ZeroArgument"), ("2,-3000", "OverflowError")])
+def test_cli_spent_resample_budget_is_an_error(z, failure):
+    # every draw over- or underflows at these z
+    result = _cli("check", "product-rook", "--board", "0,2,3,5,5", "--z", z)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: no usable parameter point") and failure in result.stderr
+
+
+@pytest.mark.parametrize("family", ["q", "aq", "0bq", "trivial"])
+def test_degeneration_pq_rejects_families_without_a_and_b(family):
+    with pytest.raises(BadBoardSpec, match="degeneration-pq needs"):
+        run_check("degeneration-pq", family=family)
+
+
+def test_cli_degeneration_pq_bad_family_is_an_error():
+    result = _cli("check", "degeneration-pq", "--family", "q")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: degeneration-pq needs")

@@ -164,7 +164,7 @@ class Placement:
 
 
 # ---------------------------------------------------------------------------
-# raw enumeration (cells only; fast path used by the weighted modules)
+# raw enumeration (cells only; the bijection checks count placements with it)
 # ---------------------------------------------------------------------------
 
 
@@ -322,7 +322,8 @@ def enumerate_placements(board: Board, kind: str, k: int, jump: int = 1) -> Iter
 
 
 # ---------------------------------------------------------------------------
-# cancellation geometry
+# cancellation geometry, placement by placement: the definition that the
+# signature builders in rook, files and jattack derive column by column
 # ---------------------------------------------------------------------------
 
 

@@ -3,8 +3,11 @@
 Row-only weighting: every uncancelled cell (not occupied, not below a rook)
 contributes the small weight of 1 - row.  Above-rook weighting: only cells
 lying above some rook contribute, with weight argument column - row.  Both
-weightings share the same cancellation geometry, so one enumeration pass
-feeds two signature caches.
+weightings share the same cancellation geometry, so one column-major
+backtracking pass builds both signatures, cached together per (board, k).
+A column's cells depend only on its own rook, so each column appends its
+arguments as the pass places or skips that rook.  The placement-level
+definitions are `boards.file_uncancelled` and `boards.file_above_cells`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .boards import SkylineBoard, file_above_cells, file_placements, file_uncancelled
+from .boards import SkylineBoard
 from .numeric import CheckEntry, guard_condition
 # rook's evaluators under this module's own names, so each layer can be traced apart
 from .rook import Signature, evaluate_signature as _evaluate
@@ -29,12 +32,35 @@ def _file_signatures(heights: tuple[int, ...], k: int) -> tuple[Signature, Signa
     cell sets derive from the same cancellation geometry."""
     row_counts: Counter = Counter()
     above_counts: Counter = Counter()
-    for cells in file_placements(heights, k):
-        row = sorted(1 - j for _, j in file_uncancelled(heights, cells))
-        above = sorted(i - j for i, j in file_above_cells(heights, cells))
-        row_counts[tuple(row)] += 1
-        above_counts[tuple(above)] += 1
+    if 0 <= k <= len(heights):
+        _add_file_columns(row_counts, above_counts, heights, 1, k, [], [])
     return tuple(sorted(row_counts.items())), tuple(sorted(above_counts.items()))
+
+
+def _add_file_columns(row_counts, above_counts, heights, col, remaining, row_exps, above_exps):
+    """Count the terms of both weightings for every way to place `remaining`
+    file rooks in columns col.., whose columns 1..col-1 have the row-only
+    arguments row_exps and the above-rook arguments above_exps.  A column's
+    cells do not depend on the other columns' rooks."""
+    if remaining > len(heights) - col + 1:
+        return
+    if col > len(heights):
+        row_counts[tuple(sorted(row_exps))] += 1
+        above_counts[tuple(sorted(above_exps))] += 1
+        return
+    row_mark, above_mark = len(row_exps), len(above_exps)
+    # rows top down: a rook in one has the cells above it in both lists
+    for row in range(heights[col - 1], 0, -1):
+        if remaining:
+            _add_file_columns(
+                row_counts, above_counts, heights, col + 1, remaining - 1, row_exps, above_exps
+            )
+        row_exps.append(1 - row)
+        above_exps.append(col - row)
+    # an empty column: every cell weighs by its row, none lies above a rook
+    del above_exps[above_mark:]
+    _add_file_columns(row_counts, above_counts, heights, col + 1, remaining, row_exps, above_exps)
+    del row_exps[row_mark:]
 
 
 def file_signature(heights: tuple[int, ...], k: int, weighting: str) -> Signature:
@@ -108,7 +134,7 @@ def file_product_check(
         )
         term_scale = max(term_scale, magnitude * abs(power))
         rhs = rhs + value * power
-    guard_condition(term_scale, max(abs(lhs), abs(rhs)), max_condition)
+    guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
 
@@ -133,5 +159,5 @@ def file_above_product_check(
         )
         term_scale = max(term_scale, magnitude * abs(power))
         rhs = rhs + value * power
-    guard_condition(term_scale, max(abs(lhs), abs(rhs)), max_condition)
+    guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)

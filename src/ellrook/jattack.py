@@ -13,12 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .boards import (
-    SkylineBoard,
-    j_rook_placements,
-    j_uncancelled,
-    _rook_attack_rows,
-)
+from .boards import SkylineBoard, _rook_attack_rows, j_attack_rows, j_uncancelled
 from .errors import NotJAttackingBoard
 from .files import ABOVE_ROOK, file_number
 from .numeric import CheckEntry, guard_condition
@@ -35,14 +30,57 @@ def b_board(offset: int, jump: int, n: int) -> SkylineBoard:
 
 @lru_cache(maxsize=None)
 def j_rook_signature(heights: tuple[int, ...], jump: int, k: int) -> Signature:
+    """Multiset of small-weight argument tuples over all k-rook jump placements."""
     counts: Counter = Counter()
-    for cells, attacked in j_rook_placements(heights, jump, k):
-        exps = []
-        for (i, j), nw in j_uncancelled(heights, cells, attacked).items():
-            exps.append(jump * (i - 1) + 1 - j - jump * nw)
-        exps.sort()
-        counts[tuple(exps)] += 1
+    if 0 <= k <= len(heights):
+        _add_jump_columns(counts, heights, jump, 1, k, [], {}, set())
     return tuple(sorted(counts.items()))
+
+
+def _add_jump_columns(counts, heights, jump, col, remaining, exps, attacked, rook_rows) -> None:
+    """Count in counts the signature term of every way to place `remaining`
+    jump rooks in columns col.. beside the rooks in rook_rows, whose attack
+    map is attacked and whose uncancelled cells in columns 1..col-1 have the
+    small-weight arguments exps.
+
+    A cell (col, row) is uncancelled when no rook further left attacks its
+    row and no rook of its own column sits at or above it; its argument is
+    jump*(col-1) + 1 - row - jump*nw, nw counting the rooks further left in
+    higher rows.
+    """
+    if remaining > len(heights) - col + 1:
+        return
+    if col > len(heights):
+        counts[tuple(sorted(exps))] += 1
+        return
+    height = heights[col - 1]
+    nw = 0
+    for row in rook_rows:
+        if row > height:
+            nw += 1
+    base = jump * (col - 1) + 1
+    mark = len(exps)
+    # unattacked rows top down: a rook in one has the free cells above it in exps
+    for row in range(height, 0, -1):
+        if row in attacked:
+            if row in rook_rows:
+                nw += 1
+            continue
+        if remaining:
+            rows = _rook_attack_rows(row, jump, attacked, 1)
+            for r in rows:
+                attacked[r] = col
+            rook_rows.add(row)
+            _add_jump_columns(
+                counts, heights, jump, col + 1, remaining - 1, exps, attacked, rook_rows
+            )
+            rook_rows.discard(row)
+            for r in rows:
+                del attacked[r]
+        exps.append(base - row - jump * nw)
+    # an empty column: every free cell
+    _add_jump_columns(counts, heights, jump, col + 1, remaining, exps, attacked, rook_rows)
+    del exps[mark:]
 
 
 def _require_j_attacking(board: SkylineBoard, jump: int) -> None:
@@ -61,8 +99,6 @@ def rook_number_j(board: SkylineBoard, k: int, jump: int, fam: WeightFamily):
 
 def j_placement_weight(board: SkylineBoard, cells, jump: int, fam: WeightFamily):
     """The weight of one jump-nonattacking placement."""
-    from .boards import j_attack_rows
-
     _require_j_attacking(board, jump)
     attacked = j_attack_rows(board, cells, jump)
     table = WeightTable(fam)
@@ -94,7 +130,7 @@ def jump_product_check(
         )
         term_scale = max(term_scale, magnitude * abs(falling))
         rhs = rhs + value * falling
-    guard_condition(term_scale, max(abs(lhs), abs(rhs)), max_condition)
+    guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 from .errors import IllConditioned, PoleEncountered
@@ -66,19 +67,26 @@ def worst_error(*errors) -> float:
     return worst
 
 
-def guard_condition(term_scale, result_scale, max_condition) -> None:
-    """Reject evaluations whose cancellation exceeds max_condition.
+def guard_condition(term_scale, lhs, rhs, max_condition) -> None:
+    """Reject evaluations that doubles cannot judge, so they are resampled.
 
-    term_scale bounds the intermediate magnitudes, result_scale the final
-    ones; their ratio times machine epsilon bounds the achievable relative
-    error, so points beyond the cap must be resampled rather than judged.
+    term_scale bounds the intermediate magnitudes, max(|lhs|, |rhs|) the
+    final ones; their ratio times machine epsilon bounds the achievable
+    relative error, so points beyond max_condition are rejected, as are
+    points where either side or the term scale is NaN or infinite.
     """
     if max_condition is None:
         return
-    if term_scale > max_condition * max(result_scale, REL_ERR_FLOOR):
+    lhs_scale, rhs_scale = abs(lhs), abs(rhs)
+    # a NaN compares False with everything, so "below inf" excludes it too
+    if not (term_scale < math.inf and lhs_scale < math.inf and rhs_scale < math.inf):
         raise IllConditioned(
-            f"cancellation ratio {term_scale / max(result_scale, REL_ERR_FLOOR):.2e} "
-            f"exceeds {max_condition:.1e}"
+            f"non-finite evaluation: lhs {lhs}, rhs {rhs}, term scale {term_scale}"
+        )
+    result_scale = max(lhs_scale, rhs_scale, REL_ERR_FLOOR)
+    if term_scale > max_condition * result_scale:
+        raise IllConditioned(
+            f"cancellation ratio {term_scale / result_scale:.2e} exceeds {max_condition:.1e}"
         )
 
 

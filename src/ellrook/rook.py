@@ -3,8 +3,10 @@ factorization theorem, plus the classical q-rook oracle.
 
 The weighted sum over placements is computed from a cached, family-free
 "signature": for each placement the multiset of integer arguments fed to
-the small weight.  Signatures are enumerated once per (board, k) and then
-evaluated against any weight family with memoized weights, so the
+the small weight.  Signatures are built once per (board, k, depth) by
+column-major backtracking that carries the arguments of the columns to the
+left (the placement-level definition is `boards.rook_uncancelled`), and
+then evaluated against any weight family with memoized weights, so the
 exponential enumeration cost is paid once rather than per parameter point.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .boards import ExtendedBoard, SkylineBoard, rook_placements, rook_uncancelled
+from .boards import ExtendedBoard, SkylineBoard
 from .numeric import CheckEntry, guard_condition
 from .theta import q_pochhammer
 from .weights import WeightFamily, WeightTable, q_binomial, q_factorial
@@ -25,13 +27,45 @@ Signature = tuple[tuple[tuple[int, ...], int], ...]
 def rook_signature(heights: tuple[int, ...], k: int, depth: int = 0) -> Signature:
     """Multiset of small-weight argument tuples over all k-rook placements."""
     counts: Counter = Counter()
-    for cells in rook_placements(heights, k, depth):
-        exps = []
-        for (i, j), nw in rook_uncancelled(heights, cells, depth).items():
-            exps.append(i - j - nw)
-        exps.sort()
-        counts[tuple(exps)] += 1
+    if 0 <= k <= len(heights):
+        _add_rook_columns(counts, heights, depth, 1, k, [], set())
     return tuple(sorted(counts.items()))
+
+
+def _add_rook_columns(counts, heights, depth, col, remaining, exps, used_rows) -> None:
+    """Count in counts the signature term of every way to place `remaining`
+    rooks in columns col.. beside the rooks in used_rows, whose uncancelled
+    cells in columns 1..col-1 have the small-weight arguments exps.
+
+    A cell (col, row) is uncancelled when no rook further left sits in its
+    row and no rook of its own column sits at or above it; its argument is
+    col - row - nw, nw counting the rooks further left in higher rows, also
+    rows above this column's height on a non-Ferrers board.
+    """
+    if remaining > len(heights) - col + 1:
+        return
+    if col > len(heights):
+        counts[tuple(sorted(exps))] += 1
+        return
+    height = heights[col - 1]
+    nw = 0
+    for row in used_rows:
+        if row > height:
+            nw += 1
+    mark = len(exps)
+    # free rows top down: a rook in one has the free cells above it in exps
+    for row in range(height, -depth, -1):
+        if row in used_rows:
+            nw += 1
+            continue
+        if remaining:
+            used_rows.add(row)
+            _add_rook_columns(counts, heights, depth, col + 1, remaining - 1, exps, used_rows)
+            used_rows.discard(row)
+        exps.append(col - row - nw)
+    # an empty column: every free cell
+    _add_rook_columns(counts, heights, depth, col + 1, remaining, exps, used_rows)
+    del exps[mark:]
 
 
 def evaluate_signature(sig: Signature, table: WeightTable):
@@ -122,7 +156,7 @@ def product_formula_check(
     rhs = 1
     for i, b in enumerate(board.heights, 1):
         rhs = rhs * fam.shifted(i - 1 - b).number(z + b - i + 1)
-    guard_condition(term_scale, max(abs(lhs), abs(rhs)), max_condition)
+    guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
 
@@ -137,7 +171,7 @@ def max_identity_check(
     rhs = 1
     for i, b in enumerate(board.heights, 1):
         rhs = rhs * fam.shifted(i - 1 - b).number(k + b - i + 1)
-    guard_condition(magnitude, max(abs(lhs), abs(rhs)), max_condition)
+    guard_condition(magnitude, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
 

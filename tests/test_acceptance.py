@@ -167,7 +167,7 @@ def _value_mag(signature, table):
 def _guarded_error(lhs, rhs, scale):
     from ellrook.numeric import guard_condition
 
-    guard_condition(scale, max(abs(lhs), abs(rhs)), MAX_CONDITION)
+    guard_condition(scale, lhs, rhs, MAX_CONDITION)
     return relative_error(lhs, rhs)
 
 

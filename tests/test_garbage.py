@@ -6,7 +6,7 @@ import gc
 
 import pytest
 
-from ellrook import biject, boards, jattack
+from ellrook import biject, boards, files, jattack, rook
 from ellrook.harness import identity_names, run_check
 from ellrook.weights import PlainQ
 
@@ -23,6 +23,10 @@ CALLS = {
     "rook_placements, abandoned": lambda: next(boards.rook_placements((1, 2, 3), 2)),
     "file_placements": lambda: list(boards.file_placements((1, 2, 3), 2)),
     "j_rook_placements": lambda: list(boards.j_rook_placements((1, 3, 5), 2, 2)),
+    # the signature builders' recursive helpers, below the lru cache
+    "_add_rook_columns": lambda: rook.rook_signature.__wrapped__((1, 2, 3), 2, 1),
+    "_add_file_columns": lambda: files._file_signatures.__wrapped__((1, 2, 3), 2),
+    "_add_jump_columns": lambda: jattack.j_rook_signature.__wrapped__((1, 3, 5), 2, 2),
 }
 CALLS.update(
     (name, lambda name=name: run_check(name))

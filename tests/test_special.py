@@ -242,7 +242,7 @@ def test_table_recursions_at_many_points(rng):
         scale = max(
             lhs_mag, abs(coef_same) * same_vm[1], abs(coef_below) * below_vm[1]
         )
-        guard_condition(scale, max(abs(lhs), abs(rhs)), 1e6)
+        guard_condition(scale, lhs, rhs, 1e6)
         return relative_error(lhs, rhs)
 
     def rook_vm(board, k, table):

@@ -16,7 +16,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .boards import SkylineBoard
-from .numeric import CheckEntry, guard_condition
+from .numeric import CheckEntry, guard_condition, worst_error
 # rook's evaluators under this module's own names, so each layer can be traced apart
 from .rook import Signature, evaluate_signature as _evaluate
 from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude
@@ -132,7 +132,7 @@ def file_product_check(
         value, magnitude = _evaluate_with_magnitude(
             file_signature(board.heights, n - k, ROW_ONLY), table
         )
-        term_scale = max(term_scale, magnitude * abs(power))
+        term_scale = worst_error(term_scale, magnitude * abs(power))
         rhs = rhs + value * power
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
@@ -157,7 +157,7 @@ def file_above_product_check(
         value, magnitude = _evaluate_with_magnitude(
             file_signature(board.heights, n - k, ABOVE_ROOK), table
         )
-        term_scale = max(term_scale, magnitude * abs(power))
+        term_scale = worst_error(term_scale, magnitude * abs(power))
         rhs = rhs + value * power
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)

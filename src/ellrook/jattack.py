@@ -16,7 +16,7 @@ from functools import lru_cache
 from .boards import SkylineBoard, _rook_attack_rows, j_attack_rows, j_uncancelled
 from .errors import NotJAttackingBoard
 from .files import ABOVE_ROOK, file_number
-from .numeric import CheckEntry, guard_condition
+from .numeric import CheckEntry, guard_condition, worst_error
 # rook's evaluators under this module's own names, so each layer can be traced apart
 from .rook import Signature, evaluate_signature as _evaluate
 from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude
@@ -128,7 +128,7 @@ def jump_product_check(
         value, magnitude = _evaluate_with_magnitude(
             j_rook_signature(board.heights, jump, n - k), table
         )
-        term_scale = max(term_scale, magnitude * abs(falling))
+        term_scale = worst_error(term_scale, magnitude * abs(falling))
         rhs = rhs + value * falling
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)

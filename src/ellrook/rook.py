@@ -16,7 +16,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .boards import ExtendedBoard, SkylineBoard
-from .numeric import CheckEntry, guard_condition
+from .numeric import CheckEntry, guard_condition, worst_error
 from .theta import q_pochhammer
 from .weights import WeightFamily, WeightTable, q_binomial, q_factorial
 
@@ -151,7 +151,7 @@ def product_formula_check(
         value, magnitude = evaluate_signature_with_magnitude(
             rook_signature(board.heights, n - k), table
         )
-        term_scale = max(term_scale, magnitude * abs(falling))
+        term_scale = worst_error(term_scale, magnitude * abs(falling))
         lhs = lhs + value * falling
     rhs = 1
     for i, b in enumerate(board.heights, 1):

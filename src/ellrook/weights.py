@@ -464,8 +464,12 @@ def random_family(
     if tag == "q":
         return PlainQ(q)
     if tag == "pq":
-        fp = rng.uniform(*FRAK_P_MODULUS) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        return FrakPQ(a, b, fp, q)
+        # keep arg(q) - arg(fp) in (-pi, pi], where the principal powers satisfy
+        # (q/fp)^z = q^z / fp^z, so FrakPQ and ABq(a, b, q/fp) agree at every z
+        arg_q = cmath.phase(q)
+        modulus = rng.uniform(*FRAK_P_MODULUS)
+        arg_fp = rng.uniform(max(-math.pi, arg_q - math.pi), min(math.pi, arg_q + math.pi))
+        return FrakPQ(a, b, cmath.rect(modulus, arg_fp), q)
     if tag == "trivial":
         return PlainQ(1)
     raise ValueError(f"unknown weight family tag {tag!r}")

@@ -8,6 +8,7 @@ import pytest
 
 from ellrook.errors import BadBoardSpec, ResamplesExhausted, UnknownIdentity
 from ellrook.harness import CheckReport, identity_names, parse_board_spec, run_check
+from ellrook.weights import FrakPQ
 
 
 def test_reports_are_reproducible():
@@ -213,6 +214,8 @@ def test_cli_out_of_range_z_is_resampled(z):
     assert result.returncode == 2 and not result.stdout
     assert result.stderr.startswith("error: no usable parameter point")
     assert "IllConditioned: non-finite evaluation" in result.stderr
+    # a NaN term scale is reported as such, not outvoted by the 0.0 it starts from
+    assert "term scale nan" in result.stderr and "term scale 0.0" not in result.stderr
 
 
 @pytest.mark.parametrize("z, failure", [("2,3000", "ZeroArgument"), ("2,-3000", "OverflowError")])
@@ -234,3 +237,18 @@ def test_cli_degeneration_pq_bad_family_is_an_error():
     result = _cli("check", "degeneration-pq", "--family", "q")
     assert result.returncode == 2
     assert result.stderr.startswith("error: degeneration-pq needs")
+
+
+def test_degeneration_pq_passes_on_the_pq_family():
+    # with arg(q) - arg(fp) outside (-pi, pi], FrakPQ.number(z) and
+    # ABq(a, b, q/fp).number(z) took principal powers on different sheets
+    for seed in range(10):
+        report = run_check("degeneration-pq", family="pq", seed=seed)
+        assert report.passed, (seed, report.max_rel_err)
+
+
+def test_degeneration_pq_catches_a_planted_defect(monkeypatch):
+    number = FrakPQ.number
+    monkeypatch.setattr(FrakPQ, "number", lambda self, z: number(self, z) * self.q)
+    report = run_check("degeneration-pq", family="pq")
+    assert not report.passed and report.max_rel_err > 1e-3

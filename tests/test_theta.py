@@ -2,12 +2,14 @@ import cmath
 import importlib
 import math
 import random
+import subprocess
 import sys
 import threading
 
 import pytest
 
 from ellrook.errors import NoConvergence, ZeroArgument
+from ellrook.harness import run_check
 from ellrook.numeric import relative_error
 from ellrook.theta import (
     DEFAULT_CONFIG,
@@ -150,14 +152,14 @@ def test_memo_never_answers_extended_precision_calls():
         assert abs(theta(xm, pm, cfg) - want) / abs(want) < 1e-30
 
 
-def test_memo_under_two_threads_alternating_nomes(rng):
-    xs = [_random_nonzero(rng) for _ in range(30)]
-    nomes = [_random_nome(rng), _random_nome(rng)]
-    want = {(x, p): theta(x, Nome(p)) for x in xs for p in nomes}
+def _memo_races(xs, nomes, reference, rounds):
+    """The (x, p) at which theta differed from reference(x, p) while two
+    threads called it alternating the nomes in opposite orders."""
+    want = {(x, p): reference(x, p) for x in xs for p in nomes}
     wrong = []
 
     def alternate(order):
-        for _ in range(100):
+        for _ in range(rounds):
             for p in order:
                 wrong.extend((x, p) for x in xs if theta(x, p) != want[(x, p)])
 
@@ -174,4 +176,122 @@ def test_memo_under_two_threads_alternating_nomes(rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert not wrong
+    return wrong
+
+
+def test_memo_under_two_threads_alternating_nomes(rng):
+    xs = [_random_nonzero(rng) for _ in range(30)]
+    nomes = [_random_nome(rng), _random_nome(rng)]
+    assert not _memo_races(xs, nomes, lambda x, p: theta(x, Nome(p)), 100)
+
+
+def test_mp_memo_under_two_threads_alternating_nomes(rng):
+    from mpmath import mp, mpc
+
+    def unmemoized(x, p):
+        return theta_module._theta_fixed(x, p, DEFAULT_CONFIG)
+
+    with mp.workdps(35):
+        xs = [mpc(_random_nonzero(rng)) for _ in range(30)]
+        nomes = [mpc(_random_nome(rng)), mpc(_random_nome(rng))]
+        assert not _memo_races(xs, nomes, unmemoized, 40)
+
+
+def _qp_theta(x, p):
+    from mpmath import qp
+
+    return qp(x, p) * qp(p / x, p)
+
+
+@pytest.mark.parametrize("dps, tolerance, bound", [(35, 1e-33, 1e-30), (60, 1e-58, 1e-55)])
+def test_fixed_point_kernel_matches_qp(rng, dps, tolerance, bound):
+    from mpmath import mp, mpc, mpf
+
+    cfg = ThetaEvalConfig(truncation_tolerance=tolerance)
+    with mp.workdps(dps):
+        for i in range(120):
+            modulus = mp.exp(mpf(rng.uniform(-6.0, 6.0))) * rng.choice((1, -1))
+            if i % 3 == 0:
+                x = modulus * mp.expj(rng.uniform(0.0, 2 * math.pi))
+            elif i % 3 == 1:
+                x = mpc(modulus)
+            else:
+                x = modulus * mp.expj(rng.uniform(-1e-9, 1e-9))
+            p = mpf(rng.uniform(1e-3, 0.45))
+            if i % 2:
+                p *= mp.expj(rng.uniform(0.0, 2 * math.pi))
+            want = _qp_theta(x, p)
+            got = theta_module._theta_fixed(x, p, cfg)
+            assert abs(got - want) < bound * abs(want), (x, p)
+
+
+def test_fixed_point_kernel_zero_and_out_of_range_arguments():
+    from mpmath import inf, mp, mpc
+
+    with mp.workdps(35):
+        with pytest.raises(ZeroArgument):
+            theta(mpc(0), mpc(0.2, 0.1))
+        with pytest.raises(OverflowError):
+            theta(mpc(inf, 1.0), mpc(0.2, 0.1))
+        with pytest.raises(OverflowError):
+            theta(mpc(1e-320), mpc(0, 0.3))  # p/x overflows, as on doubles
+        assert theta(mpc(0.5, 0.25), mpc(0)) == 1 - mpc(0.5, 0.25)
+
+
+def test_fixed_point_kernel_on_real_arguments():
+    from mpmath import mp, mpf
+
+    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
+    with mp.workdps(35):
+        for x, p in ((mpf(0.5), mpf(0.3)), (mpf(-2.5), mpf(-0.2)), (3, mpf("0.1"))):
+            value = theta(x, p, cfg)
+            assert isinstance(value, mp.mpf)
+            assert abs(value - _qp_theta(mp.mpc(x), mp.mpc(p))) < 1e-30 * abs(value)
+        assert theta(mpf(0.3), mpf(0.3), cfg) == 0 == theta(mpf(1), mpf(0.3), cfg)
+
+
+def test_extended_precision_memo_is_keyed_by_precision():
+    from mpmath import mp, mpc
+
+    x, p = 0.7 + 0.3j, 0.35 - 0.1j
+    cfg = ThetaEvalConfig(truncation_tolerance=1e-58)
+    with mp.workdps(35):
+        low = theta(mpc(x), mpc(p), cfg)
+    with mp.workdps(60):
+        high = theta(mpc(x), mpc(p), cfg)
+        want = _qp_theta(mpc(x), mpc(p))
+        assert abs(high - want) < 1e-55 * abs(want)
+        assert abs(low - want) > 1e-45 * abs(want)
+        memo_p, memo_prec, memo_cfg, values = theta_module._mp_memo
+        assert memo_prec == mp.prec and memo_cfg is cfg and list(values) == [x]
+
+
+def test_memos_never_answer_each_other():
+    from mpmath import mp, mpc
+
+    x, p = 0.6 - 0.45j, 0.3 + 0.2j
+    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
+    with mp.workdps(35):
+        precise = theta(mpc(x), mpc(p), cfg)
+        value = theta(x, p, cfg)
+        assert type(value) is complex
+        assert _bits(value) == _bits(theta(x, Nome(p), cfg))
+        assert theta_module._memo[0] == p and list(theta_module._mp_memo[3].values()) == [precise]
+        assert theta(mpc(x), mpc(p), cfg) is precise
+
+
+def test_mpmath_numbers_never_reach_the_double_product(monkeypatch):
+    product = theta_module._theta_product
+
+    def double_only(x, p, cfg):
+        assert not theta_module._is_mp(x) and not theta_module._is_mp(p)
+        return product(x, p, cfg)
+
+    monkeypatch.setattr(theta_module, "_theta_product", double_only)
+    # integer z at or above J*n runs the 35-digit enumeration cross-check
+    assert run_check("product-jump", "1,3", jump=2, z=4, trials=3).passed
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = "import sys, ellrook; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -1,10 +1,12 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import sample_elliptic
 from ellrook.errors import PoleEncountered
-from ellrook.numeric import relative_error
+from ellrook.numeric import cpow, relative_error
 from ellrook.weights import (
     ABq,
     Aq,
@@ -16,7 +18,9 @@ from ellrook.weights import (
     q_factorial,
     q_falling,
     q_number,
+    random_family,
     random_generic_point,
+    random_z,
     shift_params,
 )
 
@@ -139,6 +143,15 @@ def test_frak_pq_matches_substituted_base(rng):
         assert relative_error(fam.big_weight(k), delegate.big_weight(k)) < 1e-12
     z = 1.8 + 0.7j
     assert relative_error(fam.number(z), delegate.number(z)) < 1e-12
+
+
+def test_frak_pq_draw_keeps_the_quotient_on_the_principal_sheet(rng):
+    for _ in range(500):
+        fam = random_family(rng, "pq")
+        gap = cmath.phase(fam.q) - cmath.phase(fam.fp)
+        assert -math.pi < gap <= math.pi
+        z = random_z(rng)
+        assert relative_error(cpow(fam.q / fam.fp, z), cpow(fam.q, z) / cpow(fam.fp, z)) < 1e-12
 
 
 def test_pole_is_raised_not_propagated():

@@ -31,6 +31,15 @@ BOARDS = {
 }
 SEEDS = (0, 1, 2)
 FAMILIES = ("elliptic", "q")
+# the recursion identities again at sizes other than their defaults: r = 1
+# starts the restricted second- and first-kind checks at k = 0
+SIZED_BOARDS = {
+    "recursion-stirling2-r": ("n=5,r=1", "n=5,r=3"),
+    "recursion-lah-r": ("n=5,r=1", "n=5,r=3"),
+    "recursion-stirling1-r": ("n=5,r=1", "n=5,r=3"),
+    "recursion-gen-stirling2": ("n=4,I=1,J=2", "n=4,I=2,J=3"),
+    "recursion-gen-stirling1": ("n=4,I=1,J=2", "n=4,I=2,J=3"),
+}
 
 
 def golden_requests() -> list[dict]:
@@ -47,6 +56,13 @@ def golden_requests() -> list[dict]:
     requests.append(
         {"identity": "product-jump", "board": "1,3", "jump": 2, "z": 4, "seed": 0, "trials": 3}
     )
+    for identity, boards in SIZED_BOARDS.items():
+        for board in boards:
+            for family in FAMILIES:
+                for seed in SEEDS:
+                    requests.append(
+                        {"identity": identity, "board": board, "family": family, "seed": seed}
+                    )
     return requests
 
 

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .boards import SkylineBoard
 from .numeric import CheckEntry, guard_condition, worst_error
+from .rook import triangle
 # rook's evaluators under this module's own names, so each layer can be traced apart
 from .rook import Signature, evaluate_signature as _evaluate
 from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude
@@ -90,27 +91,20 @@ def q_file_number(board: SkylineBoard, k: int, q):
     return total
 
 
+def file_row_via_recursion(board: SkylineBoard, fam: WeightFamily) -> dict:
+    """All row-only file numbers k -> f_k of a board, column by column from
+    the two-term recursion."""
+    big, num = [], []
+    for m in board.heights:
+        sh = fam.shifted(-m)
+        big.append(sh.big_weight(m))
+        num.append(sh.number(m))
+    return triangle(0, board.n, lambda n, k: big[n], lambda n, k: num[n])
+
+
 def file_number_via_recursion(board: SkylineBoard, k: int, fam: WeightFamily):
     """Row-only file number rebuilt column by column from the recursion."""
-    if k < 0:
-        return 0
-    values = {0: 1}
-    for cols_before, m in enumerate(board.heights):
-        sh = fam.shifted(-m)
-        big = sh.big_weight(m)
-        num = sh.number(m)
-        new = {}
-        for kk in range(cols_before + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + big * same
-            if below != 0:
-                term = term + num * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
+    return file_row_via_recursion(board, fam).get(k, 0)
 
 
 def file_product_check(

@@ -24,7 +24,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import biject, files, jattack, rook, special
 from . import weights as weights_defaults
@@ -263,24 +263,21 @@ def _run_max_identity(ctx: _Context):
 # --- recursions --------------------------------------------------------------
 
 
-def _run_recursion_rook(ctx: _Context):
-    board = ctx.require_board()
+def _board_recursion(row_via_recursion, number):
+    """Runner for a board's recursion: its row of numbers, built once per
+    trial, against the enumerated number at each k."""
 
-    def pairs(fam):
-        for k in range(board.n + 1):
-            yield rook.rook_number_via_recursion(board, k, fam), rook.rook_number(board, k, fam)
+    def run(ctx: _Context):
+        board = ctx.require_board()
 
-    return _grid(ctx, pairs)
+        def pairs(fam):
+            row = row_via_recursion(board, fam)
+            for k in range(board.n + 1):
+                yield row.get(k, 0), number(board, k, fam)
 
+        return _grid(ctx, pairs)
 
-def _run_recursion_file(ctx: _Context):
-    board = ctx.require_board()
-
-    def pairs(fam):
-        for k in range(board.n + 1):
-            yield files.file_number_via_recursion(board, k, fam), files.file_number(board, k, fam)
-
-    return _grid(ctx, pairs)
+    return run
 
 
 def _run_recursion_binomial(ctx: _Context):
@@ -299,137 +296,31 @@ def _run_recursion_binomial(ctx: _Context):
     return _grid(ctx, pairs)
 
 
-def _run_recursion_stirling2(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
+def _recursion(name: str):
+    """Runner for the recursion of special.RECURSIONS[name], one step at a
+    time: each enumerated S(n+1, k) against the recursion's right-hand side
+    over the enumerated S(n, .), from the seed row to n = `n`.  Each S is
+    enumerated once per trial."""
+    spec = special.RECURSIONS[name]
 
-    def pairs(fam):
-        for n in range(n_max):
-            for k in range(n + 2):
-                lhs = special.stirling2(n + 1, k, fam)
-                rhs = fam.number(k) * special.stirling2(n, k, fam)
-                if k >= 1:
-                    rhs = rhs + fam.big_weight(k - 1) * special.stirling2(n, k - 1, fam)
-                yield lhs, rhs
+    def run(ctx: _Context):
+        n_max = ctx.params.get("n", 5)
+        params = {key: ctx.param(key, default) for key, default in spec.params.items()}
+        first_k = spec.first_k(**params)
 
-    return _grid(ctx, pairs)
+        def pairs(fam):
+            value = cache(partial(spec.value, fam, **params))
+            for n in range(spec.seed(**params), n_max):
+                for k in range(first_k, n + 2):
+                    lhs = value(n + 1, k)
+                    rhs = spec.same(fam, n, k, **params) * value(n, k)
+                    if k >= 1:
+                        rhs = rhs + spec.below(fam, n, k, **params) * value(n, k - 1)
+                    yield lhs, rhs
 
+        return _grid(ctx, pairs)
 
-def _run_recursion_stirling2_r(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
-    r = ctx.param("r", 2)
-
-    def pairs(fam):
-        for n in range(r, n_max):
-            for k in range(r - 1, n + 2):
-                lhs = special.stirling2_r(n + 1, k, r, fam)
-                rhs = fam.number(k) * special.stirling2_r(n, k, r, fam)
-                if k >= 1:
-                    rhs = rhs + fam.big_weight(k - 1) * special.stirling2_r(n, k - 1, r, fam)
-                yield lhs, rhs
-
-    return _grid(ctx, pairs)
-
-
-def _run_recursion_lah(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
-
-    def pairs(fam):
-        for n in range(1, n_max):
-            sh = fam.shifted(-n)
-            for k in range(n + 2):
-                lhs = special.lah(n + 1, k, fam)
-                rhs = sh.number(n + k) * special.lah(n, k, fam)
-                if k >= 1:
-                    rhs = rhs + sh.big_weight(n + k - 1) * special.lah(n, k - 1, fam)
-                yield lhs, rhs
-
-    return _grid(ctx, pairs)
-
-
-def _run_recursion_lah_r(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
-    r = ctx.param("r", 2)
-
-    def pairs(fam):
-        for n in range(r, n_max):
-            sh = fam.shifted(-n)
-            for k in range(r, n + 2):
-                lhs = special.lah_r(n + 1, k, r, fam)
-                rhs = sh.number(n + k) * special.lah_r(n, k, r, fam)
-                rhs = rhs + sh.big_weight(n + k - 1) * special.lah_r(n, k - 1, r, fam)
-                yield lhs, rhs
-
-    return _grid(ctx, pairs)
-
-
-def _run_recursion_stirling1(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
-
-    def pairs(fam):
-        for n in range(n_max):
-            sh = fam.shifted(-n)
-            for k in range(n + 2):
-                lhs = special.stirling1(n + 1, k, fam)
-                rhs = sh.number(n) * special.stirling1(n, k, fam)
-                if k >= 1:
-                    rhs = rhs + sh.big_weight(n) * special.stirling1(n, k - 1, fam)
-                yield lhs, rhs
-
-    return _grid(ctx, pairs)
-
-
-def _run_recursion_stirling1_r(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
-    r = ctx.param("r", 2)
-
-    def pairs(fam):
-        for n in range(r, n_max):
-            sh = fam.shifted(-n)
-            for k in range(r - 1, n + 2):
-                lhs = special.stirling1_r(n + 1, k, r, fam)
-                rhs = sh.number(n) * special.stirling1_r(n, k, r, fam)
-                if k >= 1:
-                    rhs = rhs + sh.big_weight(n) * special.stirling1_r(n, k - 1, r, fam)
-                yield lhs, rhs
-
-    return _grid(ctx, pairs)
-
-
-def _run_recursion_gen_stirling2(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
-    offset = ctx.param("I", 0)
-    jump = ctx.param("J", 1)
-
-    def pairs(fam):
-        sh = fam.shifted(-offset)
-        for n in range(n_max):
-            for k in range(n + 2):
-                lhs = jattack.gen_stirling2(offset, jump, n + 1, k, fam)
-                rhs = sh.number(offset + k * jump) * jattack.gen_stirling2(offset, jump, n, k, fam)
-                if k >= 1:
-                    w = sh.big_weight(offset + (k - 1) * jump)
-                    rhs = rhs + w * jattack.gen_stirling2(offset, jump, n, k - 1, fam)
-                yield lhs, rhs
-
-    return _grid(ctx, pairs)
-
-
-def _run_recursion_gen_stirling1(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
-    offset = ctx.param("I", 0)
-    jump = ctx.param("J", 1)
-
-    def pairs(fam):
-        for n in range(n_max):
-            coeff = fam.shifted(-(offset + n * (jump - 1))).number(offset + n * jump)
-            for k in range(n + 2):
-                lhs = jattack.gen_stirling1(offset, jump, n + 1, k, fam)
-                rhs = coeff * jattack.gen_stirling1(offset, jump, n, k, fam)
-                if k >= 1:
-                    rhs = rhs + jattack.gen_stirling1(offset, jump, n, k - 1, fam)
-                yield lhs, rhs
-
-    return _grid(ctx, pairs)
+    return run
 
 
 # --- closed forms -------------------------------------------------------------
@@ -828,17 +719,10 @@ _IDENTITIES = {
     "product-file-above": (_product(files.file_above_product_check), 25, 1e-8),
     "product-jump": (_run_product_jump, 25, 1e-8),
     "max-identity": (_run_max_identity, 10, 1e-9),
-    "recursion-rook": (_run_recursion_rook, 5, 1e-9),
-    "recursion-file": (_run_recursion_file, 5, 1e-9),
+    "recursion-rook": (_board_recursion(rook.rook_row_via_recursion, rook.rook_number), 5, 1e-9),
+    "recursion-file": (_board_recursion(files.file_row_via_recursion, files.file_number), 5, 1e-9),
     "recursion-binomial": (_run_recursion_binomial, 5, 1e-9),
-    "recursion-stirling2": (_run_recursion_stirling2, 5, 1e-9),
-    "recursion-stirling2-r": (_run_recursion_stirling2_r, 5, 1e-9),
-    "recursion-lah": (_run_recursion_lah, 5, 1e-9),
-    "recursion-lah-r": (_run_recursion_lah_r, 5, 1e-9),
-    "recursion-stirling1": (_run_recursion_stirling1, 5, 1e-9),
-    "recursion-stirling1-r": (_run_recursion_stirling1_r, 5, 1e-9),
-    "recursion-gen-stirling2": (_run_recursion_gen_stirling2, 5, 1e-9),
-    "recursion-gen-stirling1": (_run_recursion_gen_stirling1, 5, 1e-9),
+    **{f"recursion-{name}": (_recursion(name), 5, 1e-9) for name in special.RECURSIONS},
     "closed-form-rect-aq": (_run_closed_form_rect_aq, 10, 1e-9),
     "closed-form-lah-aq": (_run_closed_form_lah_aq, 10, 1e-9),
     "closed-form-lah-r-aq": (_run_closed_form_lah_r_aq, 10, 1e-9),

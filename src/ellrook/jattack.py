@@ -189,25 +189,6 @@ def gen_stirling2(offset: int, jump: int, n: int, k: int, fam: WeightFamily):
     return rook_number_j(b_board(offset, jump, n), n - k, jump, fam)
 
 
-def gen_stirling2_via_recursion(offset: int, jump: int, n: int, k: int, fam: WeightFamily):
-    """Same number, rebuilt from the two-term recursion."""
-    sh = fam.shifted(-offset)
-    values = {0: 1}
-    for _ in range(n):
-        new = {}
-        for kk in range(max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + sh.number(offset + kk * jump) * same
-            if below != 0:
-                term = term + sh.big_weight(offset + (kk - 1) * jump) * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
-
-
 def gen_stirling2_normalization(offset: int, jump: int, k: int, fam: WeightFamily):
     """The big-weight prefactor linking the tilde and plain second-kind numbers."""
     sh = fam.shifted(-offset)
@@ -230,24 +211,6 @@ def gen_stirling1(offset: int, jump: int, n: int, k: int, fam: WeightFamily):
     if k < 0 or k > n:
         return 0
     return file_number(b_board(offset, jump, n), n - k, fam, ABOVE_ROOK)
-
-
-def gen_stirling1_via_recursion(offset: int, jump: int, n: int, k: int, fam: WeightFamily):
-    values = {0: 1}
-    for nn in range(n):
-        coeff = fam.shifted(-(offset + nn * (jump - 1))).number(offset + nn * jump)
-        new = {}
-        for kk in range(max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + coeff * same
-            if below != 0:
-                term = term + below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -111,27 +111,48 @@ def q_rook_number(board: SkylineBoard, k: int, q):
     return total
 
 
-def rook_number_via_recursion(board: SkylineBoard, k: int, fam: WeightFamily):
-    """Rook number rebuilt column by column from the two-term recursion."""
+def triangle(start: int, stop: int, same, below) -> dict:
+    """Row `stop` of the two-term triangular recursion
+
+        S(n+1, k) = same(n, k) * S(n, k) + below(n, k) * S(n, k-1),
+
+    seeded with S(start, start) = 1, as a dict k -> S(stop, k).  A
+    coefficient is evaluated only where the S it multiplies is nonzero.
+    """
+    row = {start: 1}
+    for n in range(start, stop):
+        new = {}
+        for k in range(start, n + 2):
+            term = 0
+            s_same = row.get(k, 0)
+            s_below = row.get(k - 1, 0)
+            if s_same != 0:
+                term = term + same(n, k) * s_same
+            if s_below != 0:
+                term = term + below(n, k) * s_below
+            new[k] = term
+        row = new
+    return row
+
+
+def rook_row_via_recursion(board: SkylineBoard, fam: WeightFamily) -> dict:
+    """All rook numbers k -> r_k of a Ferrers board, column by column from
+    the two-term recursion."""
     if not board.is_ferrers:
         raise ValueError(f"the rook recursion requires a Ferrers board, got {board}")
-    if k < 0 or k > board.n:
-        return 0
-    values = {0: 1}
-    for cols_before, m in enumerate(board.heights):
-        sh = fam.shifted(cols_before - m)
-        new = {}
-        for kk in range(cols_before + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + sh.big_weight(m - kk) * same
-            if below != 0:
-                term = term + sh.number(m - kk + 1) * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
+    heights = board.heights
+    shifted = [fam.shifted(cols_before - m) for cols_before, m in enumerate(heights)]
+    return triangle(
+        0,
+        board.n,
+        lambda n, k: shifted[n].big_weight(heights[n] - k),
+        lambda n, k: shifted[n].number(heights[n] - k + 1),
+    )
+
+
+def rook_number_via_recursion(board: SkylineBoard, k: int, fam: WeightFamily):
+    """Rook number rebuilt column by column from the two-term recursion."""
+    return rook_row_via_recursion(board, fam).get(k, 0)
 
 
 def product_formula_check(

@@ -3,11 +3,13 @@ of both kinds, Lah and Abel numbers, their restricted refinements, closed
 forms, classical oracles, and table export.
 
 Values are always computed from placement enumeration on the defining
-board; the *_via_recursion variants rebuild them from the published
-two-term recursions.  For the restricted families those recursions are
-only valid from n = r onward (the classical n = r-1 seed relies on all
-weights being 1), so the recursive builders start from the exact base at
-n = r.
+board.  RECURSIONS declares the published two-term recursion of each
+Stirling, Lah and generalized Stirling family once, as data: via_recursion
+rebuilds a value from it through the one kernel, rook.triangle, and the
+harness derives its recursion-* checks from the same entries.  For the
+restricted families those recursions are only valid from n = r onward
+(the classical n = r-1 seed relies on all weights being 1), so they start
+from the exact base at n = r.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from .boards import SkylineBoard
 from .files import ROW_ONLY, file_number
-from .rook import rook_number
+from .jattack import gen_stirling1, gen_stirling2
+from .rook import rook_number, triangle
 from .theta import q_pochhammer
 from .weights import PlainQ, WeightFamily, q_binomial, q_factorial, q_number
 
@@ -83,29 +88,14 @@ def stirling2(n: int, k: int, fam: WeightFamily):
     return rook_number(staircase(n), n - k, fam)
 
 
-def stirling2_via_recursion(n: int, k: int, fam: WeightFamily):
-    values = {0: 1}
-    for _ in range(n):
-        new = {}
-        for kk in range(max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + fam.number(kk) * same
-            if below != 0:
-                term = term + fam.big_weight(kk - 1) * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
-
-
 def stirling2_small_k(n: int, k: int, fam: WeightFamily):
     """The published closed forms for k <= 3; no general-k formula exists."""
+    if k > n:
+        return 0
     if k == 0:
         return 1 if n == 0 else 0
     if k == 1:
-        return 0 if n == 0 else 1
+        return 1
     if k == 2:
         return fam.number(2) ** (n - 1) - 1
     if k == 3:
@@ -136,26 +126,6 @@ def stirling2_r(n: int, k: int, r: int, fam: WeightFamily):
     return rook_number(staircase_r(n, r), n - k, fam)
 
 
-def stirling2_r_via_recursion(n: int, k: int, r: int, fam: WeightFamily):
-    """Restricted second-kind number via the recursion, seeded exactly at n = r."""
-    if n < r:
-        return 1 if n == k == r - 1 else 0
-    values = {r: 1}
-    for _ in range(n - r):
-        new = {}
-        for kk in range(r - 1, max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + fam.number(kk) * same
-            if below != 0:
-                term = term + fam.big_weight(kk - 1) * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
-
-
 def classical_stirling2_r(n: int, k: int, r: int) -> int:
     """Counting oracle: partitions of [n] into k blocks, 1..r separated."""
     if n < r:
@@ -174,24 +144,6 @@ def lah(n: int, k: int, fam: WeightFamily):
     if n == 0:
         return 1 if k == 0 else 0
     return rook_number(lah_board(n), n - k, fam)
-
-
-def lah_via_recursion(n: int, k: int, fam: WeightFamily):
-    values = {1: 1} if n >= 1 else {0: 1}
-    for nn in range(1, n):
-        sh = fam.shifted(-nn)
-        new = {}
-        for kk in range(max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + sh.number(nn + kk) * same
-            if below != 0:
-                term = term + sh.big_weight(nn + kk - 1) * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
 
 
 def lah_aq_closed(n: int, k: int, a, q):
@@ -217,27 +169,6 @@ def lah_r(n: int, k: int, r: int, fam: WeightFamily):
     if n < r:
         return 1 if n == k == r - 1 else 0
     return rook_number(lah_board_r(n, r), n - k, fam.shifted(1 - r))
-
-
-def lah_r_via_recursion(n: int, k: int, r: int, fam: WeightFamily):
-    """Restricted Lah number via the recursion, seeded exactly at n = r."""
-    if n < r:
-        return 1 if n == k == r - 1 else 0
-    values = {r: 1}
-    for nn in range(r, n):
-        sh = fam.shifted(-nn)
-        new = {}
-        for kk in range(r - 1, max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + sh.number(nn + kk) * same
-            if below != 0:
-                term = term + sh.big_weight(nn + kk - 1) * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
 
 
 def lah_r_aq_closed(n: int, k: int, r: int, a, q):
@@ -286,53 +217,10 @@ def stirling1(n: int, k: int, fam: WeightFamily):
     return file_number(staircase(n), n - k, fam, ROW_ONLY)
 
 
-def stirling1_via_recursion(n: int, k: int, fam: WeightFamily):
-    values = {0: 1}
-    for nn in range(n):
-        sh = fam.shifted(-nn)
-        coeff_same = sh.number(nn)
-        coeff_below = sh.big_weight(nn)
-        new = {}
-        for kk in range(max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + coeff_same * same
-            if below != 0:
-                term = term + coeff_below * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
-
-
 def stirling1_r(n: int, k: int, r: int, fam: WeightFamily):
     if n < r:
         return 1 if n == k == r - 1 else 0
     return file_number(staircase_r(n, r), n - k, fam, ROW_ONLY)
-
-
-def stirling1_r_via_recursion(n: int, k: int, r: int, fam: WeightFamily):
-    """Restricted first-kind number via the recursion, seeded exactly at n = r."""
-    if n < r:
-        return 1 if n == k == r - 1 else 0
-    values = {r: 1}
-    for nn in range(r, n):
-        sh = fam.shifted(-nn)
-        coeff_same = sh.number(nn)
-        coeff_below = sh.big_weight(nn)
-        new = {}
-        for kk in range(r - 1, max(values) + 2):
-            term = 0
-            same = values.get(kk, 0)
-            below = values.get(kk - 1, 0)
-            if same != 0:
-                term = term + coeff_same * same
-            if below != 0:
-                term = term + coeff_below * below
-            new[kk] = term
-        values = new
-    return values.get(k, 0)
 
 
 def classical_stirling1(n: int, k: int) -> int:
@@ -392,6 +280,92 @@ def abel_gen_closed(m: int, n: int, k: int, r: int, fam: WeightFamily):
         * sh.big_weight(m) ** (k - r)
         * sh.number(m) ** (n - k)
     )
+
+
+# ---------------------------------------------------------------------------
+# two-term recursions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Recursion:
+    """The two-term recursion of one special-number family, whose numbers
+    S(n, k) = value(fam, n, k, **params) come from enumeration:
+
+        S(n+1, k) = same(fam, n, k) * S(n, k) + below(fam, n, k) * S(n, k-1)
+
+    for n >= seed(**params); the rows below the seed row are exact base
+    values.  params maps each parameter of the family to its default in
+    the harness, which checks k >= first_k(**params).  Every callable takes
+    the family's parameters as keywords.
+    """
+
+    value: Callable
+    same: Callable
+    below: Callable
+    params: dict = field(default_factory=dict)
+    seed: Callable = lambda **params: 0
+    first_k: Callable = lambda **params: 0
+
+
+def _restricted(base: Recursion, value, first_k) -> Recursion:
+    """The r-restricted form of base: the same coefficients, from the exact
+    row n = r on (the classical n = r - 1 seed holds only at weights 1)."""
+    return replace(base, value=value, params={"r": 2}, seed=lambda r: r, first_k=first_k)
+
+
+_STIRLING2 = Recursion(
+    value=lambda fam, n, k: stirling2(n, k, fam),
+    same=lambda fam, n, k, **_: fam.number(k),
+    below=lambda fam, n, k, **_: fam.big_weight(k - 1),
+)
+_LAH = Recursion(
+    value=lambda fam, n, k: lah(n, k, fam),
+    same=lambda fam, n, k, **_: fam.shifted(-n).number(n + k),
+    below=lambda fam, n, k, **_: fam.shifted(-n).big_weight(n + k - 1),
+    seed=lambda: 1,
+)
+_STIRLING1 = Recursion(
+    value=lambda fam, n, k: stirling1(n, k, fam),
+    same=lambda fam, n, k, **_: fam.shifted(-n).number(n),
+    below=lambda fam, n, k, **_: fam.shifted(-n).big_weight(n),
+)
+
+# family name -> its recursion; the harness checks each as recursion-<name>
+RECURSIONS = {
+    "stirling2": _STIRLING2,
+    "stirling2-r": _restricted(
+        _STIRLING2, lambda fam, n, k, r: stirling2_r(n, k, r, fam), lambda r: r - 1
+    ),
+    "lah": _LAH,
+    "lah-r": _restricted(_LAH, lambda fam, n, k, r: lah_r(n, k, r, fam), lambda r: r),
+    "stirling1": _STIRLING1,
+    "stirling1-r": _restricted(
+        _STIRLING1, lambda fam, n, k, r: stirling1_r(n, k, r, fam), lambda r: r - 1
+    ),
+    "gen-stirling2": Recursion(
+        value=lambda fam, n, k, I, J: gen_stirling2(I, J, n, k, fam),
+        same=lambda fam, n, k, I, J: fam.shifted(-I).number(I + k * J),
+        below=lambda fam, n, k, I, J: fam.shifted(-I).big_weight(I + (k - 1) * J),
+        params={"I": 0, "J": 1},
+    ),
+    "gen-stirling1": Recursion(
+        value=lambda fam, n, k, I, J: gen_stirling1(I, J, n, k, fam),
+        same=lambda fam, n, k, I, J: fam.shifted(-(I + n * (J - 1))).number(I + n * J),
+        below=lambda fam, n, k, I, J: 1,
+        params={"I": 0, "J": 1},
+    ),
+}
+
+
+def via_recursion(name: str, n: int, k: int, fam: WeightFamily, **params):
+    """S(n, k) of the named family rebuilt by its recursion from the seed row."""
+    spec = RECURSIONS[name]
+    seed = spec.seed(**params)
+    if n < seed:
+        return spec.value(fam, n, k, **params)
+    row = triangle(seed, n, partial(spec.same, fam, **params), partial(spec.below, fam, **params))
+    return row.get(k, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from ellrook.jattack import (
     gen_stirling1,
     gen_stirling2,
     gen_stirling2_normalized,
-    gen_stirling2_via_recursion,
     jump_enumeration_total,
     jump_product_check,
     phi,
@@ -226,7 +225,7 @@ def test_criterion_05_recursions_match_enumerations():
                         enum, mag = _value_mag(
                             j_rook_signature(boards[n].heights, jump, n - k), table
                         )
-                        rec = gen_stirling2_via_recursion(offset, jump, n, k, fam)
+                        rec = special.via_recursion("gen-stirling2", n, k, fam, I=offset, J=jump)
                         err = worst_error(err, _guarded_error(rec, enum, mag))
                 return err
             worst = worst_error(worst, _retry(rng, attempt))

@@ -10,11 +10,9 @@ from ellrook.jattack import (
     b_board,
     enumerate_rg_words,
     gen_stirling1,
-    gen_stirling1_via_recursion,
     gen_stirling2,
     gen_stirling2_normalization,
     gen_stirling2_normalized,
-    gen_stirling2_via_recursion,
     j_placement_weight,
     jump_enumeration_total,
     jump_product_check,
@@ -26,7 +24,7 @@ from ellrook.jattack import (
 )
 from ellrook.numeric import relative_error
 from ellrook.rook import rook_number
-from ellrook.special import carlitz_stirling2_q, classical_stirling1, stirling2
+from ellrook.special import carlitz_stirling2_q, classical_stirling1, stirling2, via_recursion
 from ellrook.weights import PlainQ, random_z
 
 
@@ -145,7 +143,7 @@ def test_gen_stirling2_staircase_case(rng):
 def test_gen_stirling2_recursion(rng):
     fam = sample_elliptic(rng)
     for offset, jump, n, k in ((2, 3, 4, 2), (1, 2, 4, 3), (0, 1, 5, 2)):
-        lhs = gen_stirling2_via_recursion(offset, jump, n, k, fam)
+        lhs = via_recursion("gen-stirling2", n, k, fam, I=offset, J=jump)
         rhs = gen_stirling2(offset, jump, n, k, fam)
         assert relative_error(lhs, rhs) < 1e-9
 
@@ -155,7 +153,7 @@ def test_gen_stirling1_recursion(rng):
     assert gen_stirling1(2, 3, 0, 0, fam) == 1
     assert gen_stirling1(2, 3, 2, 3, fam) == 0
     for offset, jump, n, k in ((1, 2, 4, 2), (2, 3, 3, 1), (0, 1, 5, 3)):
-        lhs = gen_stirling1_via_recursion(offset, jump, n, k, fam)
+        lhs = via_recursion("gen-stirling1", n, k, fam, I=offset, J=jump)
         rhs = gen_stirling1(offset, jump, n, k, fam)
         assert relative_error(lhs, rhs) < 1e-9
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import sample_elliptic
 from ellrook import special
 from ellrook.numeric import relative_error
-from ellrook.weights import Aq, PlainQ, WeightTable, random_generic_point
+from ellrook.weights import ABq, Aq, PlainQ, WeightTable, random_generic_point
 
 TRIVIAL = PlainQ(1)
 
@@ -32,11 +33,42 @@ def test_stirling2_small_k(rng):
     assert relative_error(lhs, special.stirling2_small_k(5, 3, fam)) < 1e-10
 
 
+def test_stirling2_small_k_is_zero_above_n():
+    fam = ABq(Fraction(3, 7), Fraction(5, 11), Fraction(2, 3))
+    for elliptic in (fam, sample_elliptic(random.Random(7))):
+        for n in range(3):
+            for k in range(n + 1, 4):
+                assert special.stirling2_small_k(n, k, elliptic) == 0
+
+
+# exact points: PlainQ leaves every shift alone, ABq does not
+EXACT_FAMILIES = (PlainQ(Fraction(2, 3)), ABq(Fraction(3, 7), Fraction(5, 11), Fraction(2, 3)))
+
+
+def _param_sets(spec):
+    if "r" in spec.params:
+        return ({"r": 1}, {"r": 3})
+    if "I" in spec.params:
+        return ({"I": 0, "J": 1}, {"I": 2, "J": 3})
+    return ({},)
+
+
+@pytest.mark.parametrize("name", list(special.RECURSIONS))
+def test_recursion_spec_is_exact(name):
+    spec = special.RECURSIONS[name]
+    for params in _param_sets(spec):
+        for fam in EXACT_FAMILIES:
+            for n in range(6):
+                for k in range(-1, n + 2):
+                    rebuilt = special.via_recursion(name, n, k, fam, **params)
+                    assert rebuilt == spec.value(fam, n, k, **params), (params, fam, n, k)
+
+
 def test_stirling2_recursion_table(rng):
     fam = sample_elliptic(rng)
     for n in range(6):
         for k in range(n + 1):
-            lhs = special.stirling2_via_recursion(n, k, fam)
+            lhs = special.via_recursion("stirling2", n, k, fam)
             rhs = special.stirling2(n, k, fam)
             assert relative_error(lhs, rhs) < 1e-10
 
@@ -68,7 +100,7 @@ def test_stirling2_r(rng):
     # recursion from the exact base at n = r
     for n in range(2, 6):
         for k in range(1, n + 1):
-            lhs = special.stirling2_r_via_recursion(n, k, 2, fam)
+            lhs = special.via_recursion("stirling2-r", n, k, fam, r=2)
             rhs = special.stirling2_r(n, k, 2, fam)
             assert relative_error(lhs, rhs) < 1e-10
 
@@ -86,7 +118,7 @@ def test_restricted_seed_is_classical_only(rng):
 def test_lah(rng):
     fam = sample_elliptic(rng)
     for n, k in ((3, 2), (4, 1), (4, 3)):
-        lhs = special.lah_via_recursion(n, k, fam)
+        lhs = special.via_recursion("lah", n, k, fam)
         rhs = special.lah(n, k, fam)
         assert relative_error(lhs, rhs) < 1e-10
 
@@ -121,7 +153,7 @@ def test_lah_r(rng):
     assert special.classical_lah_r(4, 3, 2) == 10
     for k in range(2, 5):
         assert special.lah_r(4, k, 2, TRIVIAL) == special.classical_lah_r(4, k, 2)
-    lhs = special.lah_r_via_recursion(4, 3, 2, fam)
+    lhs = special.via_recursion("lah-r", 4, 3, fam, r=2)
     rhs = special.lah_r(4, 3, 2, fam)
     assert relative_error(lhs, rhs) < 1e-9
 
@@ -143,7 +175,7 @@ def test_stirling1(rng):
     fam = sample_elliptic(rng)
     for n in range(6):
         for k in range(n + 1):
-            lhs = special.stirling1_via_recursion(n, k, fam)
+            lhs = special.via_recursion("stirling1", n, k, fam)
             rhs = special.stirling1(n, k, fam)
             assert relative_error(lhs, rhs) < 1e-10
     assert special.stirling1(5, 2, TRIVIAL) == 50
@@ -151,7 +183,7 @@ def test_stirling1(rng):
     assert special.stirling1_r(1, 1, 2, TRIVIAL) == 1  # the (r-1, r-1) convention
     for n in range(2, 6):
         for k in range(1, n + 1):
-            lhs = special.stirling1_r_via_recursion(n, k, 2, fam)
+            lhs = special.via_recursion("stirling1-r", n, k, fam, r=2)
             rhs = special.stirling1_r(n, k, 2, fam)
             assert relative_error(lhs, rhs) < 1e-10
 

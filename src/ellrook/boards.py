@@ -6,20 +6,21 @@ line, indexed 0, -1, ..., 1-depth.
 
 Three placement kinds:
 
-    ROOK   no two rooks share a row or column; a rook cancels the cells
-           strictly to its right in its row and strictly below it in its
-           column.
-    FILE   no two rooks share a column; a rook cancels only the cells
-           below it in its column.
     JROOK  at most one rook per column on a jump-attacking board; a rook
            attacks, in the columns strictly to its right, the first `jump`
            rows weakly above its own row that are not already attacked by
            a rook further left.  Below the ground the attack wraps: if
            only t < jump such rows exist down there, the first jump - t
            unattacked rows below the rook's row are attacked instead.
+    ROOK   the 1-attacking placements: no two rooks share a row or column;
+           a rook cancels the cells strictly to its right in its row and
+           strictly below it in its column.
+    FILE   the 0-attacking placements: no two rooks share a column; a rook
+           cancels only the cells below it in its column.
 
-Enumeration is column-major backtracking; placements are emitted exactly
-once each.  Boards and placements are immutable.
+One column-major backtracker, j_rook_placements, enumerates all three
+kinds; placements are emitted exactly once each.  Boards and placements
+are immutable.
 """
 
 from __future__ import annotations
@@ -168,66 +169,56 @@ class Placement:
 # ---------------------------------------------------------------------------
 
 
-def rook_placements(heights, k: int, depth: int = 0) -> Iterator[tuple[Cell, ...]]:
-    """All nonattacking placements of k rooks, column-major order."""
+def j_rook_placements(heights, jump: int, k: int, depth: int = 0) -> Iterator[tuple[Cell, ...]]:
+    """All jump-nonattacking placements of k rooks, column-major order.
+
+    At jump 1 these are the rook placements, at jump 0 the file placements.
+    A caller that needs a placement's attack map calls j_attack_rows.
+    """
     if 0 <= k <= len(heights):
-        yield from _add_rooks(heights, depth, 1, k, [], set())
+        yield from _add_j_rooks(heights, jump, 1 - depth, 1, k, [], {})
 
 
-def _add_rooks(heights, depth: int, col: int, remaining: int, cells: list, used_rows: set):
-    """Every way to add `remaining` rooks in columns col.. to cells."""
+def _add_j_rooks(heights, jump, bottom, col, remaining, cells: list, attacked: dict):
+    """Every way to add `remaining` jump rooks in columns col.. to cells,
+    whose attack map is attacked."""
     if remaining == 0:
         yield tuple(cells)
         return
     if remaining > len(heights) - col + 1:
         return
-    yield from _add_rooks(heights, depth, col + 1, remaining, cells, used_rows)
-    for row in range(heights[col - 1], -depth, -1):
-        if row in used_rows:
+    yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining, cells, attacked)
+    for row in range(heights[col - 1], bottom - 1, -1):
+        if row in attacked:
             continue
+        rows = _rook_attack_rows(row, jump, attacked, bottom)
+        for r in rows:
+            attacked[r] = col
         cells.append((col, row))
-        used_rows.add(row)
-        yield from _add_rooks(heights, depth, col + 1, remaining - 1, cells, used_rows)
-        used_rows.discard(row)
+        yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining - 1, cells, attacked)
         cells.pop()
+        for r in rows:
+            del attacked[r]
+
+
+def rook_placements(heights, k: int, depth: int = 0) -> Iterator[tuple[Cell, ...]]:
+    """All nonattacking placements of k rooks: the 1-attacking ones."""
+    return j_rook_placements(heights, 1, k, depth)
 
 
 def file_placements(heights, k: int) -> Iterator[tuple[Cell, ...]]:
-    """All file placements of k rooks (distinct columns, rows free)."""
-    if 0 <= k <= len(heights):
-        yield from _add_file_rooks(heights, 1, k, [])
+    """All file placements of k rooks (distinct columns, rows free): the
+    0-attacking ones."""
+    return j_rook_placements(heights, 0, k)
 
 
-def _add_file_rooks(heights, col: int, remaining: int, cells: list):
-    """Every way to add `remaining` file rooks in columns col.. to cells."""
-    if remaining == 0:
-        yield tuple(cells)
-        return
-    if remaining > len(heights) - col + 1:
-        return
-    yield from _add_file_rooks(heights, col + 1, remaining, cells)
-    for row in range(heights[col - 1], 0, -1):
-        cells.append((col, row))
-        yield from _add_file_rooks(heights, col + 1, remaining - 1, cells)
-        cells.pop()
-
-
-def _attack_rows_above_ground(row: int, jump: int, attacked: dict[int, int]) -> list[int]:
+def _rook_attack_rows(row: int, jump: int, attacked: dict[int, int], bottom: int) -> list[int]:
+    """The first `jump` unattacked rows weakly above row.  Below the ground
+    the upward scan stops at row 0 and the attack wraps to the unattacked
+    rows below row, down to the bottom row."""
     rows = []
     j = row
-    while len(rows) < jump:
-        if j not in attacked:
-            rows.append(j)
-        j += 1
-    return rows
-
-
-def _attack_rows_below_ground(
-    row: int, jump: int, attacked: dict[int, int], bottom: int
-) -> list[int]:
-    rows = []
-    j = row
-    while j <= 0 and len(rows) < jump:
+    while len(rows) < jump and (row >= 1 or j <= 0):
         if j not in attacked:
             rows.append(j)
         j += 1
@@ -239,12 +230,6 @@ def _attack_rows_below_ground(
     if len(rows) < jump:
         raise ValueError("extension too shallow for the below-ground attack rule")
     return rows
-
-
-def _rook_attack_rows(row: int, jump: int, attacked: dict[int, int], bottom: int) -> list[int]:
-    if row >= 1:
-        return _attack_rows_above_ground(row, jump, attacked)
-    return _attack_rows_below_ground(row, jump, attacked, bottom)
 
 
 def j_attack_rows(board: Board, cells, jump: int) -> dict[int, int]:
@@ -270,36 +255,6 @@ def j_attacked_cells(board: Board, cells, jump: int) -> set[Cell]:
     return out
 
 
-def j_rook_placements(
-    heights, jump: int, k: int, depth: int = 0
-) -> Iterator[tuple[tuple[Cell, ...], dict[int, int]]]:
-    """All jump-nonattacking placements of k rooks with their attack maps."""
-    if 0 <= k <= len(heights):
-        yield from _add_j_rooks(heights, jump, 1 - depth, 1, k, [], {})
-
-
-def _add_j_rooks(heights, jump, bottom, col, remaining, cells: list, attacked: dict):
-    """Every way to add `remaining` jump rooks in columns col.. to cells,
-    whose attack map is attacked."""
-    if remaining == 0:
-        yield tuple(cells), dict(attacked)
-        return
-    if remaining > len(heights) - col + 1:
-        return
-    yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining, cells, attacked)
-    for row in range(heights[col - 1], bottom - 1, -1):
-        if row in attacked:
-            continue
-        rows = _rook_attack_rows(row, jump, attacked, bottom)
-        for r in rows:
-            attacked[r] = col
-        cells.append((col, row))
-        yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining - 1, cells, attacked)
-        cells.pop()
-        for r in rows:
-            del attacked[r]
-
-
 def enumerate_placements(board: Board, kind: str, k: int, jump: int = 1) -> Iterator[Placement]:
     """Yield every placement of the given kind exactly once."""
     heights, depth = _board_parts(board)
@@ -315,7 +270,7 @@ def enumerate_placements(board: Board, kind: str, k: int, jump: int = 1) -> Iter
         base = board.base if isinstance(board, ExtendedBoard) else board
         if not base.is_j_attacking(jump):
             raise NotJAttackingBoard(f"{base} is not {jump}-attacking")
-        for cells, _ in j_rook_placements(heights, jump, k, depth):
+        for cells in j_rook_placements(heights, jump, k, depth):
             yield Placement(board, cells, JROOK, jump)
     else:
         raise ValueError(f"unknown placement kind {kind!r}")

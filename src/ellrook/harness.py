@@ -50,7 +50,6 @@ from .weights import (
     q_falling,
     q_number,
     random_family,
-    random_generic_point,
     random_z,
 )
 
@@ -141,11 +140,13 @@ class _Context:
             raise BadBoardSpec(f"this identity needs parameter {name!r}")
         return value
 
-    def draw_family(self):
+    def draw_family(self, tag: str | None = None):
+        """A family of the requested variant, or of `tag` for an identity
+        that holds only in one variant."""
         cfg = self.config
         return random_family(
             self.rng,
-            self.family_tag,
+            self.family_tag if tag is None else tag,
             cfg.a_modulus,
             cfg.b_modulus,
             cfg.q_modulus,
@@ -155,11 +156,12 @@ class _Context:
     def draw_z(self):
         return random_z(self.rng, self.config.z_real, self.config.z_imag)
 
-    def with_retry(self, attempt):
-        """Evaluate attempt(fam) at fresh random families until one is
-        usable; each numeric failure of _RESAMPLED counts as a resample."""
+    def with_retry(self, attempt, tag: str | None = None):
+        """Evaluate attempt(fam) at fresh random families (of variant tag,
+        if given) until one is usable; each numeric failure of _RESAMPLED
+        counts as a resample."""
         for _ in range(self.config.max_resamples + 1):
-            fam = self.draw_family()
+            fam = self.draw_family(tag)
             try:
                 return attempt(fam)
             except _RESAMPLED as exc:
@@ -180,10 +182,10 @@ def _grid_error(pairs) -> float:
     return worst_error(*(relative_error(lhs, rhs) for lhs, rhs in pairs))
 
 
-def _grid(ctx: _Context, pairs):
+def _grid(ctx: _Context, pairs, tag: str | None = None):
     """One trial: the worst error over the (lhs, rhs) pairs that pairs(fam)
-    yields, at a family redrawn until no pole."""
-    return partial(ctx.with_retry, lambda fam: _grid_error(pairs(fam)))
+    yields, at a family (of variant tag, if given) redrawn until no pole."""
+    return partial(ctx.with_retry, lambda fam: _grid_error(pairs(fam)), tag)
 
 
 # --- product formulas -------------------------------------------------------
@@ -326,11 +328,6 @@ def _recursion(name: str):
 # --- closed forms -------------------------------------------------------------
 
 
-def _aq_sample(ctx: _Context) -> Aq:
-    a, _, q, _ = random_generic_point(ctx.rng)
-    return Aq(a, q)
-
-
 def _run_closed_form_rect_aq(ctx: _Context):
     board = ctx.require_board()
     heights = set(board.heights)
@@ -344,7 +341,7 @@ def _run_closed_form_rect_aq(ctx: _Context):
             closed = rook.rect_rook_number_aq(ell, m, k, fam.a, fam.q)
             yield rook.rook_number(board, k, fam), closed
 
-    return lambda: _grid_error(pairs(_aq_sample(ctx)))
+    return _grid(ctx, pairs, "aq")
 
 
 def _run_closed_form_lah_aq(ctx: _Context):
@@ -355,7 +352,7 @@ def _run_closed_form_lah_aq(ctx: _Context):
             for k in range(1, n + 1):
                 yield special.lah(n, k, fam), special.lah_aq_closed(n, k, fam.a, fam.q)
 
-    return lambda: _grid_error(pairs(_aq_sample(ctx)))
+    return _grid(ctx, pairs, "aq")
 
 
 def _run_closed_form_lah_r_aq(ctx: _Context):
@@ -367,7 +364,7 @@ def _run_closed_form_lah_r_aq(ctx: _Context):
             for k in range(r, n + 1):
                 yield special.lah_r(n, k, r, fam), special.lah_r_aq_closed(n, k, r, fam.a, fam.q)
 
-    return lambda: _grid_error(pairs(_aq_sample(ctx)))
+    return _grid(ctx, pairs, "aq")
 
 
 def _run_closed_form_lah_r_q(ctx: _Context):
@@ -379,7 +376,7 @@ def _run_closed_form_lah_r_q(ctx: _Context):
             for k in range(r, n + 1):
                 yield special.lah_r(n, k, r, fam), special.lah_r_q_closed(n, k, r, fam.q)
 
-    return lambda: _grid_error(pairs(PlainQ(random_generic_point(ctx.rng)[2])))
+    return _grid(ctx, pairs, "q")
 
 
 def _run_closed_form_abel(ctx: _Context):
@@ -433,30 +430,24 @@ def _run_closed_form_stirling2_small_k(ctx: _Context):
 
 
 def _run_degeneration_chain(ctx: _Context):
-    def trial():
-        a, b, q, _ = random_generic_point(ctx.rng)
+    def pairs(flat):
+        a, b, q = flat.a, flat.b, flat.q
         k = ctx.rng.randrange(-4, 5)
         full = FullElliptic(a, b, q, 0)
-        flat = ABq(a, b, q)
-        pairs = [
-            (full.small_weight(k), flat.small_weight(k)),
-            (full.big_weight(k), flat.big_weight(k)),
-            (full.number(k + 2), flat.number(k + 2)),
-            (full.binomial(4, 2), flat.binomial(4, 2)),
-        ]
+        yield full.small_weight(k), flat.small_weight(k)
+        yield full.big_weight(k), flat.big_weight(k)
+        yield full.number(k + 2), flat.number(k + 2)
+        yield full.binomial(4, 2), flat.binomial(4, 2)
         # hand-derived b -> 0 and a -> 0 limits of the a,b;q weights
-        aq = Aq(a, q)
         q2k = q ** (2 * k)
-        pairs.append((aq.small_weight(k), (1 - a * q2k * q) / ((1 - a * q2k / q) * q)))
-        zbq = ZeroBq(b, q)
+        yield Aq(a, q).small_weight(k), (1 - a * q2k * q) / ((1 - a * q2k / q) * q)
         qk = q**k
-        pairs.append((zbq.small_weight(k), q * (1 - b * qk) / (1 - b * qk * q * q)))
+        yield ZeroBq(b, q).small_weight(k), q * (1 - b * qk) / (1 - b * qk * q * q)
         plain = PlainQ(q)
-        pairs.append((plain.small_weight(k), q))
-        pairs.append((plain.big_weight(k), q**k))
-        return _grid_error(pairs)
+        yield plain.small_weight(k), q
+        yield plain.big_weight(k), q**k
 
-    return trial
+    return _grid(ctx, pairs, "abq")
 
 
 def _run_degeneration_q(ctx: _Context) -> float:
@@ -528,7 +519,7 @@ def _run_ellipticity(ctx: _Context):
 def _run_theta_inversion(ctx: _Context):
     def trial():
         x = _polar(ctx.rng, 0.5, 2.0)
-        p = _polar(ctx.rng, 0.05, 0.4)
+        p = _polar(ctx.rng, *ctx.config.p_modulus)
         return relative_error(theta(x, p), -x * theta(1 / x, p))
 
     return trial
@@ -537,7 +528,7 @@ def _run_theta_inversion(ctx: _Context):
 def _run_theta_quasiperiod(ctx: _Context):
     def trial():
         x = _polar(ctx.rng, 0.5, 2.0)
-        p = _polar(ctx.rng, 0.05, 0.4)
+        p = _polar(ctx.rng, *ctx.config.p_modulus)
         return relative_error(theta(p * x, p), -theta(x, p) / x)
 
     return trial
@@ -546,7 +537,7 @@ def _run_theta_quasiperiod(ctx: _Context):
 def _run_addition_formula(ctx: _Context):
     def trial():
         x, y, u, v = (_polar(ctx.rng, 0.5, 2.0) for _ in range(4))
-        p = _polar(ctx.rng, 0.05, 0.4)
+        p = _polar(ctx.rng, *ctx.config.p_modulus)
         t1 = theta(x * y, p) * theta(x / y, p) * theta(u * v, p) * theta(u / v, p)
         t2 = theta(x * v, p) * theta(x / v, p) * theta(u * y, p) * theta(u / y, p)
         t3 = (u / y) * theta(y * v, p) * theta(y / v, p) * theta(x * u, p) * theta(x / u, p)
@@ -660,9 +651,7 @@ def _run_bijection_rg(ctx: _Context) -> float:
     mismatches = 0
     for k in range(n + 1):
         words = jattack.enumerate_rg_words(offset, jump, n, k)
-        placements = {
-            cells for cells, _ in j_rook_placements(board.heights, jump, n - k)
-        }
+        placements = set(j_rook_placements(board.heights, jump, n - k))
         images = set()
         for gamma in words:
             cells = jattack.phi(gamma)

@@ -29,19 +29,22 @@ def b_board(offset: int, jump: int, n: int) -> SkylineBoard:
 
 
 @lru_cache(maxsize=None)
-def j_rook_signature(heights: tuple[int, ...], jump: int, k: int) -> Signature:
-    """Multiset of small-weight argument tuples over all k-rook jump placements."""
+def j_rook_signature(heights: tuple[int, ...], jump: int, k: int, depth: int = 0) -> Signature:
+    """Multiset of small-weight argument tuples over all k-rook jump
+    placements on the board extended by `depth` rows below the ground."""
     counts: Counter = Counter()
     if 0 <= k <= len(heights):
-        _add_jump_columns(counts, heights, jump, 1, k, [], {}, set())
+        _add_jump_columns(counts, heights, jump, 1 - depth, 1, k, [], {}, set())
     return tuple(sorted(counts.items()))
 
 
-def _add_jump_columns(counts, heights, jump, col, remaining, exps, attacked, rook_rows) -> None:
+def _add_jump_columns(
+    counts, heights, jump, bottom, col, remaining, exps, attacked, rook_rows
+) -> None:
     """Count in counts the signature term of every way to place `remaining`
     jump rooks in columns col.. beside the rooks in rook_rows, whose attack
     map is attacked and whose uncancelled cells in columns 1..col-1 have the
-    small-weight arguments exps.
+    small-weight arguments exps.  Columns run down to the row bottom.
 
     A cell (col, row) is uncancelled when no rook further left attacks its
     row and no rook of its own column sits at or above it; its argument is
@@ -61,25 +64,25 @@ def _add_jump_columns(counts, heights, jump, col, remaining, exps, attacked, roo
     base = jump * (col - 1) + 1
     mark = len(exps)
     # unattacked rows top down: a rook in one has the free cells above it in exps
-    for row in range(height, 0, -1):
+    for row in range(height, bottom - 1, -1):
         if row in attacked:
             if row in rook_rows:
                 nw += 1
             continue
         if remaining:
-            rows = _rook_attack_rows(row, jump, attacked, 1)
+            rows = _rook_attack_rows(row, jump, attacked, bottom)
             for r in rows:
                 attacked[r] = col
             rook_rows.add(row)
             _add_jump_columns(
-                counts, heights, jump, col + 1, remaining - 1, exps, attacked, rook_rows
+                counts, heights, jump, bottom, col + 1, remaining - 1, exps, attacked, rook_rows
             )
             rook_rows.discard(row)
             for r in rows:
                 del attacked[r]
         exps.append(base - row - jump * nw)
     # an empty column: every free cell
-    _add_jump_columns(counts, heights, jump, col + 1, remaining, exps, attacked, rook_rows)
+    _add_jump_columns(counts, heights, jump, bottom, col + 1, remaining, exps, attacked, rook_rows)
     del exps[mark:]
 
 
@@ -144,35 +147,7 @@ def jump_enumeration_total(board: SkylineBoard, jump: int, z: int, fam: WeightFa
     n = board.n
     if z < jump * n:
         raise ValueError(f"extension depth {z} below jump*n = {jump * n}")
-    return _add_jump_placements(0, 1, 1, board.heights, jump, 1 - z, WeightTable(fam), {}, [])
-
-
-def _add_jump_placements(total, col, weight, heights, jump, bottom, table, attacked, placed_rows):
-    """total plus the weights of every completion of the rooks placed_rows in
-    columns 1..col-1, whose uncancelled cells so far weigh weight; the sum
-    runs in placement order."""
-    if col > len(heights):
-        return total + weight
-    prefix = weight
-    for row in range(heights[col - 1], bottom - 1, -1):
-        if row in attacked:
-            continue
-        rows = _rook_attack_rows(row, jump, attacked, bottom)
-        for r in rows:
-            attacked[r] = col
-        placed_rows.append(row)
-        total = _add_jump_placements(
-            total, col + 1, prefix, heights, jump, bottom, table, attacked, placed_rows
-        )
-        placed_rows.pop()
-        for r in rows:
-            del attacked[r]
-        nw = 0
-        for r in placed_rows:
-            if r > row:
-                nw += 1
-        prefix = prefix * table[jump * (col - 1) + 1 - row - jump * nw]
-    return total
+    return _evaluate(j_rook_signature(board.heights, jump, n, z), WeightTable(fam))
 
 
 # ---------------------------------------------------------------------------

@@ -482,7 +482,7 @@ def test_criterion_08_rg_statistic():
         fam = _elliptic(rng)
         for k in range(n + 1):
             words = enumerate_rg_words(offset, jump, n, k)
-            placements = {c for c, _ in j_rook_placements(board.heights, jump, n - k)}
+            placements = set(j_rook_placements(board.heights, jump, n - k))
             if len(words) != len(placements):
                 counts_ok = False
             images = set()

@@ -27,6 +27,9 @@ CALLS = {
     "_add_rook_columns": lambda: rook.rook_signature.__wrapped__((1, 2, 3), 2, 1),
     "_add_file_columns": lambda: files._file_signatures.__wrapped__((1, 2, 3), 2),
     "_add_jump_columns": lambda: jattack.j_rook_signature.__wrapped__((1, 3, 5), 2, 2),
+    "_add_jump_columns, below ground": lambda: jattack.j_rook_signature.__wrapped__(
+        (1, 3, 5), 2, 3, 7
+    ),
 }
 CALLS.update(
     (name, lambda name=name: run_check(name))

@@ -6,8 +6,15 @@ import sys
 
 import pytest
 
-from ellrook.errors import BadBoardSpec, ResamplesExhausted, UnknownIdentity
-from ellrook.harness import CheckReport, identity_names, parse_board_spec, run_check
+from ellrook import harness, rook, special
+from ellrook.errors import BadBoardSpec, PoleEncountered, ResamplesExhausted, UnknownIdentity
+from ellrook.harness import (
+    CheckReport,
+    SamplerConfig,
+    identity_names,
+    parse_board_spec,
+    run_check,
+)
 from ellrook.weights import FrakPQ
 
 
@@ -252,3 +259,76 @@ def test_degeneration_pq_catches_a_planted_defect(monkeypatch):
     monkeypatch.setattr(FrakPQ, "number", lambda self, z: number(self, z) * self.q)
     report = run_check("degeneration-pq", family="pq")
     assert not report.passed and report.max_rel_err > 1e-3
+
+
+# (identity, board, module and name of the closed form it checks); each
+# closed form takes q as its last argument
+CLOSED_FORMS = [
+    ("closed-form-rect-aq", "3,3,3", rook, "rect_rook_number_aq"),
+    ("closed-form-lah-aq", None, special, "lah_aq_closed"),
+    ("closed-form-lah-r-aq", None, special, "lah_r_aq_closed"),
+    ("closed-form-lah-r-q", None, special, "lah_r_q_closed"),
+]
+CLOSED_FORM_IDS = [identity for identity, *_ in CLOSED_FORMS]
+
+
+@pytest.mark.parametrize("identity, board, module, name", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
+def test_closed_forms_draw_q_from_the_sampler_config(monkeypatch, identity, board, module, name):
+    closed = getattr(module, name)
+    seen = []
+
+    def spy(*args):
+        seen.append(abs(args[-1]))
+        return closed(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    report = run_check(identity, board, trials=3, config=SamplerConfig(q_modulus=(0.7, 0.701)))
+    assert report.passed and seen
+    assert all(0.7 - 1e-12 <= modulus <= 0.701 + 1e-12 for modulus in seen)
+
+
+@pytest.mark.parametrize("identity, board, module, name", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
+def test_closed_form_pole_is_resampled(monkeypatch, identity, board, module, name):
+    closed = getattr(module, name)
+    calls = []
+
+    def first_call_hits_a_pole(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PoleEncountered("planted pole")
+        return closed(*args)
+
+    monkeypatch.setattr(module, name, first_call_hits_a_pole)
+    report = run_check(identity, board, trials=3)
+    assert report.resamples == 1 and report.passed
+
+
+def test_theta_checks_draw_p_from_the_sampler_config(monkeypatch):
+    theta = harness.theta
+    seen = []
+
+    def spy(x, p):
+        seen.append(abs(p))
+        return theta(x, p)
+
+    monkeypatch.setattr(harness, "theta", spy)
+    config = SamplerConfig(p_modulus=(0.2, 0.201))
+    for identity in ("theta-inversion", "theta-quasiperiodicity", "addition-formula"):
+        assert run_check(identity, trials=5, config=config).passed
+    assert len(seen) == 5 * (2 + 2 + 12)
+    assert all(0.2 - 1e-12 <= modulus <= 0.201 + 1e-12 for modulus in seen)
+
+
+def test_degeneration_chain_pole_is_resampled(monkeypatch):
+    small_weight = harness.ABq.small_weight
+    calls = []
+
+    def first_call_hits_a_pole(self, k):
+        calls.append(k)
+        if len(calls) == 1:
+            raise PoleEncountered("planted pole")
+        return small_weight(self, k)
+
+    monkeypatch.setattr(harness.ABq, "small_weight", first_call_hits_a_pole)
+    report = run_check("degeneration-chain", trials=3)
+    assert report.resamples == 1 and report.passed

@@ -25,7 +25,7 @@ from ellrook.jattack import (
 from ellrook.numeric import relative_error
 from ellrook.rook import rook_number
 from ellrook.special import carlitz_stirling2_q, classical_stirling1, stirling2, via_recursion
-from ellrook.weights import PlainQ, random_z
+from ellrook.weights import ABq, PlainQ, random_z
 
 
 def test_jump_one_reduces_to_plain_rooks(rng):
@@ -92,6 +92,23 @@ def test_jump_product_with_enumeration_exact():
     entry = jump_product_check(board, 3, fam, 9)
     total = jump_enumeration_total(board, 3, 9, fam)
     assert total == entry.lhs == entry.rhs
+
+
+def test_jump_product_with_enumeration_exact_every_small_board():
+    # the three-way check at an exact a,b;q point on every B(I, J, n) with
+    # I <= 2, J <= 3, n <= 3, at the shallowest extension z = J*n and one deeper
+    fam = ABq(Fraction(3, 7), Fraction(5, 11), Fraction(2, 3))
+    cases = 0
+    for offset in range(3):
+        for jump in range(1, 4):
+            for n in range(1, 4):
+                board = b_board(offset, jump, n)
+                for z in (jump * n, jump * n + 1):
+                    entry = jump_product_check(board, jump, fam, z)
+                    total = jump_enumeration_total(board, jump, z, fam)
+                    assert total == entry.lhs == entry.rhs, (offset, jump, n, z)
+                    cases += 1
+    assert cases == 54
 
 
 def test_jump_product_with_enumeration_high_precision(rng):
@@ -188,7 +205,7 @@ def test_rg_word_counts_and_roundtrip():
     board = b_board(1, 2, 5)
     for k in range(6):
         words = enumerate_rg_words(1, 2, 5, k)
-        placements = {c for c, _ in j_rook_placements(board.heights, 2, 5 - k)}
+        placements = set(j_rook_placements(board.heights, 2, 5 - k))
         images = set()
         for gamma in words:
             cells = phi(gamma)

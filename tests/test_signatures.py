@@ -1,6 +1,7 @@
 """The cached signature builders against signatures rebuilt placement by
 placement from the public enumerators and the cancellation helpers in
-boards.py, which state the geometry cell by cell."""
+boards.py, which state the geometry cell by cell; and those enumerators
+against a brute force over cell subsets."""
 
 import itertools
 from collections import Counter
@@ -12,6 +13,7 @@ from ellrook.boards import (
     file_above_cells,
     file_placements,
     file_uncancelled,
+    j_attack_rows,
     j_rook_placements,
     j_uncancelled,
     rook_placements,
@@ -56,14 +58,14 @@ def _file_reference(heights, k):
     return _signature(row), _signature(above)
 
 
-def _jump_reference(heights, jump, k):
-    return _signature(
-        [
-            jump * (i - 1) + 1 - j - jump * nw
-            for (i, j), nw in j_uncancelled(heights, cells, attacked).items()
-        ]
-        for cells, attacked in j_rook_placements(heights, jump, k)
-    )
+def _jump_reference(heights, jump, k, depth=0):
+    board = SkylineBoard(heights).extended(depth)
+    terms = []
+    for cells in j_rook_placements(heights, jump, k, depth):
+        attacked = j_attack_rows(board, cells, jump)
+        uncancelled = j_uncancelled(heights, cells, attacked, depth)
+        terms.append([jump * (i - 1) + 1 - j - jump * nw for (i, j), nw in uncancelled.items()])
+    return _signature(terms)
 
 
 def _ks(heights):
@@ -108,10 +110,60 @@ def test_j_rook_signature_matches_placements_on_any_skyline(heights, jump):
     _check_j_rook_signature(heights, jump)
 
 
-def _check_j_rook_signature(heights, jump):
+def _check_j_rook_signature(heights, jump, depth=0):
     for k in _ks(heights):
-        expected = _jump_reference(heights, jump, k)
-        assert j_rook_signature.__wrapped__(heights, jump, k) == expected, k
+        expected = _jump_reference(heights, jump, k, depth)
+        assert j_rook_signature.__wrapped__(heights, jump, k, depth) == expected, k
+
+
+# the depth-z extensions of the jump product formula's cross-check: the
+# below-ground attack wraps, and needs depth z >= jump * n to find its rows
+EXTENDED_JUMP_BOARDS = [
+    (heights, jump, depth)
+    for heights, jump in JUMP_BOARDS
+    if len(heights) <= 3
+    for depth in (jump * len(heights), jump * len(heights) + 1)
+]
+
+
+@pytest.mark.parametrize("heights, jump, depth", EXTENDED_JUMP_BOARDS, ids=str)
+def test_j_rook_signature_matches_placements_below_ground(heights, jump, depth):
+    _check_j_rook_signature(heights, jump, depth)
+
+
+def _brute_force(heights, k, depth, distinct_rows):
+    """The k-subsets of the depth-extended board's cells with distinct
+    columns, and distinct rows if asked, as column-sorted cell tuples."""
+    cells = [(i, j) for i, h in enumerate(heights, 1) for j in range(1 - depth, h + 1)]
+    out = set()
+    if k < 0:
+        return out
+    for combo in itertools.combinations(cells, k):
+        rows = {j for _, j in combo}
+        if len({i for i, _ in combo}) == k and (not distinct_rows or len(rows) == k):
+            out.add(combo)
+    return out
+
+
+# the brute force is slow on 4 Ferrers columns, so it stops at 3
+BRUTE_FORCE_BOARDS = [heights for n in range(4) for heights in _ferrers(n)] + NON_FERRERS
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_rook_placements_match_brute_force(depth):
+    for heights in BRUTE_FORCE_BOARDS:
+        for k in _ks(heights):
+            placements = list(rook_placements(heights, k, depth))
+            assert len(placements) == len(set(placements)), (heights, k)
+            assert set(placements) == _brute_force(heights, k, depth, True), (heights, k)
+
+
+def test_file_placements_match_brute_force():
+    for heights in BRUTE_FORCE_BOARDS:
+        for k in _ks(heights):
+            placements = list(file_placements(heights, k))
+            assert len(placements) == len(set(placements)), (heights, k)
+            assert set(placements) == _brute_force(heights, k, 0, False), (heights, k)
 
 
 def test_empty_signatures_out_of_range():
@@ -119,5 +171,6 @@ def test_empty_signatures_out_of_range():
     assert rook_signature.__wrapped__((2, 3), -1) == ()
     assert _file_signatures.__wrapped__((2, 3), 3) == ((), ())
     assert j_rook_signature.__wrapped__((1, 3), 2, -1) == ()
+    assert j_rook_signature.__wrapped__((1, 3), 2, 3, 4) == ()
     # the empty board has one placement, of no rooks, with no cells
     assert rook_signature.__wrapped__((), 0) == (((), 1),)

@@ -2,26 +2,33 @@
 
 Row-only weighting: every uncancelled cell (not occupied, not below a rook)
 contributes the small weight of 1 - row.  Above-rook weighting: only cells
-lying above some rook contribute, with weight argument column - row.  Both
-weightings share the same cancellation geometry, so one column-major
-backtracking pass builds both signatures, cached together per (board, k).
-A column's cells depend only on its own rook, so each column appends its
-arguments as the pass places or skips that rook.  The placement-level
-definitions are `boards.file_uncancelled` and `boards.file_above_cells`.
+lying above some rook contribute, with weight argument column - row.  A
+column's cells depend only on its own rook, so at a parameter point the
+weighted sums of all k are the coefficients of a product of one linear
+polynomial E_c + R_c t per column: E_c weighs the empty column and R_c
+sums its rook positions, each with the cells above the rook.  file_row
+multiplies them out.  The placement-level definitions are
+`boards.file_uncancelled` and `boards.file_above_cells`.
+
+_file_signatures keeps the family-free form of the same sums, both
+weightings cached together per (board, k): the multisets of small-weight
+arguments, one entry per placement.  No numeric path uses them; the tests
+take them as the reference for file_row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .boards import SkylineBoard
 from .numeric import CheckEntry, guard_condition, worst_error
-from .rook import triangle
-# rook's evaluators under this module's own names, so each layer can be traced apart
-from .rook import Signature, evaluate_signature as _evaluate
-from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude
-from .weights import WeightFamily, WeightTable
+from .rook import transfer_row, triangle
+# rook's evaluators under this module's own names, where bench/tracing.py
+# looks them up to trace each layer apart
+from .rook import Signature, evaluate_signature as _evaluate  # noqa: F401
+from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude  # noqa: F401
+from .weights import PlainQ, WeightFamily
 
 ROW_ONLY = "row"
 ABOVE_ROOK = "above"
@@ -73,22 +80,61 @@ def file_signature(heights: tuple[int, ...], k: int, weighting: str) -> Signatur
     raise ValueError(f"unknown file weighting {weighting!r}")
 
 
+def file_row(
+    board: SkylineBoard,
+    fam: WeightFamily,
+    weighting: str = ROW_ONLY,
+    k: int | None = None,
+    magnitude: bool = False,
+):
+    """The weighted sums k -> f_k over the file placements of the board, as
+    the coefficients of the product of the column polynomials.
+
+    Given k, only the coefficient of t^k is computed.  With magnitude,
+    returns the pair (sums, magnitudes): the magnitudes are the same sums
+    over |w| in doubles, each sum's pre-cancellation scale.
+    """
+    if weighting not in (ROW_ONLY, ABOVE_ROOK):
+        raise ValueError(f"unknown file weighting {weighting!r}")
+    return transfer_row(partial(_file_transfer, board.heights, weighting, k), fam, magnitude)
+
+
+def _file_transfer(heights, weighting, k, weight) -> dict:
+    """Coefficients k -> sum over the k-rook file placements of the product
+    of weight(argument) over their weighted cells."""
+    n = len(heights)
+    if k is not None and not 0 <= k <= n:
+        return {}
+    sums = {0: 1}
+    for col, height in enumerate(heights, 1):
+        first = 1 if weighting == ROW_ONLY else col  # a cell's argument is first - row
+        # rows top down: a rook in one weighs the cells above it
+        rook, above = 0, 1
+        for row in range(height, 0, -1):
+            rook = rook + above
+            if weighting == ROW_ONLY or row > 1:
+                above = above * weight(first - row)
+        # an empty column weighs every cell by its row, or has none above a rook
+        empty = above if weighting == ROW_ONLY else 1
+        left = n - col  # columns after this one
+        new: dict = {}
+        for rooks, value in sums.items():
+            if k is None or rooks + left >= k:
+                new[rooks] = new.get(rooks, 0) + value * empty
+            if k is None or rooks < k:
+                new[rooks + 1] = new.get(rooks + 1, 0) + value * rook
+        sums = new
+    return sums
+
+
 def file_number(board: SkylineBoard, k: int, fam: WeightFamily, weighting: str = ROW_ONLY):
     """The k-th elliptic file number of a skyline board by enumeration."""
-    if k < 0 or k > board.n:
-        return 0
-    sig = file_signature(board.heights, k, weighting)
-    return _evaluate(sig, WeightTable(fam))
+    return file_row(board, fam, weighting, k).get(k, 0)
 
 
 def q_file_number(board: SkylineBoard, k: int, q):
     """Classical q-file number; exact when q is an exact rational."""
-    if k < 0 or k > board.n:
-        return 0
-    total = 0
-    for exps, count in file_signature(board.heights, k, ROW_ONLY):
-        total += count * q ** len(exps)
-    return total
+    return file_row(board, PlainQ(q), ROW_ONLY, k).get(k, 0)
 
 
 def file_row_via_recursion(board: SkylineBoard, fam: WeightFamily) -> dict:
@@ -112,22 +158,19 @@ def file_product_check(
 ) -> CheckEntry:
     """Both sides of the row-only file factorization at argument z."""
     n = board.n
-    table = WeightTable(fam)
     lhs = 1
     for c in board.heights:
         lhs = lhs * fam.shifted(-c).number(z + c)
     zn = fam.number(z)
+    values, magnitudes = file_row(board, fam, ROW_ONLY, magnitude=True)
     rhs = 0
     power = 1
     term_scale = 0.0
     for k in range(n + 1):
         if k:
             power = power * zn
-        value, magnitude = _evaluate_with_magnitude(
-            file_signature(board.heights, n - k, ROW_ONLY), table
-        )
-        term_scale = worst_error(term_scale, magnitude * abs(power))
-        rhs = rhs + value * power
+        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(power))
+        rhs = rhs + values.get(n - k, 0) * power
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
@@ -137,21 +180,18 @@ def file_above_product_check(
 ) -> CheckEntry:
     """Both sides of the above-rook file factorization at argument z."""
     n = board.n
-    table = WeightTable(fam)
     zn = fam.number(z)
     lhs = 1
     for i, c in enumerate(board.heights, 1):
         lhs = lhs * (zn + fam.shifted(i - 1 - c).number(c))
+    values, magnitudes = file_row(board, fam, ABOVE_ROOK, magnitude=True)
     rhs = 0
     power = 1
     term_scale = 0.0
     for k in range(n + 1):
         if k:
             power = power * zn
-        value, magnitude = _evaluate_with_magnitude(
-            file_signature(board.heights, n - k, ABOVE_ROOK), table
-        )
-        term_scale = worst_error(term_scale, magnitude * abs(power))
-        rhs = rhs + value * power
+        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(power))
+        rhs = rhs + values.get(n - k, 0) * power
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)

@@ -265,17 +265,18 @@ def _run_max_identity(ctx: _Context):
 # --- recursions --------------------------------------------------------------
 
 
-def _board_recursion(row_via_recursion, number):
-    """Runner for a board's recursion: its row of numbers, built once per
-    trial, against the enumerated number at each k."""
+def _board_recursion(row_via_recursion, enumerated_row):
+    """Runner for a board's recursion: its row of numbers against the
+    enumerated row at each k, both built once per trial."""
 
     def run(ctx: _Context):
         board = ctx.require_board()
 
         def pairs(fam):
             row = row_via_recursion(board, fam)
+            enumerated = enumerated_row(board, fam)
             for k in range(board.n + 1):
-                yield row.get(k, 0), number(board, k, fam)
+                yield row.get(k, 0), enumerated.get(k, 0)
 
         return _grid(ctx, pairs)
 
@@ -301,8 +302,8 @@ def _run_recursion_binomial(ctx: _Context):
 def _recursion(name: str):
     """Runner for the recursion of special.RECURSIONS[name], one step at a
     time: each enumerated S(n+1, k) against the recursion's right-hand side
-    over the enumerated S(n, .), from the seed row to n = `n`.  Each S is
-    enumerated once per trial."""
+    over the enumerated S(n, .), from the seed row to n = `n`.  Each row
+    S(n, .) is enumerated once per trial."""
     spec = special.RECURSIONS[name]
 
     def run(ctx: _Context):
@@ -311,13 +312,13 @@ def _recursion(name: str):
         first_k = spec.first_k(**params)
 
         def pairs(fam):
-            value = cache(partial(spec.value, fam, **params))
+            row = cache(partial(spec.row, fam, **params))
             for n in range(spec.seed(**params), n_max):
                 for k in range(first_k, n + 2):
-                    lhs = value(n + 1, k)
-                    rhs = spec.same(fam, n, k, **params) * value(n, k)
+                    lhs = row(n + 1).get(k, 0)
+                    rhs = spec.same(fam, n, k, **params) * row(n).get(k, 0)
                     if k >= 1:
-                        rhs = rhs + spec.below(fam, n, k, **params) * value(n, k - 1)
+                        rhs = rhs + spec.below(fam, n, k, **params) * row(n).get(k - 1, 0)
                     yield lhs, rhs
 
         return _grid(ctx, pairs)
@@ -337,9 +338,9 @@ def _run_closed_form_rect_aq(ctx: _Context):
     ell = board.n
 
     def pairs(fam):
+        row = rook.rook_row(board, fam)
         for k in range(min(ell, m) + 1):
-            closed = rook.rect_rook_number_aq(ell, m, k, fam.a, fam.q)
-            yield rook.rook_number(board, k, fam), closed
+            yield row.get(k, 0), rook.rect_rook_number_aq(ell, m, k, fam.a, fam.q)
 
     return _grid(ctx, pairs, "aq")
 
@@ -349,8 +350,9 @@ def _run_closed_form_lah_aq(ctx: _Context):
 
     def pairs(fam):
         for n in range(1, n_max + 1):
+            row = special.lah_row(n, fam)
             for k in range(1, n + 1):
-                yield special.lah(n, k, fam), special.lah_aq_closed(n, k, fam.a, fam.q)
+                yield row.get(k, 0), special.lah_aq_closed(n, k, fam.a, fam.q)
 
     return _grid(ctx, pairs, "aq")
 
@@ -361,8 +363,9 @@ def _run_closed_form_lah_r_aq(ctx: _Context):
 
     def pairs(fam):
         for n in range(r, n_max + 1):
+            row = special.lah_r_row(n, r, fam)
             for k in range(r, n + 1):
-                yield special.lah_r(n, k, r, fam), special.lah_r_aq_closed(n, k, r, fam.a, fam.q)
+                yield row.get(k, 0), special.lah_r_aq_closed(n, k, r, fam.a, fam.q)
 
     return _grid(ctx, pairs, "aq")
 
@@ -373,8 +376,9 @@ def _run_closed_form_lah_r_q(ctx: _Context):
 
     def pairs(fam):
         for n in range(r, n_max + 1):
+            row = special.lah_r_row(n, r, fam)
             for k in range(r, n + 1):
-                yield special.lah_r(n, k, r, fam), special.lah_r_q_closed(n, k, r, fam.q)
+                yield row.get(k, 0), special.lah_r_q_closed(n, k, r, fam.q)
 
     return _grid(ctx, pairs, "q")
 
@@ -384,8 +388,9 @@ def _run_closed_form_abel(ctx: _Context):
 
     def pairs(fam):
         for n in range(1, n_max + 1):
+            row = special.abel_row(n, fam)
             for k in range(1, n + 1):
-                yield special.abel(n, k, fam), special.abel_closed(n, k, fam)
+                yield row.get(k, 0), special.abel_closed(n, k, fam)
 
     return _grid(ctx, pairs)
 
@@ -396,8 +401,9 @@ def _run_closed_form_abel_r(ctx: _Context):
 
     def pairs(fam):
         for n in range(r, n_max + 1):
+            row = special.abel_r_row(n, r, fam)
             for k in range(r, n + 1):
-                yield special.abel_r(n, k, r, fam), special.abel_r_closed(n, k, r, fam)
+                yield row.get(k, 0), special.abel_r_closed(n, k, r, fam)
 
     return _grid(ctx, pairs)
 
@@ -409,8 +415,9 @@ def _run_closed_form_abel_general(ctx: _Context):
 
     def pairs(fam):
         for n in range(max(r, 1), n_max + 1):
+            row = special.abel_gen_row(m, n, r, fam)
             for k in range(r, n + 1):
-                yield special.abel_gen(m, n, k, r, fam), special.abel_gen_closed(m, n, k, r, fam)
+                yield row.get(k, 0), special.abel_gen_closed(m, n, k, r, fam)
 
     return _grid(ctx, pairs)
 
@@ -420,8 +427,9 @@ def _run_closed_form_stirling2_small_k(ctx: _Context):
 
     def pairs(fam):
         for n in range(1, n_max + 1):
+            row = special.stirling2_row(n, fam)
             for k in range(min(n, 3) + 1):
-                yield special.stirling2(n, k, fam), special.stirling2_small_k(n, k, fam)
+                yield row.get(k, 0), special.stirling2_small_k(n, k, fam)
 
     return _grid(ctx, pairs)
 
@@ -464,17 +472,20 @@ def _run_degeneration_q(ctx: _Context) -> float:
             values.append(v)
     for q in values:
         fam = PlainQ(q)
+        row = rook.rook_row(board, fam)
         for z in range(n + 3):
             lhs = 1
             for i, b in enumerate(board.heights, 1):
                 lhs *= q_number(q, z + b - i + 1)
             rhs = 0
             for k in range(n + 1):
-                rhs += rook.q_rook_number(board, n - k, q) * q_falling(q, z, k)
+                rhs += row.get(n - k, 0) * q_falling(q, z, k)
             if lhs != rhs:
                 mismatches += 1
+        # the column recursion computes the same numbers independently
+        recursion = rook.rook_row_via_recursion(board, fam)
         for k in range(n + 1):
-            if rook.rook_number(board, k, fam) != rook.q_rook_number(board, k, q):
+            if row.get(k, 0) != recursion.get(k, 0):
                 mismatches += 1
     return float(mismatches)
 
@@ -683,9 +694,12 @@ def _run_matrix_inverse(ctx: _Context):
         big_s = {}
         small_s = {}
         for n in range(n_max + 1):
+            second = jattack.gen_stirling2_row(0, 1, n, fam)
+            first = jattack.gen_stirling1_row(0, 1, n, fam)
             for k in range(n + 1):
-                big_s[(n, k)] = jattack.gen_stirling2_normalized(0, 1, n, k, fam)
-                small_s[(n, k)] = (-1) ** (n - k) * jattack.gen_stirling1(0, 1, n, k, fam)
+                normalization = jattack.gen_stirling2_normalization(0, 1, k, fam)
+                big_s[(n, k)] = second.get(k, 0) / normalization
+                small_s[(n, k)] = (-1) ** (n - k) * first.get(k, 0)
         err = 0.0
         for n in range(n_max + 1):
             for target in range(n + 1):
@@ -708,8 +722,8 @@ _IDENTITIES = {
     "product-file-above": (_product(files.file_above_product_check), 25, 1e-8),
     "product-jump": (_run_product_jump, 25, 1e-8),
     "max-identity": (_run_max_identity, 10, 1e-9),
-    "recursion-rook": (_board_recursion(rook.rook_row_via_recursion, rook.rook_number), 5, 1e-9),
-    "recursion-file": (_board_recursion(files.file_row_via_recursion, files.file_number), 5, 1e-9),
+    "recursion-rook": (_board_recursion(rook.rook_row_via_recursion, rook.rook_row), 5, 1e-9),
+    "recursion-file": (_board_recursion(files.file_row_via_recursion, files.file_row), 5, 1e-9),
     "recursion-binomial": (_run_recursion_binomial, 5, 1e-9),
     **{f"recursion-{name}": (_recursion(name), 5, 1e-9) for name in special.RECURSIONS},
     "closed-form-rect-aq": (_run_closed_form_rect_aq, 10, 1e-9),

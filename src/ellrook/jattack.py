@@ -5,21 +5,32 @@ both kinds, colored restricted-growth words and the placement bijection.
 Boards here are B(offset, offset + jump, ..., offset + (n-1)*jump); the
 column parameters are named `offset` and `jump` throughout.  Colored words
 are only defined for 0 <= offset <= jump and are rejected otherwise.
+
+At a parameter point the weighted sums of all k come from one pass over
+the columns, `rook.j_rook_row`, whose state is the pair of the attacked
+rows and the rook rows: a column's factor depends only on that pair and
+on its own rook.  The placement-level definition is
+`boards.j_uncancelled`.
+j_rook_signature keeps the family-free form of the same sums, cached per
+(board, jump, k, depth); no numeric path uses it, and the tests take it as
+the reference for the transfer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .boards import SkylineBoard, _rook_attack_rows, j_attack_rows, j_uncancelled
 from .errors import NotJAttackingBoard
-from .files import ABOVE_ROOK, file_number
+from .files import ABOVE_ROOK, file_row
 from .numeric import CheckEntry, guard_condition, worst_error
-# rook's evaluators under this module's own names, so each layer can be traced apart
-from .rook import Signature, evaluate_signature as _evaluate
-from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude
+# rook's evaluators under this module's own names, where bench/tracing.py
+# looks them up to trace each layer apart
+from .rook import Signature, evaluate_signature as _evaluate  # noqa: F401
+from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude  # noqa: F401
+from .rook import j_rook_row
 from .weights import WeightFamily, WeightTable
 
 
@@ -94,10 +105,7 @@ def _require_j_attacking(board: SkylineBoard, jump: int) -> None:
 def rook_number_j(board: SkylineBoard, k: int, jump: int, fam: WeightFamily):
     """The k-th jump rook number by enumeration."""
     _require_j_attacking(board, jump)
-    if k < 0 or k > board.n:
-        return 0
-    sig = j_rook_signature(board.heights, jump, k)
-    return _evaluate(sig, WeightTable(fam))
+    return j_rook_row(board, jump, fam, k=k).get(k, 0)
 
 
 def j_placement_weight(board: SkylineBoard, cells, jump: int, fam: WeightFamily):
@@ -117,22 +125,19 @@ def jump_product_check(
     """Formula sides of the jump product identity at argument z."""
     _require_j_attacking(board, jump)
     n = board.n
-    table = WeightTable(fam)
     lhs = 1
     for i, b in enumerate(board.heights, 1):
         shift = jump * (i - 1) - b
         lhs = lhs * fam.shifted(shift).number(z + b - jump * (i - 1))
+    values, magnitudes = j_rook_row(board, jump, fam, magnitude=True)
     rhs = 0
     falling = 1
     term_scale = 0.0
     for k in range(n + 1):
         if k:
             falling = falling * fam.shifted(jump * (k - 1)).number(z - jump * (k - 1))
-        value, magnitude = _evaluate_with_magnitude(
-            j_rook_signature(board.heights, jump, n - k), table
-        )
-        term_scale = worst_error(term_scale, magnitude * abs(falling))
-        rhs = rhs + value * falling
+        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(falling))
+        rhs = rhs + values.get(n - k, 0) * falling
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
@@ -147,7 +152,7 @@ def jump_enumeration_total(board: SkylineBoard, jump: int, z: int, fam: WeightFa
     n = board.n
     if z < jump * n:
         raise ValueError(f"extension depth {z} below jump*n = {jump * n}")
-    return _evaluate(j_rook_signature(board.heights, jump, n, z), WeightTable(fam))
+    return j_rook_row(board, jump, fam, z, n).get(n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +160,26 @@ def jump_enumeration_total(board: SkylineBoard, jump: int, z: int, fam: WeightFa
 # ---------------------------------------------------------------------------
 
 
+def by_blocks(n: int, k: int | None, row) -> dict:
+    """k -> S(n, k) from a board's row j -> r_j = row(k=j), where
+    S(n, k) = r_{n-k}; given k, only that entry."""
+    rooks = None if k is None else n - k
+    return {n - j: value for j, value in row(k=rooks).items()}
+
+
+def gen_stirling2_row(
+    offset: int, jump: int, n: int, fam: WeightFamily, k: int | None = None
+) -> dict:
+    """k -> the generalized second-kind number at n: the (n-k)-th jump rook
+    number of the model board; given k, only that entry."""
+    if n == 0:
+        return {0: 1}
+    return by_blocks(n, k, partial(j_rook_row, b_board(offset, jump, n), jump, fam))
+
+
 def gen_stirling2(offset: int, jump: int, n: int, k: int, fam: WeightFamily):
     """Generalized second-kind number: jump rook number of the model board."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k > n:
-        return 0
-    return rook_number_j(b_board(offset, jump, n), n - k, jump, fam)
+    return gen_stirling2_row(offset, jump, n, fam, k).get(k, 0)
 
 
 def gen_stirling2_normalization(offset: int, jump: int, k: int, fam: WeightFamily):
@@ -179,13 +197,19 @@ def gen_stirling2_normalized(offset: int, jump: int, n: int, k: int, fam: Weight
     )
 
 
+def gen_stirling1_row(
+    offset: int, jump: int, n: int, fam: WeightFamily, k: int | None = None
+) -> dict:
+    """k -> the generalized first-kind number at n: the (n-k)-th above-rook
+    file number of the model board; given k, only that entry."""
+    if n == 0:
+        return {0: 1}
+    return by_blocks(n, k, partial(file_row, b_board(offset, jump, n), fam, ABOVE_ROOK))
+
+
 def gen_stirling1(offset: int, jump: int, n: int, k: int, fam: WeightFamily):
     """Generalized first-kind number: above-rook file number of the model board."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k > n:
-        return 0
-    return file_number(b_board(offset, jump, n), n - k, fam, ABOVE_ROOK)
+    return gen_stirling1_row(offset, jump, n, fam, k).get(k, 0)
 
 
 # ---------------------------------------------------------------------------

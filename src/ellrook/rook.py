@@ -1,24 +1,31 @@
 """Elliptic rook numbers on Ferrers boards: enumeration, recursion, and the
 factorization theorem, plus the classical q-rook oracle.
 
-The weighted sum over placements is computed from a cached, family-free
-"signature": for each placement the multiset of integer arguments fed to
-the small weight.  Signatures are built once per (board, k, depth) by
-column-major backtracking that carries the arguments of the columns to the
-left (the placement-level definition is `boards.rook_uncancelled`), and
-then evaluated against any weight family with memoized weights, so the
-exponential enumeration cost is paid once rather than per parameter point.
+The weight of a placement is a product over columns, and a column's
+factor depends only on the rows that rooks further left attack and use
+and on the row of its own rook.  So the weighted sum at a parameter point
+is a transfer over the columns, j_rook_row, whose state is the pair of
+the attacked rows and the rook rows; one pass gives every k, and a pass
+for one k drops the states that cannot end with k rooks.  It is written
+for the jump-attacking model, whose jump 1 is the rook model: rook_row is
+j_rook_row at jump 1, and jattack uses it at every jump.  The
+placement-level definition is `boards.rook_uncancelled`.
+
+rook_signature keeps the family-free form of the same sum, cached per
+(board, k, depth): the multiset of small-weight arguments, one entry per
+placement, which evaluate_signature sums at a family.  No numeric path
+uses it; the tests take it as the reference for the transfer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
-from .boards import ExtendedBoard, SkylineBoard
+from .boards import ExtendedBoard, SkylineBoard, _rook_attack_rows
 from .numeric import CheckEntry, guard_condition, worst_error
 from .theta import q_pochhammer
-from .weights import WeightFamily, WeightTable, q_binomial, q_factorial
+from .weights import PlainQ, WeightFamily, WeightTable, q_binomial, q_factorial
 
 Signature = tuple[tuple[tuple[int, ...], int], ...]
 
@@ -91,24 +98,123 @@ def evaluate_signature_with_magnitude(sig: Signature, table: WeightTable):
     return total, scale
 
 
+def rook_row(
+    board: SkylineBoard,
+    fam: WeightFamily,
+    depth: int = 0,
+    k: int | None = None,
+    magnitude: bool = False,
+):
+    """The weighted sums k -> r_k over the rook placements of the board
+    extended by `depth` rows, any skyline: the jump placements at jump 1."""
+    return j_rook_row(board, 1, fam, depth, k, magnitude)
+
+
+def j_rook_row(
+    board: SkylineBoard,
+    jump: int,
+    fam: WeightFamily,
+    depth: int = 0,
+    k: int | None = None,
+    magnitude: bool = False,
+):
+    """The weighted sums k -> r_k over the jump placements of the board
+    extended by `depth` rows, any skyline, in one pass over the columns.
+
+    Given k, only the sum of k-rook placements is computed.  With
+    magnitude, returns the pair (sums, magnitudes): the magnitudes are the
+    same sums over |w| in doubles, each sum's pre-cancellation scale.
+    """
+    return transfer_row(partial(_j_rook_transfer, board.heights, jump, depth, k), fam, magnitude)
+
+
+def transfer_row(transfer, fam: WeightFamily, magnitude: bool):
+    """transfer(weight) at the small weights of fam; with magnitude, the
+    pair of it and transfer(|weight|) in doubles."""
+    weight = WeightTable(fam).__getitem__
+    values = transfer(weight)
+    if not magnitude:
+        return values
+    return values, transfer(cache(lambda ell: abs(complex(weight(ell)))))
+
+
+def _j_rook_transfer(heights, jump, depth, k, weight) -> dict:
+    """Sums k -> over the k-rook jump placements of the product of
+    weight(argument) over their uncancelled cells.
+
+    The state after a column is (attacked rows, rook rows, rook count), the
+    row sets as bitmasks whose bit row - bottom stands for a row; at jump 0
+    rooks may share a row, so the count is kept apart.  A cell (col, row)
+    is uncancelled when no rook further left attacks its row and no rook of
+    its own column sits at or above it; its argument is
+    jump*(col-1) + 1 - row - jump*nw, nw counting the rooks further left in
+    higher rows, also rows above this column's height on a non-Ferrers
+    board.
+    """
+    n = len(heights)
+    if k is not None and not 0 <= k <= n:
+        return {}
+    bottom = 1 - depth
+    states = {(0, 0, 0): 1}
+    for col, height in enumerate(heights, 1):
+        rows = (1 << (height - bottom + 1)) - 1  # this column's rows
+        left = n - col  # columns after this one
+        base = jump * (col - 1) + 1
+        new: dict = {}
+        for state, value in states.items():
+            attacked, rook_rows, rooks = state
+            place = k is None or rooks < k
+            keep = k is None or rooks + left >= k
+            free = rows & ~attacked
+            # unattacked rows top down: a rook in one has the free cells above it
+            while free:
+                bit = free.bit_length() - 1
+                free ^= 1 << bit
+                if place:
+                    if jump == 1:  # a rook attacks its own row
+                        hit = attacked | 1 << bit
+                    elif col == n and bit >= depth:
+                        # no column follows, and above the ground the attack
+                        # rule always finds its rows: nothing to work out
+                        hit = attacked
+                    else:
+                        hit = _attack(attacked, bit + bottom, jump, bottom)
+                    key = (hit, rook_rows | 1 << bit, rooks + 1)
+                    new[key] = new.get(key, 0) + value
+                if not (free or keep):
+                    break  # the lowest free cell counts only in an empty column
+                # at jump >= 1 a rook row is attacked, so never this free row
+                value = value * weight(base - bit - bottom - jump * (rook_rows >> bit).bit_count())
+            if keep:  # an empty column: every free cell
+                new[state] = new.get(state, 0) + value
+        states = new
+    sums: dict = {}
+    for (_, _, rooks), value in states.items():
+        sums[rooks] = sums.get(rooks, 0) + value
+    return sums
+
+
+def _attack(attacked: int, row: int, jump: int, bottom: int) -> int:
+    """The attacked rows after a rook in row, as masks whose bit row - bottom
+    stands for a row."""
+    rows = {bit + bottom for bit in range(attacked.bit_length()) if attacked >> bit & 1}
+    for r in _rook_attack_rows(row, jump, rows, bottom):
+        attacked |= 1 << (r - bottom)
+    return attacked
+
+
 def rook_number(board: SkylineBoard, k: int, fam: WeightFamily, depth: int = 0):
     """The k-th elliptic rook number of a Ferrers board by enumeration."""
     if k < 0 or k > board.n:
         return 0
     if not board.is_ferrers:
         raise ValueError(f"rook numbers require a Ferrers board, got {board}")
-    sig = rook_signature(board.heights, k, depth)
-    return evaluate_signature(sig, WeightTable(fam))
+    return rook_row(board, fam, depth, k).get(k, 0)
 
 
 def q_rook_number(board: SkylineBoard, k: int, q):
     """Garsia-Remmel q-rook number; exact when q is an exact rational."""
-    if k < 0 or k > board.n:
-        return 0
-    total = 0
-    for exps, count in rook_signature(board.heights, k):
-        total += count * q ** len(exps)
-    return total
+    return rook_row(board, PlainQ(q), k=k).get(k, 0)
 
 
 def triangle(start: int, stop: int, same, below) -> dict:
@@ -162,18 +268,15 @@ def product_formula_check(
     if not board.is_ferrers:
         raise ValueError(f"rook numbers require a Ferrers board, got {board}")
     n = board.n
-    table = WeightTable(fam)
+    values, magnitudes = rook_row(board, fam, magnitude=True)
     lhs = 0
     falling = 1
     term_scale = 0.0
     for k in range(n + 1):
         if k:
             falling = falling * fam.shifted(k - 1).number(z - k + 1)
-        value, magnitude = evaluate_signature_with_magnitude(
-            rook_signature(board.heights, n - k), table
-        )
-        term_scale = worst_error(term_scale, magnitude * abs(falling))
-        lhs = lhs + value * falling
+        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(falling))
+        lhs = lhs + values.get(n - k, 0) * falling
     rhs = 1
     for i, b in enumerate(board.heights, 1):
         rhs = rhs * fam.shifted(i - 1 - b).number(z + b - i + 1)
@@ -186,13 +289,12 @@ def max_identity_check(
 ) -> CheckEntry:
     """Full-placement weight sum on the depth-k extension vs its product form."""
     n = board.n
-    sig = rook_signature(board.heights, n, depth=k)
-    table = WeightTable(fam)
-    lhs, magnitude = evaluate_signature_with_magnitude(sig, table)
+    values, magnitudes = rook_row(board, fam, depth=k, k=n, magnitude=True)
+    lhs = values.get(n, 0)
     rhs = 1
     for i, b in enumerate(board.heights, 1):
         rhs = rhs * fam.shifted(i - 1 - b).number(k + b - i + 1)
-    guard_condition(magnitude, lhs, rhs, max_condition)
+    guard_condition(magnitudes.get(n, 0.0), lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
 

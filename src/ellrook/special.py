@@ -3,10 +3,12 @@ of both kinds, Lah and Abel numbers, their restricted refinements, closed
 forms, classical oracles, and table export.
 
 Values are always computed from placement enumeration on the defining
-board.  RECURSIONS declares the published two-term recursion of each
-Stirling, Lah and generalized Stirling family once, as data: via_recursion
-rebuilds a value from it through the one kernel, rook.triangle, and the
-harness derives its recursion-* checks from the same entries.  For the
+board, a whole row k -> S(n, k) per board in one transfer pass; each
+per-k function reads one entry of its family's row.  RECURSIONS declares
+the published two-term recursion of each Stirling, Lah and generalized
+Stirling family once, as data: via_recursion rebuilds a value from it
+through the one kernel, rook.triangle, and the harness derives its
+recursion-* checks from the same entries.  For the
 restricted families those recursions are only valid from n = r onward
 (the classical n = r-1 seed relies on all weights being 1), so they start
 from the exact base at n = r.
@@ -23,9 +25,9 @@ from fractions import Fraction
 from functools import partial
 
 from .boards import SkylineBoard
-from .files import ROW_ONLY, file_number
-from .jattack import gen_stirling1, gen_stirling2
-from .rook import rook_number, triangle
+from .files import ROW_ONLY, file_row
+from .jattack import by_blocks, gen_stirling1_row, gen_stirling2_row
+from .rook import rook_row, triangle
 from .theta import q_pochhammer
 from .weights import PlainQ, WeightFamily, q_binomial, q_factorial, q_number
 
@@ -77,15 +79,24 @@ def abel_board_general(m: int, n: int, r: int = 1) -> SkylineBoard:
     return SkylineBoard((0,) * r + (m,) * (n - r))
 
 
+def _restricted_base(n: int, r: int) -> dict:
+    """The row of an r-restricted family below n = r: S(r-1, r-1) = 1."""
+    return {n: 1} if n == r - 1 else {}
+
+
 # ---------------------------------------------------------------------------
 # Stirling numbers of the second kind
 # ---------------------------------------------------------------------------
 
 
-def stirling2(n: int, k: int, fam: WeightFamily):
+def stirling2_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
     if n == 0:
-        return 1 if k == 0 else 0
-    return rook_number(staircase(n), n - k, fam)
+        return {0: 1}
+    return by_blocks(n, k, partial(rook_row, staircase(n), fam))
+
+
+def stirling2(n: int, k: int, fam: WeightFamily):
+    return stirling2_row(n, fam, k).get(k, 0)
 
 
 def stirling2_small_k(n: int, k: int, fam: WeightFamily):
@@ -120,10 +131,14 @@ def carlitz_stirling2_q(n: int, k: int, q):
     return total / den
 
 
-def stirling2_r(n: int, k: int, r: int, fam: WeightFamily):
+def stirling2_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
     if n < r:
-        return 1 if n == k == r - 1 else 0
-    return rook_number(staircase_r(n, r), n - k, fam)
+        return _restricted_base(n, r)
+    return by_blocks(n, k, partial(rook_row, staircase_r(n, r), fam))
+
+
+def stirling2_r(n: int, k: int, r: int, fam: WeightFamily):
+    return stirling2_r_row(n, r, fam, k).get(k, 0)
 
 
 def classical_stirling2_r(n: int, k: int, r: int) -> int:
@@ -140,10 +155,14 @@ def classical_stirling2_r(n: int, k: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def lah(n: int, k: int, fam: WeightFamily):
+def lah_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
     if n == 0:
-        return 1 if k == 0 else 0
-    return rook_number(lah_board(n), n - k, fam)
+        return {0: 1}
+    return by_blocks(n, k, partial(rook_row, lah_board(n), fam))
+
+
+def lah(n: int, k: int, fam: WeightFamily):
+    return lah_row(n, fam, k).get(k, 0)
 
 
 def lah_aq_closed(n: int, k: int, a, q):
@@ -164,11 +183,16 @@ def lah_q_closed(n: int, k: int, q):
     return q ** (k * (k - 1)) * q_binomial(q, n, k) * q_factorial(q, n - 1) / q_factorial(q, k - 1)
 
 
+def lah_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
+    """Restricted Lah numbers, with the defining parameter shift applied."""
+    if n < r:
+        return _restricted_base(n, r)
+    return by_blocks(n, k, partial(rook_row, lah_board_r(n, r), fam.shifted(1 - r)))
+
+
 def lah_r(n: int, k: int, r: int, fam: WeightFamily):
     """Restricted Lah number, with the defining parameter shift applied."""
-    if n < r:
-        return 1 if n == k == r - 1 else 0
-    return rook_number(lah_board_r(n, r), n - k, fam.shifted(1 - r))
+    return lah_r_row(n, r, fam, k).get(k, 0)
 
 
 def lah_r_aq_closed(n: int, k: int, r: int, a, q):
@@ -211,16 +235,24 @@ def classical_lah_r(n: int, k: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def stirling1(n: int, k: int, fam: WeightFamily):
+def stirling1_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
     if n == 0:
-        return 1 if k == 0 else 0
-    return file_number(staircase(n), n - k, fam, ROW_ONLY)
+        return {0: 1}
+    return by_blocks(n, k, partial(file_row, staircase(n), fam, ROW_ONLY))
+
+
+def stirling1(n: int, k: int, fam: WeightFamily):
+    return stirling1_row(n, fam, k).get(k, 0)
+
+
+def stirling1_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
+    if n < r:
+        return _restricted_base(n, r)
+    return by_blocks(n, k, partial(file_row, staircase_r(n, r), fam, ROW_ONLY))
 
 
 def stirling1_r(n: int, k: int, r: int, fam: WeightFamily):
-    if n < r:
-        return 1 if n == k == r - 1 else 0
-    return file_number(staircase_r(n, r), n - k, fam, ROW_ONLY)
+    return stirling1_r_row(n, r, fam, k).get(k, 0)
 
 
 def classical_stirling1(n: int, k: int) -> int:
@@ -237,8 +269,12 @@ def classical_stirling1(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def abel_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
+    return by_blocks(n, k, partial(file_row, abel_board(n), fam, ROW_ONLY))
+
+
 def abel(n: int, k: int, fam: WeightFamily):
-    return file_number(abel_board(n), n - k, fam, ROW_ONLY)
+    return abel_row(n, fam, k).get(k, 0)
 
 
 def abel_closed(n: int, k: int, fam: WeightFamily):
@@ -252,8 +288,12 @@ def abel_closed(n: int, k: int, fam: WeightFamily):
     )
 
 
+def abel_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
+    return by_blocks(n, k, partial(file_row, abel_board_r(n, r), fam, ROW_ONLY))
+
+
 def abel_r(n: int, k: int, r: int, fam: WeightFamily):
-    return file_number(abel_board_r(n, r), n - k, fam, ROW_ONLY)
+    return abel_r_row(n, r, fam, k).get(k, 0)
 
 
 def abel_r_closed(n: int, k: int, r: int, fam: WeightFamily):
@@ -267,8 +307,12 @@ def abel_r_closed(n: int, k: int, r: int, fam: WeightFamily):
     )
 
 
+def abel_gen_row(m: int, n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
+    return by_blocks(n, k, partial(file_row, abel_board_general(m, n, r), fam, ROW_ONLY))
+
+
 def abel_gen(m: int, n: int, k: int, r: int, fam: WeightFamily):
-    return file_number(abel_board_general(m, n, r), n - k, fam, ROW_ONLY)
+    return abel_gen_row(m, n, r, fam, k).get(k, 0)
 
 
 def abel_gen_closed(m: int, n: int, k: int, r: int, fam: WeightFamily):
@@ -289,8 +333,8 @@ def abel_gen_closed(m: int, n: int, k: int, r: int, fam: WeightFamily):
 
 @dataclass(frozen=True)
 class Recursion:
-    """The two-term recursion of one special-number family, whose numbers
-    S(n, k) = value(fam, n, k, **params) come from enumeration:
+    """The two-term recursion of one special-number family, whose rows
+    k -> S(n, k) = row(fam, n, **params) come from enumeration:
 
         S(n+1, k) = same(fam, n, k) * S(n, k) + below(fam, n, k) * S(n, k-1)
 
@@ -300,33 +344,37 @@ class Recursion:
     the family's parameters as keywords.
     """
 
-    value: Callable
+    row: Callable
     same: Callable
     below: Callable
     params: dict = field(default_factory=dict)
     seed: Callable = lambda **params: 0
     first_k: Callable = lambda **params: 0
 
+    def value(self, fam: WeightFamily, n: int, k: int, **params):
+        """The enumerated S(n, k)."""
+        return self.row(fam, n, **params).get(k, 0)
 
-def _restricted(base: Recursion, value, first_k) -> Recursion:
+
+def _restricted(base: Recursion, row, first_k) -> Recursion:
     """The r-restricted form of base: the same coefficients, from the exact
     row n = r on (the classical n = r - 1 seed holds only at weights 1)."""
-    return replace(base, value=value, params={"r": 2}, seed=lambda r: r, first_k=first_k)
+    return replace(base, row=row, params={"r": 2}, seed=lambda r: r, first_k=first_k)
 
 
 _STIRLING2 = Recursion(
-    value=lambda fam, n, k: stirling2(n, k, fam),
+    row=lambda fam, n: stirling2_row(n, fam),
     same=lambda fam, n, k, **_: fam.number(k),
     below=lambda fam, n, k, **_: fam.big_weight(k - 1),
 )
 _LAH = Recursion(
-    value=lambda fam, n, k: lah(n, k, fam),
+    row=lambda fam, n: lah_row(n, fam),
     same=lambda fam, n, k, **_: fam.shifted(-n).number(n + k),
     below=lambda fam, n, k, **_: fam.shifted(-n).big_weight(n + k - 1),
     seed=lambda: 1,
 )
 _STIRLING1 = Recursion(
-    value=lambda fam, n, k: stirling1(n, k, fam),
+    row=lambda fam, n: stirling1_row(n, fam),
     same=lambda fam, n, k, **_: fam.shifted(-n).number(n),
     below=lambda fam, n, k, **_: fam.shifted(-n).big_weight(n),
 )
@@ -335,22 +383,22 @@ _STIRLING1 = Recursion(
 RECURSIONS = {
     "stirling2": _STIRLING2,
     "stirling2-r": _restricted(
-        _STIRLING2, lambda fam, n, k, r: stirling2_r(n, k, r, fam), lambda r: r - 1
+        _STIRLING2, lambda fam, n, r: stirling2_r_row(n, r, fam), lambda r: r - 1
     ),
     "lah": _LAH,
-    "lah-r": _restricted(_LAH, lambda fam, n, k, r: lah_r(n, k, r, fam), lambda r: r),
+    "lah-r": _restricted(_LAH, lambda fam, n, r: lah_r_row(n, r, fam), lambda r: r),
     "stirling1": _STIRLING1,
     "stirling1-r": _restricted(
-        _STIRLING1, lambda fam, n, k, r: stirling1_r(n, k, r, fam), lambda r: r - 1
+        _STIRLING1, lambda fam, n, r: stirling1_r_row(n, r, fam), lambda r: r - 1
     ),
     "gen-stirling2": Recursion(
-        value=lambda fam, n, k, I, J: gen_stirling2(I, J, n, k, fam),
+        row=lambda fam, n, I, J: gen_stirling2_row(I, J, n, fam),
         same=lambda fam, n, k, I, J: fam.shifted(-I).number(I + k * J),
         below=lambda fam, n, k, I, J: fam.shifted(-I).big_weight(I + (k - 1) * J),
         params={"I": 0, "J": 1},
     ),
     "gen-stirling1": Recursion(
-        value=lambda fam, n, k, I, J: gen_stirling1(I, J, n, k, fam),
+        row=lambda fam, n, I, J: gen_stirling1_row(I, J, n, fam),
         same=lambda fam, n, k, I, J: fam.shifted(-(I + n * (J - 1))).number(I + n * J),
         below=lambda fam, n, k, I, J: 1,
         params={"I": 0, "J": 1},
@@ -372,20 +420,20 @@ def via_recursion(name: str, n: int, k: int, fam: WeightFamily, **params):
 # tables
 # ---------------------------------------------------------------------------
 
-# table family -> value(n, k, fam, r, m)
-_TABLE_VALUES = {
-    "stirling2": lambda n, k, fam, r, m: stirling2(n, k, fam),
-    "stirling2r": lambda n, k, fam, r, m: stirling2_r(n, k, r, fam),
-    "lah": lambda n, k, fam, r, m: lah(n, k, fam),
-    "lahr": lambda n, k, fam, r, m: lah_r(n, k, r, fam),
-    "stirling1": lambda n, k, fam, r, m: stirling1(n, k, fam),
-    "stirling1r": lambda n, k, fam, r, m: stirling1_r(n, k, r, fam),
-    "abel": lambda n, k, fam, r, m: abel(n, k, fam),
-    "abelr": lambda n, k, fam, r, m: abel_r(n, k, r, fam),
-    "abelgen": lambda n, k, fam, r, m: abel_gen(m, n, k, 1, fam),
-    "abelgenr": lambda n, k, fam, r, m: abel_gen(m, n, k, r, fam),
+# table family -> row(n, fam, r, m), the dict k -> value
+_TABLE_ROWS = {
+    "stirling2": lambda n, fam, r, m: stirling2_row(n, fam),
+    "stirling2r": lambda n, fam, r, m: stirling2_r_row(n, r, fam),
+    "lah": lambda n, fam, r, m: lah_row(n, fam),
+    "lahr": lambda n, fam, r, m: lah_r_row(n, r, fam),
+    "stirling1": lambda n, fam, r, m: stirling1_row(n, fam),
+    "stirling1r": lambda n, fam, r, m: stirling1_r_row(n, r, fam),
+    "abel": lambda n, fam, r, m: abel_row(n, fam),
+    "abelr": lambda n, fam, r, m: abel_r_row(n, r, fam),
+    "abelgen": lambda n, fam, r, m: abel_gen_row(m, n, 1, fam),
+    "abelgenr": lambda n, fam, r, m: abel_gen_row(m, n, r, fam),
 }
-TABLE_FAMILIES = tuple(_TABLE_VALUES)
+TABLE_FAMILIES = tuple(_TABLE_ROWS)
 
 
 def _is_trivial(fam: WeightFamily) -> bool:
@@ -409,14 +457,14 @@ class SpecialNumberTable:
         if family not in TABLE_FAMILIES:
             raise ValueError(f"unknown table family {family!r}")
         table = cls(family, n_max, getattr(fam, "tag", "?"), _is_trivial(fam))
-        value_of = _TABLE_VALUES[family]
+        row_of = _TABLE_ROWS[family]
         for n in range(n_max + 1):
+            try:
+                row = row_of(n, fam, r, m)
+            except ValueError:
+                continue  # no board of this family at n
             for k in range(n + 1):
-                try:
-                    value = value_of(n, k, fam, r, m)
-                except ValueError:
-                    continue
-                table.values[(n, k)] = value
+                table.values[(n, k)] = row.get(k, 0)
         return table
 
     def rows(self):

@@ -9,6 +9,7 @@ from ellrook.files import (
     file_number,
     file_number_via_recursion,
     file_product_check,
+    file_row_via_recursion,
     q_file_number,
 )
 from ellrook.numeric import relative_error, worst_error
@@ -83,8 +84,10 @@ def test_q_degeneration_exact():
     board = SkylineBoard((2, 0, 3))
     n = board.n
     fam = PlainQ(q)
+    # the column recursion computes the same numbers independently
+    recursion = file_row_via_recursion(board, fam)
     for k in range(n + 1):
-        assert file_number(board, k, fam) == q_file_number(board, k, q)
+        assert file_number(board, k, fam) == recursion.get(k, 0)
     for z in range(n + 3):
         lhs = 1
         for c in board.heights:
@@ -94,6 +97,16 @@ def test_q_degeneration_exact():
         )
         assert lhs == rhs
 
+
+
+def test_q_file_numbers_beyond_double_range():
+    # an exact q whose modulus no double holds: the exact sums never pass
+    # through a complex double
+    q = Fraction(10**400, 3)
+    board = SkylineBoard((2, 0, 3))
+    recursion = file_row_via_recursion(board, PlainQ(q))
+    for k in range(board.n + 1):
+        assert q_file_number(board, k, q) == recursion.get(k, 0)
 
 def test_both_factorizations_on_all_small_profiles(rng):
     # column order never matters, so height multisets cover every skyline

@@ -1,12 +1,13 @@
-"""The enumerators and the bijection checks free what they build by
-reference counting alone: none of them leaves cyclic garbage, which would
-hold its output until the next full collection."""
+"""The enumerators, the transfer kernels and the bijection checks free
+what they build by reference counting alone: none of them leaves cyclic
+garbage, which would hold its output until the next full collection."""
 
 import gc
 
 import pytest
 
 from ellrook import biject, boards, files, jattack, rook
+from ellrook.boards import SkylineBoard
 from ellrook.harness import identity_names, run_check
 from ellrook.weights import PlainQ
 
@@ -23,6 +24,21 @@ CALLS = {
     "rook_placements, abandoned": lambda: next(boards.rook_placements((1, 2, 3), 2)),
     "file_placements": lambda: list(boards.file_placements((1, 2, 3), 2)),
     "j_rook_placements": lambda: list(boards.j_rook_placements((1, 3, 5), 2, 2)),
+    # the transfer kernels, with their magnitude passes
+    "rook_row": lambda: rook.rook_row(SkylineBoard((1, 2, 3)), PlainQ(2), magnitude=True),
+    "rook_row, below ground": lambda: rook.rook_row(
+        SkylineBoard((1, 2, 3)), PlainQ(2), 2, magnitude=True
+    ),
+    "file_row": lambda: files.file_row(SkylineBoard((1, 2, 3)), PlainQ(2), magnitude=True),
+    "file_row, above rook": lambda: files.file_row(
+        SkylineBoard((1, 2, 3)), PlainQ(2), files.ABOVE_ROOK, magnitude=True
+    ),
+    "j_rook_row": lambda: jattack.j_rook_row(
+        SkylineBoard((1, 3, 5)), 2, PlainQ(2), magnitude=True
+    ),
+    "j_rook_row, below ground": lambda: jattack.j_rook_row(
+        SkylineBoard((1, 3, 5)), 2, PlainQ(2), 7, magnitude=True
+    ),
     # the signature builders' recursive helpers, below the lru cache
     "_add_rook_columns": lambda: rook.rook_signature.__wrapped__((1, 2, 3), 2, 1),
     "_add_file_columns": lambda: files._file_signatures.__wrapped__((1, 2, 3), 2),

@@ -13,6 +13,7 @@ from ellrook.rook import (
     rectangle,
     rook_number,
     rook_number_via_recursion,
+    rook_row_via_recursion,
 )
 from ellrook.weights import Aq, PlainQ, q_factorial, random_generic_point, random_z
 
@@ -109,13 +110,25 @@ def test_q_rook_oracles():
     assert q_rook_number(rectangle(4, 4), 4, q) == q_factorial(q, 4)
     board = SkylineBoard((0, 2, 3, 5, 5))
     assert q_rook_number(board, 0, q) == q**board.area
-    # the elliptic machinery at the plain-q family is literally the q-number
+    # the elliptic machinery at the plain-q family is literally the q-number,
+    # which the column recursion computes independently
     fam = PlainQ(q)
+    staircase = SkylineBoard((0, 1, 2, 3))
+    recursion = rook_row_via_recursion(staircase, fam)
     for k in range(5):
-        assert rook_number(SkylineBoard((0, 1, 2, 3)), k, fam) == q_rook_number(
-            SkylineBoard((0, 1, 2, 3)), k, q
-        )
+        assert rook_number(staircase, k, fam) == recursion.get(k, 0)
 
+
+
+def test_q_rook_numbers_beyond_double_range():
+    # an exact q whose modulus no double holds: the exact sums never pass
+    # through a complex double
+    q = Fraction(10**400, 3)
+    board = SkylineBoard((0, 2, 3, 5, 5))
+    recursion = rook_row_via_recursion(board, PlainQ(q))
+    for k in range(board.n + 1):
+        assert q_rook_number(board, k, q) == recursion.get(k, 0)
+        assert rook_number(board, k, PlainQ(q)) == recursion.get(k, 0)
 
 def test_rook_equivalent_boards(rng):
     fam = sample_elliptic(rng)

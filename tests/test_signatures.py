@@ -1,10 +1,13 @@
 """The cached signature builders against signatures rebuilt placement by
 placement from the public enumerators and the cancellation helpers in
-boards.py, which state the geometry cell by cell; and those enumerators
-against a brute force over cell subsets."""
+boards.py, which state the geometry cell by cell; those enumerators
+against a brute force over cell subsets; and the transfer kernels
+(rook_row, file_row, j_rook_row) against the signatures, in exact
+arithmetic."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -19,9 +22,10 @@ from ellrook.boards import (
     rook_placements,
     rook_uncancelled,
 )
-from ellrook.files import _file_signatures
-from ellrook.jattack import b_board, j_rook_signature
-from ellrook.rook import rook_signature
+from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_signatures, file_row
+from ellrook.jattack import b_board, j_rook_row, j_rook_signature
+from ellrook.rook import evaluate_signature_with_magnitude, rook_row, rook_signature
+from ellrook.weights import ABq, WeightTable
 
 
 def _ferrers(n):
@@ -174,3 +178,85 @@ def test_empty_signatures_out_of_range():
     assert j_rook_signature.__wrapped__((1, 3), 2, 3, 4) == ()
     # the empty board has one placement, of no rooks, with no cells
     assert rook_signature.__wrapped__((), 0) == (((), 1),)
+
+
+# ---------------------------------------------------------------------------
+# the transfer kernels against the signatures
+# ---------------------------------------------------------------------------
+
+# an exact point whose small weight depends on its argument, unlike PlainQ's
+EXACT = ABq(Fraction(3, 7), Fraction(5, 11), Fraction(2, 3))
+
+
+def _check_kernel(kernel, signature, heights, depth=0):
+    """kernel(k, magnitude) against signature(k) evaluated at EXACT, for
+    every k and one past each end: the full row's values by ==, and its
+    magnitudes to 1e-12 relative.  One pass pruned to a k, which varies
+    from board to board over -1..n+1, must give the row's entry by ==."""
+    values, magnitudes = kernel(None, True)
+    table = WeightTable(EXACT)
+    for k in _ks(heights):
+        value, magnitude = evaluate_signature_with_magnitude(signature(k), table)
+        assert values.get(k, 0) == value, k
+        assert abs(magnitudes.get(k, 0) - magnitude) <= 1e-12 * magnitude, k
+    pruned = (sum(heights) + depth) % (len(heights) + 3) - 1
+    assert kernel(pruned, False) == ({pruned: values[pruned]} if pruned in values else {})
+
+
+@pytest.mark.parametrize("name, depth", [(name, 0) for name in BOARD_SETS] + EXTENDED)
+def test_rook_row_matches_signatures(name, depth):
+    for heights in BOARD_SETS[name]:
+        board = SkylineBoard(heights)
+        _check_kernel(
+            lambda k, magnitude: rook_row(board, EXACT, depth, k, magnitude),
+            lambda k: rook_signature.__wrapped__(heights, k, depth),
+            heights,
+            depth,
+        )
+
+
+@pytest.mark.parametrize("name", BOARD_SETS)
+def test_file_row_matches_signatures(name):
+    for heights in BOARD_SETS[name]:
+        board = SkylineBoard(heights)
+        signatures = {k: _file_signatures.__wrapped__(heights, k) for k in _ks(heights)}
+        for part, weighting in enumerate((ROW_ONLY, ABOVE_ROOK)):
+            _check_kernel(
+                lambda k, magnitude: file_row(board, EXACT, weighting, k, magnitude),
+                lambda k: signatures[k][part],
+                heights,
+                part,
+            )
+
+
+# the jump boards at depth 0 and at the builder tests' depths below ground
+# (the exact reference takes over a second per board at n = 4, jump 3), and,
+# at jumps 0 to 2, the skylines where a rook further left sits above a
+# column's top; at jump 0 two rooks may share a row
+J_ROW_CASES = [(heights, jump, 0) for heights, jump in JUMP_BOARDS] + EXTENDED_JUMP_BOARDS
+J_ROW_CASES += [(heights, jump, 0) for heights in NON_FERRERS for jump in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("heights, jump, depth", J_ROW_CASES, ids=str)
+def test_j_rook_row_matches_signatures(heights, jump, depth):
+    board = SkylineBoard(heights)
+    _check_kernel(
+        lambda k, magnitude: j_rook_row(board, jump, EXACT, depth, k, magnitude),
+        lambda k: j_rook_signature.__wrapped__(heights, jump, k, depth),
+        heights,
+        depth,
+    )
+
+
+def test_j_rook_row_too_shallow_raises():
+    # one column of height 1 extended by one row: a jump-2 rook in row 0
+    # finds only its own row to attack, in the last column as in any other
+    board = SkylineBoard((1,))
+    for k in (None, 1):
+        with pytest.raises(ValueError, match="too shallow"):
+            j_rook_row(board, 2, EXACT, 1, k)
+    with pytest.raises(ValueError, match="too shallow"):
+        j_rook_signature.__wrapped__((1,), 2, 1, 1)
+    # no rook, no attack: the empty column weighs its rows 1 and 0
+    table = WeightTable(EXACT)
+    assert j_rook_row(board, 2, EXACT, 1, 0) == {0: table[0] * table[1]}

@@ -38,7 +38,7 @@ from .errors import (
     ZeroArgument,
 )
 from .numeric import relative_error, worst_error
-from .theta import ThetaEvalConfig, theta
+from .theta import Nome, ThetaEvalConfig, theta
 from .weights import (
     ABq,
     Aq,
@@ -80,7 +80,7 @@ class SamplerConfig:
             raise ValueError("max_resamples must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     identity_name: str
     board: str
@@ -527,11 +527,12 @@ def _run_ellipticity(ctx: _Context):
 # --- theta substrate ----------------------------------------------------------
 
 
+# one side is the product (a Nome nome): the series satisfies these two term by term
 def _run_theta_inversion(ctx: _Context):
     def trial():
         x = _polar(ctx.rng, 0.5, 2.0)
         p = _polar(ctx.rng, *ctx.config.p_modulus)
-        return relative_error(theta(x, p), -x * theta(1 / x, p))
+        return relative_error(theta(x, p), -x * theta(1 / x, Nome(p)))
 
     return trial
 
@@ -540,7 +541,7 @@ def _run_theta_quasiperiod(ctx: _Context):
     def trial():
         x = _polar(ctx.rng, 0.5, 2.0)
         p = _polar(ctx.rng, *ctx.config.p_modulus)
-        return relative_error(theta(p * x, p), -theta(x, p) / x)
+        return relative_error(theta(p * x, Nome(p)), -theta(x, p) / x)
 
     return trial
 

@@ -2,30 +2,35 @@
 
 theta(x; p) = prod_{j>=0} (1 - p^j x)(1 - p^{j+1}/x) for x != 0, |p| < 1.
 
-The infinite product is truncated at the first j where the factor pair is
-within the configured tolerance of 1, using the a-priori bound
-|p|^j * max(|x|, |p|/|x|).  The nome p = 0 takes a dedicated exact path
-(theta = 1 - x) so that every q-degeneration is free of truncation error.
+The truncated product is the definition: it stops at the first j where the
+factor pair is within the configured tolerance of 1, by the a-priori bound
+|p|^j * max(|x|, |p|/|x|).  It serves exact, float and Nome inputs and
+every nome with |p| > 1/2; p = 0 takes an exact path (theta = 1 - x), so
+that every q-degeneration is free of truncation error.
 
-theta memoizes its values for one nome at a time.  Every weight at a
-parameter point (a, b, q, p) is a quotient of theta values at the same p,
-and most of their arguments repeat, so theta keeps the values of the last
-nome and config it saw and starts an empty memo whenever p differs (by !=)
-or cfg is another object (by is).  There are two such memos, never shared:
-one for calls with a Python complex x and p, and one for calls on mpmath
-numbers, which is also keyed by mp.prec.  mpmath numbers compare (and
-mostly hash) equal to the doubles they were built from, so a shared memo
-would answer an extended-precision call with a double-precision value, or
-a call at 60 digits with a value computed at 35.  Exact, float and Nome
-inputs without mpmath numbers go straight to the product.  Each memo holds
-at most the distinct arguments of one parameter point.
+Complex and mpmath calls at 0 < |p| <= 1/2 sum the Jacobi triple product
+sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf instead (Gasper-Rahman, Basic
+Hypergeometric Series, section 11.2).  Pairing its terms n and 1 - n gives
+theta(y; p) = (1 - y) (f_0 + sum_{k=1}^N f_k (y^k + y^-k)), with the zero
+at y = 1 an exact factor and f_0..f_N built once per nome.  A call takes
+m = round(log|x| / log|p|) and y = x p^-m, runs one Horner pass in y and
+one in 1/y, and undoes the reduction by quasi-periodicity,
+theta(x; p) = (-1)^m p^{m(m+1)/2} x^-m theta(y; p).  With |y| between
+|p|^{1/2} and |p|^{-1/2} the k-th term is below 7 |p|^{k^2/2}, so N is a
+dozen at most, and (p; p)_inf >= 0.289 keeps the cancellation under 2 bits;
+above |p| = 1/2 it costs more, and the product converges fast enough.
 
-Every call on mpmath numbers runs the same truncated product in
-fixed-point Python ints (_theta_fixed), at mp.prec plus guard bits, with a
-block-floating accumulator, and returns an mpc (an mpf for real inputs)
-rounded to mp.prec.  This is the technique of mpmath's own libmp series;
-at 35 digits it is about ten times faster than the product in mpc
-arithmetic.  mpmath is imported only on that path.
+theta memoizes the values of one nome at a time, next to its table: every
+weight at a parameter point is a quotient of theta values at the same p,
+and most arguments repeat.  A call with another p (by identity, then ==)
+or another cfg object (by is) builds a new table, validating the nome, and
+starts an empty memo.  Complex calls and calls on mpmath numbers have a
+memo each, the latter keyed also by mp.prec, and never share one: mpmath
+numbers compare (and mostly hash) equal to the doubles they were built
+from, so a shared memo would answer a 35-digit call with a double, or a
+60-digit call with a 35-digit value.  Calls on mpmath numbers run in
+fixed-point Python ints at mp.prec plus guard bits, in
+ellrook.theta_fixed, which theta imports, with mpmath, only on that path.
 
 All functions here are pure and safe for concurrent use: the memos are
 replaced, never cleared, and theta reads them into a local first, so a
@@ -35,7 +40,9 @@ racing thread can only cost a hit, never return another nome's value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import NoConvergence, ZeroArgument
 from .numeric import POLE_EPS, cpow_int, guard_denominator
@@ -75,40 +82,46 @@ def _nome_value(p) -> complex:
     return p
 
 
-# (p, cfg, {x: theta(x; p)}) for the last complex nome theta was called with
-_memo: tuple = (None, None, {})
-# (p, mp.prec, cfg, {x: theta(x; p)}) for the last nome of a call on mpmath numbers
-_mp_memo: tuple = (None, None, None, {})
+# (p, cfg, series table, {x: theta(x; p)}) for the last complex nome theta
+# was called with; the table is None where the product runs
+_memo: tuple = (None, None, None, {})
+# (p, mp.prec, cfg, series table, {x: theta(x; p)}) for the last nome of a
+# call on mpmath numbers
+_mp_memo: tuple = (None, None, None, None, {})
 
 
 def theta(x, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
     """Modified Jacobi theta function theta(x; p), memoized per nome."""
     global _memo, _mp_memo
     if type(x) is complex and type(p) is complex:
-        memo_p, memo_cfg, values = _memo
-        if memo_p != p or memo_cfg is not cfg:
+        memo_p, memo_cfg, table, values = _memo
+        if not (memo_p is p or memo_p == p) or memo_cfg is not cfg:
+            table = _series_table(p, cfg)
             values = {}
-            _memo = (p, cfg, values)
+            _memo = (p, cfg, table, values)
         else:
             value = values.get(x)
             if value is not None:
                 return value
-        value = values[x] = _theta_product(x, p, cfg)
+        value = values[x] = _theta_series(x, p, cfg, table)
         return value
     if not (_is_mp(x) or _is_mp(p.p if isinstance(p, Nome) else p)):
         return _theta_product(x, p, cfg)
     from mpmath import mp
 
+    from . import theta_fixed
+
     prec = mp.prec
-    memo_p, memo_prec, memo_cfg, values = _mp_memo
-    if memo_cfg is not cfg or memo_prec != prec or memo_p != p:
+    memo_p, memo_prec, memo_cfg, table, values = _mp_memo
+    if memo_cfg is not cfg or memo_prec != prec or not (memo_p is p or memo_p == p):
+        table = theta_fixed.nome_table(p, cfg)
         values = {}
-        _mp_memo = (p, prec, cfg, values)
+        _mp_memo = (p, prec, cfg, table, values)
     else:
         value = values.get(x)
         if value is not None:
             return value
-    value = values[x] = _theta_fixed(x, p, cfg)
+    value = values[x] = theta_fixed.series(x, p, cfg, table)
     return value
 
 
@@ -141,73 +154,99 @@ def _theta_product(x, p, cfg: ThetaEvalConfig):
     )
 
 
-# guard bits of _theta_fixed over mp.prec: the rounding of a few hundred
-# fixed-point operations costs at most about 10 of them
-_GUARD_BITS = 20
+# the series serves nomes with 0 < |p| <= 1/2
+_LOG_HALF = math.log(0.5)
+# the reduction of a double call takes powers of p and x of order
+# |p|^{m^2}; beyond e^-600 the call is left to the product, which needs none
+_MAX_REDUCTION_LOG = 600.0
+
+
+def _series_size(log_p: float, cfg: ThetaEvalConfig) -> tuple[int, int]:
+    """(N, K) for the series at a nome of modulus e^log_p <= 1/2.  Its k-th
+    term is below 7 |p|^{k^2/2}, so the terms past N sum to less than
+    32 |p|^{(N+1)^2/2}, kept below tolerance; Euler's series for (p; p)_inf
+    is cut past its K-th term, |p|^{K(3K-1)/2}, on the same rule."""
+    ratio = max(2 * math.log(cfg.truncation_tolerance / 32) / log_p, 0.0)
+    n = max(1, int(math.sqrt(ratio)))
+    if n > cfg.max_terms:
+        raise NoConvergence(f"theta series needs {n} terms, over {cfg.max_terms}")
+    return n, int((1 + math.sqrt(1 + 12 * ratio)) / 6)
+
+
+def _series_coefficients(p, size, one, mul, add, neg, reciprocal) -> list:
+    """f_0, ..., f_N of the series at nome p, in the arithmetic of one, mul,
+    add, neg and reciprocal."""
+    n, k_max = size
+    # c_j = (-1)^j p^{j(j-1)/2} for j = 1..N+2, and their tail sums d_{N+1}..d_0
+    u, power, cs = one, one, []
+    for j in range(1, n + 3):
+        cs.append(neg(u) if j & 1 else u)
+        power = mul(power, p)
+        u = mul(u, power)
+    tails = list(accumulate(reversed(cs), add))
+    # (p; p)_inf by Euler's pentagonal series, 1 + sum_k (-1)^k g_k (1 + p^k)
+    # with g_k = p^{k(3k-1)/2} = g_{k-1} p^{3k-2}
+    euler, g, step, pk = one, one, p, one
+    cube = mul(mul(p, p), p)
+    for k in range(1, k_max + 1):
+        g, step, pk = mul(g, step), mul(step, cube), mul(pk, p)
+        term = mul(g, add(one, pk))
+        euler = add(euler, neg(term) if k & 1 else term)
+    scale = neg(reciprocal(euler))
+    return [mul(d, scale) for d in tails[:0:-1]]
+
+
+def _series_table(p, cfg: ThetaEvalConfig):
+    """(log|p|, f_0, [f_N, ..., f_1]) for a complex nome p, or None where
+    the product runs."""
+    pv = _nome_value(p)
+    log_p = math.log(abs(pv)) if pv else -math.inf
+    if not -math.inf < log_p <= _LOG_HALF:
+        return None
+    size = _series_size(log_p, cfg)
+    coeffs = _series_coefficients(
+        pv, size, 1, operator.mul, operator.add, operator.neg, lambda z: 1 / z
+    )
+    return log_p, coeffs[0], coeffs[:0:-1]
+
+
+def _theta_series(x, p, cfg: ThetaEvalConfig, table):
+    """theta(x; p) for a complex x and nome p by the series of table, or by
+    the product where there is no table or the reduction leaves doubles."""
+    ax = abs(x)
+    if table is None or not 0 < ax < math.inf:
+        return _theta_product(x, p, cfg)
+    log_p, f0, coeffs = table
+    m = round(math.log(ax) / log_p)
+    if m * m * log_p < -_MAX_REDUCTION_LOG:
+        return _theta_product(x, p, cfg)
+    y, factor = x, 1 - x
+    if m > 0:
+        # p^m - x is exact near a zero x = p^m that the double p^m represents
+        power = cpow_int(p, m)
+        y, factor = x / power, (power - x) / power
+    elif m < 0:
+        y = x * cpow_int(p, -m)
+        factor = 1 - y
+    w = 1 / y
+    a = b = 0
+    for f in coeffs:
+        a = (a + f) * y
+        b = (b + f) * w
+    value = factor * (f0 + a + b)
+    if m:
+        value *= cpow_int(p, m * (m + 1) >> 1)
+        value = value / cpow_int(x, m) if m > 0 else value * cpow_int(x, -m)
+        if m & 1:
+            value = -value
+    return value
 
 
 def _theta_fixed(x, p, cfg: ThetaEvalConfig):
-    """theta(x; p) over mpmath numbers, unmemoized: the truncated product of
-    _theta_product in fixed-point ints, rounded to an mpc at mp.prec.
+    """theta(x; p) over mpmath numbers, unmemoized, rounded to mp.prec."""
+    from . import theta_fixed
 
-    Numbers are (re, im) int pairs with wp fraction bits, where wp adds
-    guard bits and log2 max(|x|, 1/|x|) to mp.prec, so that the smaller of
-    x and p/x is held to mp.prec bits.  With u = p^j x and v = p^{j+1}/x the
-    factor (1 - u)(1 - v) is 1 - s + w for s = u + v and w = uv = p^{2j+1},
-    so each factor steps s by p and w by p^2: three complex multiplies with
-    the accumulator's.  The accumulator is block-floating, (re + i im) * 2^exp
-    with a wp-bit mantissa, so a small product keeps its relative precision.
-    """
-    if x == 0:
-        raise ZeroArgument("theta argument must be nonzero")
-    pv = _nome_value(p)
-    if pv == 0:
-        return 1 - x
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp, mpc_div, to_fixed
-
-    x, pv = mp.convert(x), mp.convert(pv)
-    real = type(x) is mp.mpf and type(pv) is mp.mpf
-    x, pv = mp.mpc(x), mp.mpc(pv)
-    abs_x, abs_p = abs(x), abs(pv)
-    # the bound is a double, as on the double path: an argument beyond its
-    # range is an overflow there too
-    bound = float(max(abs_x, abs_p / abs_x))
-    if bound == math.inf:
-        raise OverflowError(f"theta argument {x} out of range")
-    abs_p = float(abs_p)
-    prec = mp.prec
-    wp = prec + _GUARD_BITS + abs(mp.mag(abs_x))
-    one = 1 << wp
-    xr, xi = x._mpc_
-    vr, vi = mpc_div(pv._mpc_, x._mpc_, wp, "n")
-    pr, pi = (to_fixed(part, wp) for part in pv._mpc_)
-    sr = to_fixed(xr, wp) + to_fixed(vr, wp)
-    si = to_fixed(xi, wp) + to_fixed(vi, wp)
-    wr, wi = pr, pi
-    p2r, p2i = (pr * pr - pi * pi) >> wp, (2 * pr * pi) >> wp
-    ar, ai, exp = 1, 0, 0
-    tolerance = cfg.truncation_tolerance
-    for _ in range(cfg.max_terms):
-        if bound < tolerance:
-            re = from_man_exp(ar, exp, prec, "n")
-            if real:
-                return mp.make_mpf(re)
-            return mp.make_mpc((re, from_man_exp(ai, exp, prec, "n")))
-        hr, hi = one - sr + wr, wi - si
-        ar, ai = ar * hr - ai * hi, ar * hi + ai * hr
-        exp -= wp
-        shift = max(ar.bit_length(), ai.bit_length()) - wp
-        if shift > 0:
-            ar >>= shift
-            ai >>= shift
-            exp += shift
-        sr, si = (sr * pr - si * pi) >> wp, (sr * pi + si * pr) >> wp
-        wr, wi = (wr * p2r - wi * p2i) >> wp, (wr * p2i + wi * p2r) >> wp
-        bound *= abs_p
-    raise NoConvergence(
-        f"theta product not converged after {cfg.max_terms} terms (|p| = {abs_p})"
-    )
+    return theta_fixed.series(x, p, cfg, theta_fixed.nome_table(p, cfg))
 
 
 def theta_multi(xs, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):

@@ -1,0 +1,163 @@
+"""theta(x; p) over mpmath numbers, in fixed-point Python ints.
+
+Numbers are (re, im) int pairs with wp fraction bits, wp being mp.prec plus
+guard bits, as in mpmath's own libmp series; each kernel returns an mpc (an
+mpf for real inputs) rounded to mp.prec.  nome_table builds the series
+coefficients of ellrook.theta for one nome in that arithmetic, series sums
+the series at one argument, and product runs the truncated product, for
+nomes with |p| > 1/2.  ellrook.theta imports this module, and with it
+mpmath, on its first call on mpmath numbers, so that neither is compiled
+or loaded by a process that never makes one.
+"""
+
+from __future__ import annotations
+
+import math
+
+from mpmath import mp
+from mpmath.libmp import fzero, from_man_exp, mpc_div, mpc_mul, mpc_neg, mpc_pow_int
+from mpmath.libmp import to_fixed, to_float
+
+from .errors import NoConvergence, ZeroArgument
+from .theta import _LOG_HALF, Nome, ThetaEvalConfig, _nome_value
+from .theta import _series_coefficients, _series_size
+
+# guard bits over mp.prec: the rounding of a few hundred fixed-point
+# operations costs at most about 10 of them
+GUARD_BITS = 20
+
+
+def nome_table(p, cfg: ThetaEvalConfig):
+    """(prec, wp, |p|, p as an mpc value tuple, whether p is real, f_0,
+    [f_N, ..., f_1]) with f_k as (re, im) ints of wp fraction bits, for an
+    mpmath nome p at mp.prec, or None where the product runs, which also
+    validates the nome."""
+    pv = mp.convert(p.p if isinstance(p, Nome) else p)
+    real = type(pv) is mp.mpf
+    parts = (pv._mpf_, fzero) if real else pv._mpc_
+    abs_p = abs(complex(*map(to_float, parts)))
+    log_p = math.log(abs_p) if abs_p else -math.inf
+    if not -math.inf < log_p <= _LOG_HALF:
+        return None
+    size = _series_size(log_p, cfg)
+    # an error in f_k is multiplied by |y|^k <= |p|^{-k/2} in the Horner pass
+    wp = mp.prec + GUARD_BITS + int(size[0] * -log_p / (2 * math.log(2)))
+    one = 1 << wp
+
+    def mul(a, b):
+        (ar, ai), (br, bi) = a, b
+        return (ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp
+
+    def add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    def neg(a):
+        return -a[0], -a[1]
+
+    def reciprocal(a):
+        norm = a[0] * a[0] + a[1] * a[1]
+        return (a[0] << 2 * wp) // norm, (-a[1] << 2 * wp) // norm
+
+    fixed_p = tuple(to_fixed(part, wp) for part in parts)
+    coeffs = _series_coefficients(fixed_p, size, (one, 0), mul, add, neg, reciprocal)
+    return mp.prec, wp, abs_p, parts, real, coeffs[0], coeffs[:0:-1]
+
+
+def series(x, p, cfg: ThetaEvalConfig, table):
+    """theta(x; p) over mpmath numbers by the series of table, in wp-bit
+    fixed point, or by product where there is no table."""
+    if table is None:
+        return product(x, p, cfg)
+    prec, wp, abs_p, p_parts, real, f0, coeffs = table
+    if type(x) is not mp.mpc:
+        x = mp.convert(x)
+    real = real and type(x) is mp.mpf
+    parts = (x._mpf_, fzero) if type(x) is mp.mpf else x._mpc_
+    abs_x = abs(complex(*map(to_float, parts)))
+    if not (0 < abs_x < math.inf and abs_p / abs_x < math.inf):
+        # zero, infinite, NaN, or |x| or |p|/|x| beyond the double range,
+        # where the product raises as on the double path
+        return product(x, p, cfg)
+    m = round(math.log(abs_x) / math.log(abs_p))
+    y = parts
+    if m:
+        power = mpc_pow_int(p_parts, abs(m), wp)
+        y = mpc_div(parts, power, wp) if m > 0 else mpc_mul(parts, power, wp)
+    yr, yi = to_fixed(y[0], wp), to_fixed(y[1], wp)
+    norm = yr * yr + yi * yi
+    wr, wi = (yr << 2 * wp) // norm, (-yi << 2 * wp) // norm
+    ar = ai = br = bi = 0
+    for fr, fi in coeffs:
+        ar, ai = ar + fr, ai + fi
+        ar, ai = (ar * yr - ai * yi) >> wp, (ar * yi + ai * yr) >> wp
+        br, bi = br + fr, bi + fi
+        br, bi = (br * wr - bi * wi) >> wp, (br * wi + bi * wr) >> wp
+    tr, ti = f0[0] + ar + br, f0[1] + ai + bi
+    dr, di = (1 << wp) - yr, -yi
+    # theta(y) = (1 - y) T, exact with 2 wp fraction bits, rounded once
+    value = dr * tr - di * ti, dr * ti + di * tr
+    if m:
+        scale = mpc_pow_int(p_parts, m * (m + 1) >> 1, wp)
+        power = mpc_pow_int(parts, abs(m), wp)
+        scale = mpc_div(scale, power, wp) if m > 0 else mpc_mul(scale, power, wp)
+        exact = tuple(from_man_exp(v, -2 * wp) for v in value)
+        value = mpc_mul(exact, mpc_neg(scale) if m & 1 else scale, prec, "n")
+    else:
+        value = tuple(from_man_exp(v, -2 * wp, prec, "n") for v in value)
+    return mp.make_mpf(value[0]) if real else mp.make_mpc(value)
+
+
+def product(x, p, cfg: ThetaEvalConfig):
+    """The truncated product of _theta_product over mpmath numbers, in
+    (re, im) int pairs of wp fraction bits, where wp adds guard bits and
+    log2 max(|x|, 1/|x|) to mp.prec.  With u = p^j x and v = p^{j+1}/x each
+    factor is 1 - s + w for s = u + v, stepped by p, and w = p^{2j+1},
+    stepped by p^2; the accumulator is block-floating, (re + i im) * 2^exp,
+    so a small product keeps its relative precision."""
+    if x == 0:
+        raise ZeroArgument("theta argument must be nonzero")
+    pv = _nome_value(p)
+    if pv == 0:
+        return 1 - x
+    x, pv = mp.convert(x), mp.convert(pv)
+    real = type(x) is mp.mpf and type(pv) is mp.mpf
+    x, pv = mp.mpc(x), mp.mpc(pv)
+    abs_x, abs_p = abs(x), abs(pv)
+    # the bound is a double, as on the double path: an argument beyond its
+    # range is an overflow there too
+    bound = float(max(abs_x, abs_p / abs_x))
+    if bound == math.inf:
+        raise OverflowError(f"theta argument {x} out of range")
+    abs_p = float(abs_p)
+    prec = mp.prec
+    wp = prec + GUARD_BITS + abs(mp.mag(abs_x))
+    one = 1 << wp
+    xr, xi = x._mpc_
+    vr, vi = mpc_div(pv._mpc_, x._mpc_, wp, "n")
+    pr, pi = (to_fixed(part, wp) for part in pv._mpc_)
+    sr = to_fixed(xr, wp) + to_fixed(vr, wp)
+    si = to_fixed(xi, wp) + to_fixed(vi, wp)
+    wr, wi = pr, pi
+    p2r, p2i = (pr * pr - pi * pi) >> wp, (2 * pr * pi) >> wp
+    ar, ai, exp = 1, 0, 0
+    tolerance = cfg.truncation_tolerance
+    for _ in range(cfg.max_terms):
+        if bound < tolerance:
+            re = from_man_exp(ar, exp, prec, "n")
+            if real:
+                return mp.make_mpf(re)
+            return mp.make_mpc((re, from_man_exp(ai, exp, prec, "n")))
+        hr, hi = one - sr + wr, wi - si
+        ar, ai = ar * hr - ai * hi, ar * hi + ai * hr
+        exp -= wp
+        shift = max(ar.bit_length(), ai.bit_length()) - wp
+        if shift > 0:
+            ar >>= shift
+            ai >>= shift
+            exp += shift
+        sr, si = (sr * pr - si * pi) >> wp, (sr * pi + si * pr) >> wp
+        wr, wi = (wr * p2r - wi * p2i) >> wp, (wr * p2i + wi * p2r) >> wp
+        bound *= abs_p
+    raise NoConvergence(
+        f"theta product not converged after {cfg.max_terms} terms (|p| = {abs_p})"
+    )

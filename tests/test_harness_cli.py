@@ -41,6 +41,16 @@ def test_report_schema():
     assert payload["passed"] is True
 
 
+def test_report_is_slotted_and_keeps_its_key_order():
+    report = run_check("addition-formula", trials=20, seed=1)
+    assert not hasattr(report, "__dict__")
+    keys = ["identity_name", "board", "family", "trials", "max_rel_err", "resamples", "seed"]
+    keys.append("passed")
+    assert list(report.to_dict()) == keys
+    assert list(json.loads(report.to_json())) == keys
+    assert report.to_dict()["max_rel_err"] == report.max_rel_err
+
+
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         run_check("no-such-identity")
@@ -308,7 +318,7 @@ def test_theta_checks_draw_p_from_the_sampler_config(monkeypatch):
     seen = []
 
     def spy(x, p):
-        seen.append(abs(p))
+        seen.append(abs(getattr(p, "p", p)))  # one side of two checks takes a Nome
         return theta(x, p)
 
     monkeypatch.setattr(harness, "theta", spy)

@@ -10,7 +10,7 @@ import pytest
 
 from ellrook.errors import NoConvergence, ZeroArgument
 from ellrook.harness import run_check
-from ellrook.numeric import relative_error
+from ellrook.numeric import cpow_int, relative_error
 from ellrook.theta import (
     DEFAULT_CONFIG,
     Nome,
@@ -22,6 +22,7 @@ from ellrook.theta import (
 
 # the submodule; the package attribute ellrook.theta is the function
 theta_module = importlib.import_module("ellrook.theta")
+theta_fixed = importlib.import_module("ellrook.theta_fixed")
 
 
 def _random_nonzero(rng):
@@ -116,15 +117,19 @@ def _bits(value: complex) -> tuple[str, str]:
     return value.real.hex(), value.imag.hex()
 
 
+def _unmemoized(x, p, cfg=DEFAULT_CONFIG):
+    """The double-path kernel of theta(x, p) with a table built afresh."""
+    return theta_module._theta_series(x, p, cfg, theta_module._series_table(p, cfg))
+
+
 def test_memo_is_bit_identical_across_nomes(rng):
-    # a Nome skips the memo, so theta(x, Nome(p)) is the bare product
     xs = [_random_nonzero(rng) for _ in range(20)]
     first, second = _random_nome(rng), _random_nome(rng)
     for p in (first, second, first):
         for x in xs + xs:
-            assert _bits(theta(x, p)) == _bits(theta(x, Nome(p)))
-        memo_p, _, values = theta_module._memo
-        assert memo_p == p and list(values) == xs
+            assert _bits(theta(x, p)) == _bits(_unmemoized(x, p))
+        memo_p, _, table, values = theta_module._memo
+        assert memo_p == p and table is not None and list(values) == xs
 
 
 def test_equal_config_gets_its_own_memo():
@@ -133,10 +138,10 @@ def test_equal_config_gets_its_own_memo():
     assert twin == DEFAULT_CONFIG and twin is not DEFAULT_CONFIG
     theta(x, p)
     theta(1.1 + 0.2j, p, twin)
-    _, memo_cfg, values = theta_module._memo
+    _, memo_cfg, _, values = theta_module._memo
     assert memo_cfg is twin and list(values) == [1.1 + 0.2j]
     coarse = ThetaEvalConfig(truncation_tolerance=1e-3)
-    assert theta(x, p, coarse) == theta(x, Nome(p), coarse) != theta(x, p)
+    assert theta(x, p, coarse) == _unmemoized(x, p, coarse) != theta(x, p)
 
 
 def test_memo_never_answers_extended_precision_calls():
@@ -182,7 +187,7 @@ def _memo_races(xs, nomes, reference, rounds):
 def test_memo_under_two_threads_alternating_nomes(rng):
     xs = [_random_nonzero(rng) for _ in range(30)]
     nomes = [_random_nome(rng), _random_nome(rng)]
-    assert not _memo_races(xs, nomes, lambda x, p: theta(x, Nome(p)), 100)
+    assert not _memo_races(xs, nomes, _unmemoized, 100)
 
 
 def test_mp_memo_under_two_threads_alternating_nomes(rng):
@@ -262,7 +267,7 @@ def test_extended_precision_memo_is_keyed_by_precision():
         want = _qp_theta(mpc(x), mpc(p))
         assert abs(high - want) < 1e-55 * abs(want)
         assert abs(low - want) > 1e-45 * abs(want)
-        memo_p, memo_prec, memo_cfg, values = theta_module._mp_memo
+        memo_p, memo_prec, memo_cfg, _, values = theta_module._mp_memo
         assert memo_prec == mp.prec and memo_cfg is cfg and list(values) == [x]
 
 
@@ -275,8 +280,8 @@ def test_memos_never_answer_each_other():
         precise = theta(mpc(x), mpc(p), cfg)
         value = theta(x, p, cfg)
         assert type(value) is complex
-        assert _bits(value) == _bits(theta(x, Nome(p), cfg))
-        assert theta_module._memo[0] == p and list(theta_module._mp_memo[3].values()) == [precise]
+        assert _bits(value) == _bits(_unmemoized(x, p, cfg))
+        assert theta_module._memo[0] == p and list(theta_module._mp_memo[4].values()) == [precise]
         assert theta(mpc(x), mpc(p), cfg) is precise
 
 
@@ -293,5 +298,110 @@ def test_mpmath_numbers_never_reach_the_double_product(monkeypatch):
 
 
 def test_import_leaves_mpmath_unloaded():
-    code = "import sys, ellrook; sys.exit('mpmath' in sys.modules)"
+    loaded = "{'mpmath', 'ellrook.theta_fixed'} & set(sys.modules)"
+    code = f"import sys, ellrook; sys.exit(bool({loaded}))"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def _qp_double(x: complex, p: complex) -> complex:
+    from mpmath import mp, mpc
+
+    with mp.workdps(40):
+        return complex(_qp_theta(mpc(x), mpc(p)))
+
+
+def _polar(rng, lo, hi):
+    """A complex number of log-uniform modulus in [lo, hi] and uniform argument."""
+    return math.exp(rng.uniform(math.log(lo), math.log(hi))) * cmath.exp(
+        1j * rng.uniform(0.0, 2 * math.pi)
+    )
+
+
+def test_double_kernel_matches_qp(rng):
+    for i in range(300):
+        x, p = _polar(rng, math.exp(-8), math.exp(8)), _polar(rng, 1e-3, 0.5)
+        if i % 2:
+            x, p = complex(rng.choice((1, -1)) * abs(x)), complex(rng.choice((1, -1)) * abs(p))
+        assert relative_error(theta(x, p), _qp_double(x, p)) < 5e-14, (x, p)
+
+
+def test_double_kernel_near_zeros(rng):
+    # Near a zero x = p^k the value is as ill-conditioned as x - p^k is in
+    # doubles.  That difference is exact for k = 0 and 1 at any nome, and for
+    # every k at a power of two times 1, -1, i or -i, whose powers are exact.
+    for i in range(200):
+        if i % 2:
+            k, p = rng.choice((0, 1)), _polar(rng, 1e-3, 0.5)
+        else:
+            k, p = rng.randint(-3, 3), 2.0 ** -rng.randint(1, 9) * rng.choice((1, -1, 1j, -1j))
+            p = complex(p)
+        x = cpow_int(p, k) * (1 + _polar(rng, 1e-9, 1e-3))
+        assert relative_error(theta(x, p), _qp_double(x, p)) < 5e-14, (x, p, k)
+
+
+def test_exact_zeros_on_both_paths(rng):
+    from mpmath import mp, mpc
+
+    for _ in range(20):
+        p = _random_nome(rng)
+        assert theta(1 + 0j, p) == 0 and theta(p, p) == 0
+        with mp.workdps(35):
+            assert theta(mpc(1), mpc(p)) == 0 and theta(mpc(p), mpc(p)) == 0
+
+
+def test_nomes_above_one_half_keep_the_product(rng):
+    from mpmath import mp, mpc
+
+    for _ in range(20):
+        x, p = _random_nonzero(rng), rng.uniform(0.51, 0.9) * cmath.exp(1j * rng.uniform(0, 6.3))
+        assert _bits(theta(x, p)) == _bits(theta_module._theta_product(x, p, DEFAULT_CONFIG))
+        with mp.workdps(35):
+            want = theta_fixed.product(mpc(x), mpc(p), DEFAULT_CONFIG)
+            assert theta(mpc(x), mpc(p)) == want
+    assert theta_module._memo[2] is None and theta_module._mp_memo[3] is None
+
+
+def test_fixed_point_product_above_one_half_matches_qp(rng):
+    from mpmath import mp, mpc
+
+    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
+    with mp.workdps(35):
+        for _ in range(10):
+            x = mpc(_random_nonzero(rng))
+            p = mpc(rng.uniform(0.51, 0.8) * cmath.exp(1j * rng.uniform(0, 6.3)))
+            want = _qp_theta(x, p)
+            assert abs(theta_module._theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
+
+
+def test_series_terms_are_capped_by_max_terms():
+    from mpmath import mp, mpc
+
+    cfg = ThetaEvalConfig(max_terms=5)  # the series needs 10 at |p| = 0.45
+    with pytest.raises(NoConvergence):
+        theta(1.5 + 0j, 0.45 + 0j, cfg)
+    with mp.workdps(35), pytest.raises(NoConvergence):
+        theta(mpc(1.5), mpc(0.45), cfg)
+    assert theta(1.5 + 0j, 0.3 + 0j, ThetaEvalConfig(max_terms=9)) != 0
+
+
+def test_nome_is_validated_on_both_paths():
+    from mpmath import mp, mpc
+
+    with pytest.raises(ValueError):
+        theta(0.5 + 0j, 1.2 + 0j)
+    with mp.workdps(35), pytest.raises(ValueError):
+        theta(mpc(0.5), mpc(0, 1.2))
+
+
+def test_planted_coefficient_defect_fails_every_theta_identity(monkeypatch):
+    build = theta_module._series_table
+
+    def defective(p, cfg):
+        log_p, f0, coeffs = build(p, cfg)
+        return log_p, f0, coeffs[:-2] + [coeffs[-2] * 1.001, coeffs[-1]]  # f_2
+
+    monkeypatch.setattr(theta_module, "_series_table", defective)
+    monkeypatch.setattr(theta_module, "_memo", (None, None, None, {}))
+    for identity in ("theta-inversion", "theta-quasiperiodicity", "addition-formula"):
+        report = run_check(identity, trials=50, seed=1)
+        assert not report.passed and report.max_rel_err > 1e-8, report

@@ -11,9 +11,10 @@ multiplies them out.  The placement-level definitions are
 `boards.file_uncancelled` and `boards.file_above_cells`.
 
 _file_signatures keeps the family-free form of the same sums, both
-weightings cached together per (board, k): the multisets of small-weight
+weightings together per (board, k): the multisets of small-weight
 arguments, one entry per placement.  No numeric path uses them; the tests
-take them as the reference for file_row.
+take them as the reference for file_row.  Like rook.rook_signature it
+keeps no cache (lru_cache with maxsize 0).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ ROW_ONLY = "row"
 ABOVE_ROOK = "above"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def _file_signatures(heights: tuple[int, ...], k: int) -> tuple[Signature, Signature]:
     """One enumeration pass accumulating both weightings at once; the two
     cell sets derive from the same cancellation geometry."""

@@ -11,8 +11,9 @@ the columns, `rook.j_rook_row`, whose state is the pair of the attacked
 rows and the rook rows: a column's factor depends only on that pair and
 on its own rook.  The placement-level definition is
 `boards.j_uncancelled`.
-j_rook_signature keeps the family-free form of the same sums, cached per
-(board, jump, k, depth); no numeric path uses it, and the tests take it as
+j_rook_signature keeps the family-free form of the same sums per (board,
+jump, k, depth), with no cache (lru_cache with maxsize 0, as
+rook.rook_signature); no numeric path uses it, and the tests take it as
 the reference for the transfer.
 """
 
@@ -39,7 +40,7 @@ def b_board(offset: int, jump: int, n: int) -> SkylineBoard:
     return SkylineBoard(tuple(offset + i * jump for i in range(n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def j_rook_signature(heights: tuple[int, ...], jump: int, k: int, depth: int = 0) -> Signature:
     """Multiset of small-weight argument tuples over all k-rook jump
     placements on the board extended by `depth` rows below the ground."""

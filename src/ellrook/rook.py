@@ -11,10 +11,12 @@ for the jump-attacking model, whose jump 1 is the rook model: rook_row is
 j_rook_row at jump 1, and jattack uses it at every jump.  The
 placement-level definition is `boards.rook_uncancelled`.
 
-rook_signature keeps the family-free form of the same sum, cached per
-(board, k, depth): the multiset of small-weight arguments, one entry per
-placement, which evaluate_signature sums at a family.  No numeric path
-uses it; the tests take it as the reference for the transfer.
+rook_signature keeps the family-free form of the same sum per (board, k,
+depth): the multiset of small-weight arguments, one entry per placement,
+which evaluate_signature sums at a family.  No numeric path uses it; the
+tests take it as the reference for the transfer.  Its lru_cache has
+maxsize 0: it holds no signature, and keeps cache_info, cache_clear and
+__wrapped__ for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .weights import PlainQ, WeightFamily, WeightTable, q_binomial, q_factorial
 Signature = tuple[tuple[tuple[int, ...], int], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def rook_signature(heights: tuple[int, ...], k: int, depth: int = 0) -> Signature:
     """Multiset of small-weight argument tuples over all k-rook placements."""
     counts: Counter = Counter()

@@ -20,21 +20,27 @@ theta(x; p) = (-1)^m p^{m(m+1)/2} x^-m theta(y; p).  With |y| between
 dozen at most, and (p; p)_inf >= 0.289 keeps the cancellation under 2 bits;
 above |p| = 1/2 it costs more, and the product converges fast enough.
 
-theta memoizes the values of one nome at a time, next to its table: every
-weight at a parameter point is a quotient of theta values at the same p,
-and most arguments repeat.  A call with another p (by identity, then ==)
-or another cfg object (by is) builds a new table, validating the nome, and
-starts an empty memo.  Complex calls and calls on mpmath numbers have a
-memo each, the latter keyed also by mp.prec, and never share one: mpmath
-numbers compare (and mostly hash) equal to the doubles they were built
-from, so a shared memo would answer a 35-digit call with a double, or a
-60-digit call with a 35-digit value.  Calls on mpmath numbers run in
-fixed-point Python ints at mp.prec plus guard bits, in
-ellrook.theta_fixed, which theta imports, with mpmath, only on that path.
+theta memoizes values per nome, next to the nome's table: every weight at
+a parameter point is a quotient of theta values at the same p, most
+arguments repeat, and the product checks evaluate many boards at the same
+few points.  Complex calls keep the memos of the last 32 nomes, in a dict
+keyed by p (by identity, then ==) in the order they were built; a call
+with a new p, or with another cfg object (by is) than its nome's memo was
+built for, builds a new table, validating the nome, starts an empty memo
+and drops the oldest nome past 32.  Calls on mpmath numbers keep one
+nome's memo, keyed also by mp.prec, since each extended-precision check
+draws its own nome.  The two never share a memo: mpmath numbers compare
+(and mostly hash) equal to the doubles they were built from, so a shared
+memo would answer a 35-digit call with a double, or a 60-digit call with a
+35-digit value.  Calls on mpmath numbers run in fixed-point Python ints at
+mp.prec plus guard bits, in ellrook.theta_fixed, which theta imports, with
+mpmath, only on that path.
 
 All functions here are pure and safe for concurrent use: the memos are
-replaced, never cleared, and theta reads them into a local first, so a
-racing thread can only cost a hit, never return another nome's value.
+replaced, never cleared or evicted in place (a new complex nome copies the
+dict of nomes and rebinds it), and theta reads them into a local first, so
+a racing thread can only cost a hit or a table, never return another
+nome's value.
 """
 
 from __future__ import annotations
@@ -82,9 +88,12 @@ def _nome_value(p) -> complex:
     return p
 
 
-# (p, cfg, series table, {x: theta(x; p)}) for the last complex nome theta
-# was called with; the table is None where the product runs
-_memo: tuple = (None, None, None, {})
+# the complex nomes whose memo theta keeps
+_MEMO_NOMES = 32
+# {p: (cfg, series table, {x: theta(x; p)})} for the last _MEMO_NOMES complex
+# nomes theta was called with, oldest first; the table is None where the
+# product runs
+_memo: dict = {}
 # (p, mp.prec, cfg, series table, {x: theta(x; p)}) for the last nome of a
 # call on mpmath numbers
 _mp_memo: tuple = (None, None, None, None, {})
@@ -94,15 +103,21 @@ def theta(x, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
     """Modified Jacobi theta function theta(x; p), memoized per nome."""
     global _memo, _mp_memo
     if type(x) is complex and type(p) is complex:
-        memo_p, memo_cfg, table, values = _memo
-        if not (memo_p is p or memo_p == p) or memo_cfg is not cfg:
-            table = _series_table(p, cfg)
-            values = {}
-            _memo = (p, cfg, table, values)
-        else:
+        memo = _memo
+        entry = memo.get(p)
+        if entry is not None and entry[0] is cfg:
+            _, table, values = entry
             value = values.get(x)
             if value is not None:
                 return value
+        else:
+            table = _series_table(p, cfg)
+            values = {}
+            # a new dict, so that a racing reader never sees one mutated
+            kept = [item for item in memo.items() if item[0] != p]
+            memo = dict(kept[max(0, len(kept) - _MEMO_NOMES + 1) :])
+            memo[p] = (cfg, table, values)
+            _memo = memo
         value = values[x] = _theta_series(x, p, cfg, table)
         return value
     if not (_is_mp(x) or _is_mp(p.p if isinstance(p, Nome) else p)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from mpmath import mp
-from mpmath.libmp import fzero, from_man_exp, mpc_div, mpc_mul, mpc_neg, mpc_pow_int
+from mpmath.libmp import fzero, from_man_exp, mpc_div
 from mpmath.libmp import to_fixed, to_float
 
 from .errors import NoConvergence, ZeroArgument
@@ -28,10 +28,10 @@ GUARD_BITS = 20
 
 
 def nome_table(p, cfg: ThetaEvalConfig):
-    """(prec, wp, |p|, p as an mpc value tuple, whether p is real, f_0,
-    [f_N, ..., f_1]) with f_k as (re, im) ints of wp fraction bits, for an
-    mpmath nome p at mp.prec, or None where the product runs, which also
-    validates the nome."""
+    """(prec, wp, |p|, p as an mpc value tuple, whether p is real, 1/p,
+    f_0, [f_N, ..., f_1]) with 1/p and f_k as (re, im) ints of wp fraction
+    bits, for an mpmath nome p at mp.prec, or None where the product runs,
+    which also validates the nome."""
     pv = mp.convert(p.p if isinstance(p, Nome) else p)
     real = type(pv) is mp.mpf
     parts = (pv._mpf_, fzero) if real else pv._mpc_
@@ -60,15 +60,25 @@ def nome_table(p, cfg: ThetaEvalConfig):
 
     fixed_p = tuple(to_fixed(part, wp) for part in parts)
     coeffs = _series_coefficients(fixed_p, size, (one, 0), mul, add, neg, reciprocal)
-    return mp.prec, wp, abs_p, parts, real, coeffs[0], coeffs[:0:-1]
+    return mp.prec, wp, abs_p, parts, real, reciprocal(fixed_p), coeffs[0], coeffs[:0:-1]
 
 
 def series(x, p, cfg: ThetaEvalConfig, table):
     """theta(x; p) over mpmath numbers by the series of table, in wp-bit
-    fixed point, or by product where there is no table."""
+    fixed point, or by product where there is no table.
+
+    The reduction runs in the same fixed point: with x = p^m y,
+    theta(x; p) = (-1)^m p^{-m(m-1)/2} y^{-m} theta(y; p), whose scale is
+    the product of the m factors p^-j / y, j = 0..m-1, for m > 0, and of
+    the -m factors p^-j y, j = 1..-m, for m < 0; each factor past the first
+    is at least |p|^{-1/2} in modulus, so the scale keeps its relative
+    precision.  y is formed at e = wp + |m| log2(1/|p|) fraction bits from
+    the small one of x (m > 0) and p^-m (m < 0), of modulus about |p|^|m|,
+    and for m > 0 as 1 - y = (p^m - x) / p^m, whose difference is exact
+    near the zero x = p^m."""
     if table is None:
         return product(x, p, cfg)
-    prec, wp, abs_p, p_parts, real, f0, coeffs = table
+    prec, wp, abs_p, p_parts, real, (qr, qi), f0, coeffs = table
     if type(x) is not mp.mpc:
         x = mp.convert(x)
     real = real and type(x) is mp.mpf
@@ -78,12 +88,28 @@ def series(x, p, cfg: ThetaEvalConfig, table):
         # zero, infinite, NaN, or |x| or |p|/|x| beyond the double range,
         # where the product raises as on the double path
         return product(x, p, cfg)
-    m = round(math.log(abs_x) / math.log(abs_p))
-    y = parts
+    log_p = math.log(abs_p)
+    m = round(math.log(abs_x) / log_p)
+    one = 1 << wp
     if m:
-        power = mpc_pow_int(p_parts, abs(m), wp)
-        y = mpc_div(parts, power, wp) if m > 0 else mpc_mul(parts, power, wp)
-    yr, yi = to_fixed(y[0], wp), to_fixed(y[1], wp)
+        e = wp + int(abs(m) * -log_p / math.log(2)) + 1
+        pr, pi = (to_fixed(part, e) for part in p_parts)
+        sr, si = pr, pi  # p^|m| at e fraction bits
+        for _ in range(abs(m) - 1):
+            sr, si = (sr * pr - si * pi) >> e, (sr * pi + si * pr) >> e
+        if m > 0:
+            dr, di = sr - to_fixed(parts[0], e), si - to_fixed(parts[1], e)
+            for _ in range(m):  # 1 - y = (p^m - x) p^-m
+                dr, di = (dr * qr - di * qi) >> wp, (dr * qi + di * qr) >> wp
+            dr, di = dr >> (e - wp), di >> (e - wp)
+            yr, yi = one - dr, -di
+        else:
+            xr, xi = to_fixed(parts[0], wp), to_fixed(parts[1], wp)
+            yr, yi = (xr * sr - xi * si) >> e, (xr * si + xi * sr) >> e
+            dr, di = one - yr, -yi
+    else:
+        yr, yi = to_fixed(parts[0], wp), to_fixed(parts[1], wp)
+        dr, di = one - yr, -yi
     norm = yr * yr + yi * yi
     wr, wi = (yr << 2 * wp) // norm, (-yi << 2 * wp) // norm
     ar = ai = br = bi = 0
@@ -93,18 +119,30 @@ def series(x, p, cfg: ThetaEvalConfig, table):
         br, bi = br + fr, bi + fi
         br, bi = (br * wr - bi * wi) >> wp, (br * wi + bi * wr) >> wp
     tr, ti = f0[0] + ar + br, f0[1] + ai + bi
-    dr, di = (1 << wp) - yr, -yi
-    # theta(y) = (1 - y) T, exact with 2 wp fraction bits, rounded once
-    value = dr * tr - di * ti, dr * ti + di * tr
+    # theta(y) = (1 - y) T, exact with 2 wp fraction bits
+    vr, vi = dr * tr - di * ti, dr * ti + di * tr
+    bits = 2 * wp
     if m:
-        scale = mpc_pow_int(p_parts, m * (m + 1) >> 1, wp)
-        power = mpc_pow_int(parts, abs(m), wp)
-        scale = mpc_div(scale, power, wp) if m > 0 else mpc_mul(scale, power, wp)
-        exact = tuple(from_man_exp(v, -2 * wp) for v in value)
-        value = mpc_mul(exact, mpc_neg(scale) if m & 1 else scale, prec, "n")
-    else:
-        value = tuple(from_man_exp(v, -2 * wp, prec, "n") for v in value)
-    return mp.make_mpf(value[0]) if real else mp.make_mpc(value)
+        # the scale, the product of the factors p^-j / y or p^-j y
+        hr, hi = (wr, wi) if m > 0 else (yr, yi)
+        if m < 0:
+            hr, hi = (hr * qr - hi * qi) >> wp, (hr * qi + hi * qr) >> wp
+        sr, si = hr, hi
+        for _ in range(abs(m) - 1):
+            hr, hi = (hr * qr - hi * qi) >> wp, (hr * qi + hi * qr) >> wp
+            sr, si = (sr * hr - si * hi) >> wp, (sr * hi + si * hr) >> wp
+            # block-floating: |p|^{-m(m-1)/2} would take m^2 log2(1/|p|) / 2 bits
+            excess = max(sr.bit_length(), si.bit_length()) - 2 * wp
+            if excess > 0:
+                sr, si, bits = sr >> excess, si >> excess, bits - excess
+        if m & 1:
+            sr, si = -sr, -si
+        vr, vi = vr * sr - vi * si, vr * si + vi * sr
+        bits += wp
+    re = from_man_exp(vr, -bits, prec, "n")
+    if real:
+        return mp.make_mpf(re)
+    return mp.make_mpc((re, from_man_exp(vi, -bits, prec, "n")))
 
 
 def product(x, p, cfg: ThetaEvalConfig):

@@ -1,4 +1,4 @@
-"""The cached signature builders against signatures rebuilt placement by
+"""The signature builders against signatures rebuilt placement by
 placement from the public enumerators and the cancellation helpers in
 boards.py, which state the geometry cell by cell; those enumerators
 against a brute force over cell subsets; and the transfer kernels
@@ -178,6 +178,21 @@ def test_empty_signatures_out_of_range():
     assert j_rook_signature.__wrapped__((1, 3), 2, 3, 4) == ()
     # the empty board has one placement, of no rooks, with no cells
     assert rook_signature.__wrapped__((), 0) == (((), 1),)
+
+
+def test_signature_builders_keep_no_cache():
+    calls = {
+        rook_signature: ((1, 2, 3), 2, 1),
+        _file_signatures: ((1, 2, 3), 2),
+        j_rook_signature: ((1, 3, 5), 2, 2),
+    }
+    for builder, args in calls.items():
+        assert builder(*args) == builder(*args) == builder.__wrapped__(*args)
+        assert builder.cache_info().currsize == 0, builder
+        # the benchmark empties them between passes, and the tests call the
+        # builders unwrapped
+        builder.cache_clear()
+        assert builder.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------

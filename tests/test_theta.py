@@ -122,14 +122,19 @@ def _unmemoized(x, p, cfg=DEFAULT_CONFIG):
     return theta_module._theta_series(x, p, cfg, theta_module._series_table(p, cfg))
 
 
-def test_memo_is_bit_identical_across_nomes(rng):
+def test_memo_is_bit_identical_across_nomes(rng, monkeypatch):
+    monkeypatch.setattr(theta_module, "_memo", {})
     xs = [_random_nonzero(rng) for _ in range(20)]
     first, second = _random_nome(rng), _random_nome(rng)
+    kept = {}
     for p in (first, second, first):
         for x in xs + xs:
             assert _bits(theta(x, p)) == _bits(_unmemoized(x, p))
-        memo_p, _, table, values = theta_module._memo
-        assert memo_p == p and table is not None and list(values) == xs
+        memo_cfg, table, values = theta_module._memo[p]
+        assert memo_cfg is DEFAULT_CONFIG and table is not None and list(values) == xs
+        # the return to the first nome finds its memo, not a rebuilt one
+        assert kept.setdefault(p, values) is values
+        assert list(theta_module._memo) == list(kept)
 
 
 def test_equal_config_gets_its_own_memo():
@@ -138,8 +143,9 @@ def test_equal_config_gets_its_own_memo():
     assert twin == DEFAULT_CONFIG and twin is not DEFAULT_CONFIG
     theta(x, p)
     theta(1.1 + 0.2j, p, twin)
-    _, memo_cfg, _, values = theta_module._memo
+    memo_cfg, _, values = theta_module._memo[p]
     assert memo_cfg is twin and list(values) == [1.1 + 0.2j]
+    assert list(theta_module._memo)[-1] == p
     coarse = ThetaEvalConfig(truncation_tolerance=1e-3)
     assert theta(x, p, coarse) == _unmemoized(x, p, coarse) != theta(x, p)
 
@@ -158,15 +164,19 @@ def test_memo_never_answers_extended_precision_calls():
 
 
 def _memo_races(xs, nomes, reference, rounds):
-    """The (x, p) at which theta differed from reference(x, p) while two
-    threads called it alternating the nomes in opposite orders."""
+    """The (x, p) at which theta differed from reference(x, p), and any
+    exception raised, while two threads called it alternating the nomes in
+    opposite orders."""
     want = {(x, p): reference(x, p) for x in xs for p in nomes}
     wrong = []
 
     def alternate(order):
-        for _ in range(rounds):
-            for p in order:
-                wrong.extend((x, p) for x in xs if theta(x, p) != want[(x, p)])
+        try:
+            for _ in range(rounds):
+                for p in order:
+                    wrong.extend((x, p) for x in xs if theta(x, p) != want[(x, p)])
+        except Exception as exc:
+            wrong.append(exc)
 
     threads = [
         threading.Thread(target=alternate, args=(order,)) for order in (nomes, nomes[::-1])
@@ -188,6 +198,46 @@ def test_memo_under_two_threads_alternating_nomes(rng):
     xs = [_random_nonzero(rng) for _ in range(30)]
     nomes = [_random_nome(rng), _random_nome(rng)]
     assert not _memo_races(xs, nomes, _unmemoized, 100)
+
+
+def test_memo_under_two_threads_alternating_more_nomes_than_it_keeps(rng):
+    xs = [_random_nonzero(rng) for _ in range(4)]
+    nomes = [_random_nome(rng) for _ in range(theta_module._MEMO_NOMES + 8)]
+    assert not _memo_races(xs, nomes, _unmemoized, 10)
+    assert len(theta_module._memo) <= theta_module._MEMO_NOMES
+
+
+def test_memo_keeps_the_last_nomes_in_insertion_order(rng, monkeypatch):
+    monkeypatch.setattr(theta_module, "_memo", {})
+    cap = theta_module._MEMO_NOMES
+    x = _random_nonzero(rng)
+    nomes = [_random_nome(rng) for _ in range(cap + 8)]
+    for i, p in enumerate(nomes):
+        theta(x, p)
+        assert list(theta_module._memo) == nomes[max(0, i + 1 - cap) : i + 1]
+    # an evicted nome is built again, as the newest, and evicts the oldest
+    first = nomes[0]
+    assert _bits(theta(x, first)) == _bits(_unmemoized(x, first))
+    assert list(theta_module._memo) == nomes[9:] + [first]
+
+
+def test_memo_builds_one_table_per_nome_it_keeps(rng, monkeypatch):
+    monkeypatch.setattr(theta_module, "_memo", {})
+    xs = [_random_nonzero(rng) for _ in range(3)]
+    nomes = [_random_nome(rng) for _ in range(3)]
+    want = {(x, p): _bits(_unmemoized(x, p)) for x in xs for p in nomes}
+    build, built = theta_module._series_table, []
+
+    def counted(p, cfg):
+        built.append(p)
+        return build(p, cfg)
+
+    monkeypatch.setattr(theta_module, "_series_table", counted)
+    for _ in range(100):
+        for p in nomes:
+            for x in xs:
+                assert _bits(theta(x, p)) == want[(x, p)]
+    assert built == nomes
 
 
 def test_mp_memo_under_two_threads_alternating_nomes(rng):
@@ -228,6 +278,44 @@ def test_fixed_point_kernel_matches_qp(rng, dps, tolerance, bound):
             want = _qp_theta(x, p)
             got = theta_module._theta_fixed(x, p, cfg)
             assert abs(got - want) < bound * abs(want), (x, p)
+
+
+@pytest.mark.parametrize("dps, tolerance, bound", [(35, 1e-33, 1e-30), (60, 1e-58, 1e-55)])
+@pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
+def test_fixed_point_reduction_matches_qp(rng, dps, tolerance, bound, m):
+    from mpmath import mp, mpc, mpf
+
+    cfg = ThetaEvalConfig(truncation_tolerance=tolerance)
+    with mp.workdps(dps):
+        for i in range(20):
+            # down to |p| = 1e-8, where x or p^-m is about 2^{-80 |m|}
+            log_p = mpf(rng.uniform(math.log(1e-8), math.log(0.45)))
+            p = mp.exp(log_p)
+            if i % 2:
+                p *= mp.expj(rng.uniform(0.0, 2 * math.pi))
+            y = mp.exp(log_p * rng.uniform(-0.45, 0.45))
+            if i % 4 != 2:
+                y *= mp.expj(rng.uniform(0.0, 2 * math.pi))
+            x = p**m * y  # real when p and y are
+            assert round(float(mp.log(abs(x)) / log_p)) == m
+            want = _qp_theta(x, p)
+            got = theta_module._theta_fixed(x, p, cfg)
+            assert abs(got - want) < bound * abs(want), (x, p)
+        # the zero at x = p^m is exact where p's powers are
+        for p in (mpf(0.25), mpf(-0.125), mpc(0, 0.5), mpc(0.25, -0.25)):
+            assert theta_module._theta_fixed(p**m, p, cfg) == 0
+
+
+def test_fixed_point_reduction_far_from_the_unit_circle():
+    from mpmath import mp, mpc
+
+    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
+    with mp.workdps(35):
+        p = mpc(0.3, 0.35)
+        for m in (-200, 200):
+            x = p**m * mpc(0.9, 0.2)
+            want = theta_fixed.product(x, p, cfg)
+            assert abs(theta_module._theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
 
 
 def test_fixed_point_kernel_zero_and_out_of_range_arguments():
@@ -281,7 +369,8 @@ def test_memos_never_answer_each_other():
         value = theta(x, p, cfg)
         assert type(value) is complex
         assert _bits(value) == _bits(_unmemoized(x, p, cfg))
-        assert theta_module._memo[0] == p and list(theta_module._mp_memo[4].values()) == [precise]
+        assert list(theta_module._memo)[-1] == p and theta_module._memo[p][2][x] is value
+        assert list(theta_module._mp_memo[4].values()) == [precise]
         assert theta(mpc(x), mpc(p), cfg) is precise
 
 
@@ -352,13 +441,16 @@ def test_exact_zeros_on_both_paths(rng):
 def test_nomes_above_one_half_keep_the_product(rng):
     from mpmath import mp, mpc
 
+    nomes = []
     for _ in range(20):
         x, p = _random_nonzero(rng), rng.uniform(0.51, 0.9) * cmath.exp(1j * rng.uniform(0, 6.3))
         assert _bits(theta(x, p)) == _bits(theta_module._theta_product(x, p, DEFAULT_CONFIG))
         with mp.workdps(35):
             want = theta_fixed.product(mpc(x), mpc(p), DEFAULT_CONFIG)
             assert theta(mpc(x), mpc(p)) == want
-    assert theta_module._memo[2] is None and theta_module._mp_memo[3] is None
+        nomes.append(p)
+    assert all(theta_module._memo[p][1] is None for p in nomes)
+    assert theta_module._mp_memo[3] is None
 
 
 def test_fixed_point_product_above_one_half_matches_qp(rng):
@@ -401,7 +493,8 @@ def test_planted_coefficient_defect_fails_every_theta_identity(monkeypatch):
         return log_p, f0, coeffs[:-2] + [coeffs[-2] * 1.001, coeffs[-1]]  # f_2
 
     monkeypatch.setattr(theta_module, "_series_table", defective)
-    monkeypatch.setattr(theta_module, "_memo", (None, None, None, {}))
+    # a table memoized by an earlier call would hide the defect
+    monkeypatch.setattr(theta_module, "_memo", {})
     for identity in ("theta-inversion", "theta-quasiperiodicity", "addition-formula"):
         report = run_check(identity, trials=50, seed=1)
         assert not report.passed and report.max_rel_err > 1e-8, report

@@ -278,7 +278,8 @@ def enumerate_placements(board: Board, kind: str, k: int, jump: int = 1) -> Iter
 
 # ---------------------------------------------------------------------------
 # cancellation geometry, placement by placement: the definition that the
-# signature builders in rook, files and jattack derive column by column
+# transfer kernels rook._j_rook_transfer and files._file_transfer apply
+# column by column
 # ---------------------------------------------------------------------------
 
 

@@ -10,21 +10,20 @@ sums its rook positions, each with the cells above the rook.  file_row
 multiplies them out.  The placement-level definitions are
 `boards.file_uncancelled` and `boards.file_above_cells`.
 
-_file_signatures keeps the family-free form of the same sums, both
-weightings together per (board, k): the multisets of small-weight
-arguments, one entry per placement.  No numeric path uses them; the tests
-take them as the reference for file_row.  Like rook.rook_signature it
-keeps no cache (lru_cache with maxsize 0).
+_file_signatures is the family-free form of the same sums, both
+weightings per (board, k): the multisets of small-weight arguments, one
+entry per placement, from the same product over rook.FormalSum.  No
+numeric path uses them.  Like rook.rook_signature it keeps no cache
+(lru_cache with maxsize 0).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache, partial
 
 from .boards import SkylineBoard
-from .numeric import CheckEntry, guard_condition, worst_error
-from .rook import transfer_row, triangle
+from .numeric import CheckEntry, factor_sum, guard_condition
+from .rook import signature_row, transfer_row, triangle
 # rook's evaluators under this module's own names, where bench/tracing.py
 # looks them up to trace each layer apart
 from .rook import Signature, evaluate_signature as _evaluate  # noqa: F401
@@ -37,39 +36,11 @@ ABOVE_ROOK = "above"
 
 @lru_cache(maxsize=0)
 def _file_signatures(heights: tuple[int, ...], k: int) -> tuple[Signature, Signature]:
-    """One enumeration pass accumulating both weightings at once; the two
-    cell sets derive from the same cancellation geometry."""
-    row_counts: Counter = Counter()
-    above_counts: Counter = Counter()
-    if 0 <= k <= len(heights):
-        _add_file_columns(row_counts, above_counts, heights, 1, k, [], [])
-    return tuple(sorted(row_counts.items())), tuple(sorted(above_counts.items()))
-
-
-def _add_file_columns(row_counts, above_counts, heights, col, remaining, row_exps, above_exps):
-    """Count the terms of both weightings for every way to place `remaining`
-    file rooks in columns col.., whose columns 1..col-1 have the row-only
-    arguments row_exps and the above-rook arguments above_exps.  A column's
-    cells do not depend on the other columns' rooks."""
-    if remaining > len(heights) - col + 1:
-        return
-    if col > len(heights):
-        row_counts[tuple(sorted(row_exps))] += 1
-        above_counts[tuple(sorted(above_exps))] += 1
-        return
-    row_mark, above_mark = len(row_exps), len(above_exps)
-    # rows top down: a rook in one has the cells above it in both lists
-    for row in range(heights[col - 1], 0, -1):
-        if remaining:
-            _add_file_columns(
-                row_counts, above_counts, heights, col + 1, remaining - 1, row_exps, above_exps
-            )
-        row_exps.append(1 - row)
-        above_exps.append(col - row)
-    # an empty column: every cell weighs by its row, none lies above a rook
-    del above_exps[above_mark:]
-    _add_file_columns(row_counts, above_counts, heights, col + 1, remaining, row_exps, above_exps)
-    del row_exps[row_mark:]
+    """The signatures of both weightings: _file_transfer over formal sums."""
+    return tuple(
+        signature_row(partial(_file_transfer, heights, weighting, k)).get(k, ())
+        for weighting in (ROW_ONLY, ABOVE_ROOK)
+    )
 
 
 def file_signature(heights: tuple[int, ...], k: int, weighting: str) -> Signature:
@@ -158,20 +129,12 @@ def file_product_check(
     board: SkylineBoard, fam: WeightFamily, z, max_condition: float | None = None
 ) -> CheckEntry:
     """Both sides of the row-only file factorization at argument z."""
-    n = board.n
     lhs = 1
     for c in board.heights:
         lhs = lhs * fam.shifted(-c).number(z + c)
     zn = fam.number(z)
     values, magnitudes = file_row(board, fam, ROW_ONLY, magnitude=True)
-    rhs = 0
-    power = 1
-    term_scale = 0.0
-    for k in range(n + 1):
-        if k:
-            power = power * zn
-        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(power))
-        rhs = rhs + values.get(n - k, 0) * power
+    rhs, term_scale = factor_sum(values, magnitudes, board.n, lambda k: zn)
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 
@@ -180,19 +143,11 @@ def file_above_product_check(
     board: SkylineBoard, fam: WeightFamily, z, max_condition: float | None = None
 ) -> CheckEntry:
     """Both sides of the above-rook file factorization at argument z."""
-    n = board.n
     zn = fam.number(z)
     lhs = 1
     for i, c in enumerate(board.heights, 1):
         lhs = lhs * (zn + fam.shifted(i - 1 - c).number(c))
     values, magnitudes = file_row(board, fam, ABOVE_ROOK, magnitude=True)
-    rhs = 0
-    power = 1
-    term_scale = 0.0
-    for k in range(n + 1):
-        if k:
-            power = power * zn
-        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(power))
-        rhs = rhs + values.get(n - k, 0) * power
+    rhs, term_scale = factor_sum(values, magnitudes, board.n, lambda k: zn)
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)

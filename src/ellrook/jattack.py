@@ -10,28 +10,26 @@ At a parameter point the weighted sums of all k come from one pass over
 the columns, `rook.j_rook_row`, whose state is the pair of the attacked
 rows and the rook rows: a column's factor depends only on that pair and
 on its own rook.  The placement-level definition is
-`boards.j_uncancelled`.
-j_rook_signature keeps the family-free form of the same sums per (board,
-jump, k, depth), with no cache (lru_cache with maxsize 0, as
-rook.rook_signature); no numeric path uses it, and the tests take it as
-the reference for the transfer.
+`boards.j_uncancelled`.  j_rook_signature is the family-free form of
+the same sums per (board, jump, k, depth): the same pass over
+rook.FormalSum, with no cache (lru_cache with maxsize 0, as
+rook.rook_signature); no numeric path uses it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .boards import SkylineBoard, _rook_attack_rows, j_attack_rows, j_uncancelled
 from .errors import NotJAttackingBoard
 from .files import ABOVE_ROOK, file_row
-from .numeric import CheckEntry, guard_condition, worst_error
+from .numeric import CheckEntry, factor_sum, guard_condition
 # rook's evaluators under this module's own names, where bench/tracing.py
 # looks them up to trace each layer apart
 from .rook import Signature, evaluate_signature as _evaluate  # noqa: F401
 from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude  # noqa: F401
-from .rook import j_rook_row
+from .rook import _j_rook_transfer, j_rook_row, signature_row
 from .weights import WeightFamily, WeightTable
 
 
@@ -44,58 +42,7 @@ def b_board(offset: int, jump: int, n: int) -> SkylineBoard:
 def j_rook_signature(heights: tuple[int, ...], jump: int, k: int, depth: int = 0) -> Signature:
     """Multiset of small-weight argument tuples over all k-rook jump
     placements on the board extended by `depth` rows below the ground."""
-    counts: Counter = Counter()
-    if 0 <= k <= len(heights):
-        _add_jump_columns(counts, heights, jump, 1 - depth, 1, k, [], {}, set())
-    return tuple(sorted(counts.items()))
-
-
-def _add_jump_columns(
-    counts, heights, jump, bottom, col, remaining, exps, attacked, rook_rows
-) -> None:
-    """Count in counts the signature term of every way to place `remaining`
-    jump rooks in columns col.. beside the rooks in rook_rows, whose attack
-    map is attacked and whose uncancelled cells in columns 1..col-1 have the
-    small-weight arguments exps.  Columns run down to the row bottom.
-
-    A cell (col, row) is uncancelled when no rook further left attacks its
-    row and no rook of its own column sits at or above it; its argument is
-    jump*(col-1) + 1 - row - jump*nw, nw counting the rooks further left in
-    higher rows.
-    """
-    if remaining > len(heights) - col + 1:
-        return
-    if col > len(heights):
-        counts[tuple(sorted(exps))] += 1
-        return
-    height = heights[col - 1]
-    nw = 0
-    for row in rook_rows:
-        if row > height:
-            nw += 1
-    base = jump * (col - 1) + 1
-    mark = len(exps)
-    # unattacked rows top down: a rook in one has the free cells above it in exps
-    for row in range(height, bottom - 1, -1):
-        if row in attacked:
-            if row in rook_rows:
-                nw += 1
-            continue
-        if remaining:
-            rows = _rook_attack_rows(row, jump, attacked, bottom)
-            for r in rows:
-                attacked[r] = col
-            rook_rows.add(row)
-            _add_jump_columns(
-                counts, heights, jump, bottom, col + 1, remaining - 1, exps, attacked, rook_rows
-            )
-            rook_rows.discard(row)
-            for r in rows:
-                del attacked[r]
-        exps.append(base - row - jump * nw)
-    # an empty column: every free cell
-    _add_jump_columns(counts, heights, jump, bottom, col + 1, remaining, exps, attacked, rook_rows)
-    del exps[mark:]
+    return signature_row(partial(_j_rook_transfer, heights, jump, depth, k)).get(k, ())
 
 
 def _require_j_attacking(board: SkylineBoard, jump: int) -> None:
@@ -125,20 +72,17 @@ def jump_product_check(
 ) -> CheckEntry:
     """Formula sides of the jump product identity at argument z."""
     _require_j_attacking(board, jump)
-    n = board.n
     lhs = 1
     for i, b in enumerate(board.heights, 1):
         shift = jump * (i - 1) - b
         lhs = lhs * fam.shifted(shift).number(z + b - jump * (i - 1))
     values, magnitudes = j_rook_row(board, jump, fam, magnitude=True)
-    rhs = 0
-    falling = 1
-    term_scale = 0.0
-    for k in range(n + 1):
-        if k:
-            falling = falling * fam.shifted(jump * (k - 1)).number(z - jump * (k - 1))
-        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(falling))
-        rhs = rhs + values.get(n - k, 0) * falling
+    rhs, term_scale = factor_sum(
+        values,
+        magnitudes,
+        board.n,
+        lambda k: fam.shifted(jump * (k - 1)).number(z - jump * (k - 1)),
+    )
     guard_condition(term_scale, lhs, rhs, max_condition)
     return CheckEntry(lhs, rhs)
 

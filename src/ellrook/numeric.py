@@ -67,6 +67,21 @@ def worst_error(*errors) -> float:
     return worst
 
 
+def factor_sum(values: dict, magnitudes: dict, n: int, factor):
+    """The sum over k = 0..n of values[n - k] * factor(1) * ... * factor(k),
+    with the largest magnitudes[n - k] * |factor(1) * ... * factor(k)|: the
+    sum side of a product check and its term scale."""
+    total = 0
+    prod = 1
+    term_scale = 0.0
+    for k in range(n + 1):
+        if k:
+            prod = prod * factor(k)
+        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(prod))
+        total = total + values.get(n - k, 0) * prod
+    return total, term_scale
+
+
 def guard_condition(term_scale, lhs, rhs, max_condition) -> None:
     """Reject evaluations that doubles cannot judge, so they are resampled.
 

@@ -11,70 +11,74 @@ for the jump-attacking model, whose jump 1 is the rook model: rook_row is
 j_rook_row at jump 1, and jattack uses it at every jump.  The
 placement-level definition is `boards.rook_uncancelled`.
 
-rook_signature keeps the family-free form of the same sum per (board, k,
+rook_signature is the family-free form of the same sum per (board, k,
 depth): the multiset of small-weight arguments, one entry per placement,
-which evaluate_signature sums at a family.  No numeric path uses it; the
-tests take it as the reference for the transfer.  Its lru_cache has
-maxsize 0: it holds no signature, and keeps cache_info, cache_clear and
-__wrapped__ for the tests and the benchmark.
+which evaluate_signature sums at a family.  It is the same transfer run
+over formal sums (FormalSum), where each small weight stands for its
+argument, so the cancellation rule is written once, in the kernel.  No
+numeric path uses it.  Its lru_cache has maxsize 0: it holds no
+signature, and keeps cache_info, cache_clear and __wrapped__ for the
+tests and the benchmark.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, lru_cache, partial
 
 from .boards import ExtendedBoard, SkylineBoard, _rook_attack_rows
-from .numeric import CheckEntry, guard_condition, worst_error
+from .numeric import CheckEntry, factor_sum, guard_condition
 from .theta import q_pochhammer
 from .weights import PlainQ, WeightFamily, WeightTable, q_binomial, q_factorial
 
 Signature = tuple[tuple[tuple[int, ...], int], ...]
 
 
+class FormalSum(dict):
+    """A sum of products of small weights kept as a formula: a dict from
+    the sorted tuple of a product's arguments to its count.  An int n
+    stands for n times the empty product."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = FormalSum(self)
+        for args, count in _terms(other):
+            out[args] = out.get(args, 0) + count
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        out = FormalSum()
+        for more, times in _terms(other):
+            for args, count in self.items():
+                key = tuple(sorted(args + more))
+                out[key] = out.get(key, 0) + count * times
+        return out
+
+    __rmul__ = __mul__
+
+
+def _terms(value):
+    if isinstance(value, FormalSum):
+        return value.items()
+    return (((), value),) if value else ()
+
+
+def _atom(ell: int) -> FormalSum:
+    return FormalSum({(ell,): 1})
+
+
+def signature_row(transfer) -> dict:
+    """k -> the Signature of transfer(weight) run over formal sums, weight(ell)
+    being the one-term sum of the product (ell,)."""
+    return {k: tuple(sorted(_terms(value))) for k, value in transfer(_atom).items()}
+
+
 @lru_cache(maxsize=0)
 def rook_signature(heights: tuple[int, ...], k: int, depth: int = 0) -> Signature:
     """Multiset of small-weight argument tuples over all k-rook placements."""
-    counts: Counter = Counter()
-    if 0 <= k <= len(heights):
-        _add_rook_columns(counts, heights, depth, 1, k, [], set())
-    return tuple(sorted(counts.items()))
-
-
-def _add_rook_columns(counts, heights, depth, col, remaining, exps, used_rows) -> None:
-    """Count in counts the signature term of every way to place `remaining`
-    rooks in columns col.. beside the rooks in used_rows, whose uncancelled
-    cells in columns 1..col-1 have the small-weight arguments exps.
-
-    A cell (col, row) is uncancelled when no rook further left sits in its
-    row and no rook of its own column sits at or above it; its argument is
-    col - row - nw, nw counting the rooks further left in higher rows, also
-    rows above this column's height on a non-Ferrers board.
-    """
-    if remaining > len(heights) - col + 1:
-        return
-    if col > len(heights):
-        counts[tuple(sorted(exps))] += 1
-        return
-    height = heights[col - 1]
-    nw = 0
-    for row in used_rows:
-        if row > height:
-            nw += 1
-    mark = len(exps)
-    # free rows top down: a rook in one has the free cells above it in exps
-    for row in range(height, -depth, -1):
-        if row in used_rows:
-            nw += 1
-            continue
-        if remaining:
-            used_rows.add(row)
-            _add_rook_columns(counts, heights, depth, col + 1, remaining - 1, exps, used_rows)
-            used_rows.discard(row)
-        exps.append(col - row - nw)
-    # an empty column: every free cell
-    _add_rook_columns(counts, heights, depth, col + 1, remaining, exps, used_rows)
-    del exps[mark:]
+    return signature_row(partial(_j_rook_transfer, heights, 1, depth, k)).get(k, ())
 
 
 def evaluate_signature(sig: Signature, table: WeightTable):
@@ -269,16 +273,10 @@ def product_formula_check(
     """Both sides of the rook factorization theorem at argument z."""
     if not board.is_ferrers:
         raise ValueError(f"rook numbers require a Ferrers board, got {board}")
-    n = board.n
     values, magnitudes = rook_row(board, fam, magnitude=True)
-    lhs = 0
-    falling = 1
-    term_scale = 0.0
-    for k in range(n + 1):
-        if k:
-            falling = falling * fam.shifted(k - 1).number(z - k + 1)
-        term_scale = worst_error(term_scale, magnitudes.get(n - k, 0.0) * abs(falling))
-        lhs = lhs + values.get(n - k, 0) * falling
+    lhs, term_scale = factor_sum(
+        values, magnitudes, board.n, lambda k: fam.shifted(k - 1).number(z - k + 1)
+    )
     rhs = 1
     for i, b in enumerate(board.heights, 1):
         rhs = rhs * fam.shifted(i - 1 - b).number(z + b - i + 1)

@@ -6,6 +6,7 @@ cancellation exceeds what doubles resolve (counted, never judged)."""
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 from ellrook import biject, special
 from ellrook.boards import SkylineBoard, file_placements, j_rook_placements, rook_placements
@@ -37,7 +38,6 @@ from ellrook.weights import (
     Aq,
     FullElliptic,
     PlainQ,
-    WeightTable,
     q_factorial,
     random_generic_point,
     random_z,
@@ -157,10 +157,11 @@ def test_criterion_04_carlitz_oracle():
     assert ok
 
 
-def _value_mag(signature, table):
-    from ellrook.rook import evaluate_signature_with_magnitude
-
-    return evaluate_signature_with_magnitude(signature, table)
+def _value_mag(row, k):
+    """Entry k of row(k=k, magnitude=True), a transfer kernel pruned to k
+    rooks, with its pre-cancellation magnitude."""
+    values, magnitudes = row(k=k, magnitude=True)
+    return values.get(k, 0), magnitudes.get(k, 0.0)
 
 
 def _guarded_error(lhs, rhs, scale):
@@ -171,9 +172,9 @@ def _guarded_error(lhs, rhs, scale):
 
 
 def test_criterion_05_recursions_match_enumerations():
-    from ellrook.files import ROW_ONLY, file_number_via_recursion, file_signature
-    from ellrook.jattack import j_rook_signature
-    from ellrook.rook import rook_signature
+    from ellrook.files import ROW_ONLY, file_number_via_recursion, file_row
+    from ellrook.jattack import j_rook_row
+    from ellrook.rook import rook_row
 
     rng = random.Random(105)
     worst = 0.0
@@ -181,10 +182,9 @@ def test_criterion_05_recursions_match_enumerations():
     # rook-number recursion on every small Ferrers board
     for board in ferrers_boards(5, 5):
         def attempt(fam, _z):
-            table = WeightTable(fam)
             err = 0.0
             for k in range(board.n + 1):
-                enum, mag = _value_mag(rook_signature(board.heights, k), table)
+                enum, mag = _value_mag(partial(rook_row, board, fam), k)
                 rec = rook_number_via_recursion(board, k, fam)
                 err = worst_error(err, _guarded_error(rec, enum, mag))
             return err
@@ -202,10 +202,9 @@ def test_criterion_05_recursions_match_enumerations():
         for heights in (profile, tuple(shuffled)):
             board = SkylineBoard(heights)
             def attempt(fam, _z):
-                table = WeightTable(fam)
                 err = 0.0
                 for k in range(board.n + 1):
-                    enum, mag = _value_mag(file_signature(heights, k, ROW_ONLY), table)
+                    enum, mag = _value_mag(partial(file_row, board, fam, ROW_ONLY), k)
                     rec = file_number_via_recursion(board, k, fam)
                     err = worst_error(err, _guarded_error(rec, enum, mag))
                 return err
@@ -218,33 +217,29 @@ def test_criterion_05_recursions_match_enumerations():
                 continue
             boards = {n: b_board(offset, jump, n) for n in range(1, 6)}
             def attempt(fam, _z):
-                table = WeightTable(fam)
                 err = 0.0
                 for n in range(1, 6):
                     for k in range(n + 1):
-                        enum, mag = _value_mag(
-                            j_rook_signature(boards[n].heights, jump, n - k), table
-                        )
+                        enum, mag = _value_mag(partial(j_rook_row, boards[n], jump, fam), n - k)
                         rec = special.via_recursion("gen-stirling2", n, k, fam, I=offset, J=jump)
                         err = worst_error(err, _guarded_error(rec, enum, mag))
                 return err
             worst = worst_error(worst, _retry(rng, attempt))
 
     # Lah and restricted-Lah recursions, on enumerated values with scales
-    def lah_vm(n, k, table):
+    def lah_vm(n, k, fam):
         if not 0 <= n - k <= n:
             return 0, 0.0
-        return _value_mag(rook_signature(special.lah_board(n).heights, n - k), table)
+        return _value_mag(partial(rook_row, special.lah_board(n), fam), n - k)
 
     def lah_attempt(fam, _z):
-        table = WeightTable(fam)
         err = 0.0
         for n in range(1, 5):
             sh = fam.shifted(-n)
             for k in range(1, n + 2):
-                lhs, lhs_mag = lah_vm(n + 1, k, table)
-                same, same_mag = lah_vm(n, k, table)
-                below, below_mag = lah_vm(n, k - 1, table)
+                lhs, lhs_mag = lah_vm(n + 1, k, fam)
+                same, same_mag = lah_vm(n, k, fam)
+                below, below_mag = lah_vm(n, k - 1, fam)
                 coef_same = sh.number(n + k)
                 coef_below = sh.big_weight(n + k - 1)
                 rhs = coef_same * same + coef_below * below
@@ -256,23 +251,21 @@ def test_criterion_05_recursions_match_enumerations():
 
     worst = worst_error(worst, _retry(rng, lah_attempt))
 
-    def lah_r_vm(n, k, r, table):
+    def lah_r_vm(n, k, r, fam):
         if n < r or not 0 <= n - k <= n:
             return (1 if n == k == r - 1 else 0), 0.0
-        return _value_mag(
-            rook_signature(special.lah_board_r(n, r).heights, n - k), table
-        )
+        return _value_mag(partial(rook_row, special.lah_board_r(n, r), fam), n - k)
 
     def lah_r_attempt(fam, _z):
         err = 0.0
         for r in (1, 2):
-            table = WeightTable(fam.shifted(1 - r))
+            shifted = fam.shifted(1 - r)
             for n in range(r, 5):
                 sh = fam.shifted(-n)
                 for k in range(r, n + 2):
-                    lhs, lhs_mag = lah_r_vm(n + 1, k, r, table)
-                    same, same_mag = lah_r_vm(n, k, r, table)
-                    below, below_mag = lah_r_vm(n, k - 1, r, table)
+                    lhs, lhs_mag = lah_r_vm(n + 1, k, r, shifted)
+                    same, same_mag = lah_r_vm(n, k, r, shifted)
+                    below, below_mag = lah_r_vm(n, k - 1, r, shifted)
                     coef_same = sh.number(n + k)
                     coef_below = sh.big_weight(n + k - 1)
                     rhs = coef_same * same + coef_below * below
@@ -285,22 +278,19 @@ def test_criterion_05_recursions_match_enumerations():
     worst = worst_error(worst, _retry(rng, lah_r_attempt))
 
     # first-kind recursion
-    def stirling1_vm(n, k, table):
+    def stirling1_vm(n, k, fam):
         if not 0 <= n - k <= n:
             return 0, 0.0
-        return _value_mag(
-            file_signature(special.staircase(n).heights, n - k, ROW_ONLY), table
-        )
+        return _value_mag(partial(file_row, special.staircase(n), fam, ROW_ONLY), n - k)
 
     def stirling1_attempt(fam, _z):
-        table = WeightTable(fam)
         err = 0.0
         for n in range(5):
             sh = fam.shifted(-n)
             for k in range(n + 2):
-                lhs, lhs_mag = stirling1_vm(n + 1, k, table)
-                same, same_mag = stirling1_vm(n, k, table)
-                below, below_mag = stirling1_vm(n, k - 1, table)
+                lhs, lhs_mag = stirling1_vm(n + 1, k, fam)
+                same, same_mag = stirling1_vm(n, k, fam)
+                below, below_mag = stirling1_vm(n, k - 1, fam)
                 coef_same = sh.number(n)
                 coef_below = sh.big_weight(n)
                 rhs = coef_same * same + coef_below * below

@@ -149,10 +149,12 @@ def test_enumerate_placements_wrapper():
 def test_counting_product_on_every_small_ferrers_board():
     from itertools import combinations_with_replacement
 
-    from ellrook.rook import rook_signature
+    from ellrook.rook import rook_row
+    from ellrook.weights import PlainQ
 
     def count(heights, k):
-        return sum(c for _, c in rook_signature(heights, k))
+        # at q = 1 every small weight is 1: the sum counts the placements
+        return rook_row(SkylineBoard(heights), PlainQ(1), k=k).get(k, 0)
 
     for n in range(1, 6):
         for heights in combinations_with_replacement(range(6), n):

@@ -39,11 +39,11 @@ CALLS = {
     "j_rook_row, below ground": lambda: jattack.j_rook_row(
         SkylineBoard((1, 3, 5)), 2, PlainQ(2), 7, magnitude=True
     ),
-    # the signature builders' recursive helpers, below the lru cache
-    "_add_rook_columns": lambda: rook.rook_signature.__wrapped__((1, 2, 3), 2, 1),
-    "_add_file_columns": lambda: files._file_signatures.__wrapped__((1, 2, 3), 2),
-    "_add_jump_columns": lambda: jattack.j_rook_signature.__wrapped__((1, 3, 5), 2, 2),
-    "_add_jump_columns, below ground": lambda: jattack.j_rook_signature.__wrapped__(
+    # the transfer kernels over formal sums, below the lru cache
+    "rook_signature": lambda: rook.rook_signature.__wrapped__((1, 2, 3), 2, 1),
+    "_file_signatures": lambda: files._file_signatures.__wrapped__((1, 2, 3), 2),
+    "j_rook_signature": lambda: jattack.j_rook_signature.__wrapped__((1, 3, 5), 2, 2),
+    "j_rook_signature, below ground": lambda: jattack.j_rook_signature.__wrapped__(
         (1, 3, 5), 2, 3, 7
     ),
 }

@@ -294,14 +294,22 @@ def test_rg_counts_match_placements_full_grid():
 
 
 def test_jump_one_signatures_identical_on_all_small_ferrers():
-    # the family-free signatures coincide exactly: jump-1 attack is row
-    # cancellation and the weight argument collapses to the rook one
+    # placement by placement, the uncancelled cells and their arguments
+    # coincide exactly: jump-1 attack is row cancellation and the weight
+    # argument collapses to the rook one
     from itertools import combinations_with_replacement
 
-    from ellrook.jattack import j_rook_signature
-    from ellrook.rook import rook_signature
+    from ellrook.boards import j_attack_rows, j_uncancelled, rook_placements, rook_uncancelled
 
+    jump = 1
     for n in range(1, 5):
         for heights in combinations_with_replacement(range(5), n):
+            board = SkylineBoard(heights)
             for k in range(n + 1):
-                assert j_rook_signature(heights, 1, k) == rook_signature(heights, k)
+                for cells in rook_placements(heights, k):
+                    attacked = j_attack_rows(board, cells, jump)
+                    j_cells = j_uncancelled(heights, cells, attacked)
+                    j_args = [jump * (i - 1) + 1 - j - jump * nw for (i, j), nw in j_cells.items()]
+                    r_cells = rook_uncancelled(heights, cells)
+                    rook_args = [i - j - nw for (i, j), nw in r_cells.items()]
+                    assert sorted(j_args) == sorted(rook_args), (heights, cells)

@@ -1,13 +1,16 @@
-"""The signature builders against signatures rebuilt placement by
-placement from the public enumerators and the cancellation helpers in
-boards.py, which state the geometry cell by cell; those enumerators
-against a brute force over cell subsets; and the transfer kernels
-(rook_row, file_row, j_rook_row) against the signatures, in exact
-arithmetic."""
+"""The transfer kernels against signatures rebuilt placement by placement
+from the public enumerators and the cancellation helpers in boards.py,
+which state the geometry cell by cell: over formal sums, where the
+kernels' signatures (rook_signature, _file_signatures, j_rook_signature,
+and the unpruned pass of each) must equal the placement-level multisets
+exactly, and at an exact point, where rook_row, file_row and j_rook_row
+must equal those multisets evaluated.  Also the enumerators against a
+brute force over cell subsets."""
 
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
@@ -22,9 +25,15 @@ from ellrook.boards import (
     rook_placements,
     rook_uncancelled,
 )
-from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_signatures, file_row
+from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_signatures, _file_transfer, file_row
 from ellrook.jattack import b_board, j_rook_row, j_rook_signature
-from ellrook.rook import evaluate_signature_with_magnitude, rook_row, rook_signature
+from ellrook.rook import (
+    _j_rook_transfer,
+    evaluate_signature_with_magnitude,
+    rook_row,
+    rook_signature,
+    signature_row,
+)
 from ellrook.weights import ABq, WeightTable
 
 
@@ -33,7 +42,7 @@ def _ferrers(n):
     return list(itertools.combinations_with_replacement(range(6), n))
 
 
-# the builders accept any skyline; on these a rook further left can sit
+# the kernels accept any skyline; on these a rook further left can sit
 # above a column's top, so it counts north-west of every cell of that column
 NON_FERRERS = [(3, 1, 2), (2, 0, 1), (4, 2, 3, 1), (0, 3, 0, 2), (5, 1, 4)]
 JUMP_BOARDS = [
@@ -48,6 +57,9 @@ def _signature(terms):
     return tuple(sorted(Counter(tuple(sorted(exps)) for exps in terms).items()))
 
 
+# the placement-level signatures, computed once per board, k and depth for
+# both the formal and the exact comparison
+@cache
 def _rook_reference(heights, k, depth):
     return _signature(
         [i - j - nw for (i, j), nw in rook_uncancelled(heights, cells, depth).items()]
@@ -55,6 +67,7 @@ def _rook_reference(heights, k, depth):
     )
 
 
+@cache
 def _file_reference(heights, k):
     placements = list(file_placements(heights, k))
     row = [[1 - j for _, j in file_uncancelled(heights, cells)] for cells in placements]
@@ -62,6 +75,7 @@ def _file_reference(heights, k):
     return _signature(row), _signature(above)
 
 
+@cache
 def _jump_reference(heights, jump, k, depth=0):
     board = SkylineBoard(heights).extended(depth)
     terms = []
@@ -88,17 +102,24 @@ EXTENDED = [
 @pytest.mark.parametrize("name, depth", [(name, 0) for name in BOARD_SETS] + EXTENDED)
 def test_rook_signature_matches_placements(name, depth):
     for heights in BOARD_SETS[name]:
+        unpruned = signature_row(partial(_j_rook_transfer, heights, 1, depth, None))
         for k in _ks(heights):
             expected = _rook_reference(heights, k, depth)
             assert rook_signature.__wrapped__(heights, k, depth) == expected, (heights, k)
+            assert unpruned.get(k, ()) == expected, (heights, k)
 
 
 @pytest.mark.parametrize("name", BOARD_SETS)
 def test_file_signatures_match_placements(name):
     for heights in BOARD_SETS[name]:
+        unpruned = [
+            signature_row(partial(_file_transfer, heights, weighting, None))
+            for weighting in (ROW_ONLY, ABOVE_ROOK)
+        ]
         for k in _ks(heights):
             expected = _file_reference(heights, k)
             assert _file_signatures.__wrapped__(heights, k) == expected, (heights, k)
+            assert tuple(row.get(k, ()) for row in unpruned) == expected, (heights, k)
 
 
 @pytest.mark.parametrize("heights, jump", JUMP_BOARDS, ids=str)
@@ -110,14 +131,16 @@ def test_j_rook_signature_matches_placements(heights, jump):
 @pytest.mark.parametrize("heights", NON_FERRERS, ids=str)
 @pytest.mark.parametrize("jump", [1, 2])
 def test_j_rook_signature_matches_placements_on_any_skyline(heights, jump):
-    # the builder, like the enumerator, takes boards that are not jump-attacking
+    # the kernel, like the enumerator, takes boards that are not jump-attacking
     _check_j_rook_signature(heights, jump)
 
 
 def _check_j_rook_signature(heights, jump, depth=0):
+    unpruned = signature_row(partial(_j_rook_transfer, heights, jump, depth, None))
     for k in _ks(heights):
         expected = _jump_reference(heights, jump, k, depth)
         assert j_rook_signature.__wrapped__(heights, jump, k, depth) == expected, k
+        assert unpruned.get(k, ()) == expected, k
 
 
 # the depth-z extensions of the jump product formula's cross-check: the
@@ -190,13 +213,13 @@ def test_signature_builders_keep_no_cache():
         assert builder(*args) == builder(*args) == builder.__wrapped__(*args)
         assert builder.cache_info().currsize == 0, builder
         # the benchmark empties them between passes, and the tests call the
-        # builders unwrapped
+        # kernels unwrapped
         builder.cache_clear()
         assert builder.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------
-# the transfer kernels against the signatures
+# the transfer kernels at an exact point against the placement-level signatures
 # ---------------------------------------------------------------------------
 
 # an exact point whose small weight depends on its argument, unlike PlainQ's
@@ -224,7 +247,7 @@ def test_rook_row_matches_signatures(name, depth):
         board = SkylineBoard(heights)
         _check_kernel(
             lambda k, magnitude: rook_row(board, EXACT, depth, k, magnitude),
-            lambda k: rook_signature.__wrapped__(heights, k, depth),
+            lambda k: _rook_reference(heights, k, depth),
             heights,
             depth,
         )
@@ -234,17 +257,16 @@ def test_rook_row_matches_signatures(name, depth):
 def test_file_row_matches_signatures(name):
     for heights in BOARD_SETS[name]:
         board = SkylineBoard(heights)
-        signatures = {k: _file_signatures.__wrapped__(heights, k) for k in _ks(heights)}
         for part, weighting in enumerate((ROW_ONLY, ABOVE_ROOK)):
             _check_kernel(
                 lambda k, magnitude: file_row(board, EXACT, weighting, k, magnitude),
-                lambda k: signatures[k][part],
+                lambda k: _file_reference(heights, k)[part],
                 heights,
                 part,
             )
 
 
-# the jump boards at depth 0 and at the builder tests' depths below ground
+# the jump boards at depth 0 and at the placement tests' depths below ground
 # (the exact reference takes over a second per board at n = 4, jump 3), and,
 # at jumps 0 to 2, the skylines where a rook further left sits above a
 # column's top; at jump 0 two rooks may share a row
@@ -257,7 +279,7 @@ def test_j_rook_row_matches_signatures(heights, jump, depth):
     board = SkylineBoard(heights)
     _check_kernel(
         lambda k, magnitude: j_rook_row(board, jump, EXACT, depth, k, magnitude),
-        lambda k: j_rook_signature.__wrapped__(heights, jump, k, depth),
+        lambda k: _jump_reference(heights, jump, k, depth),
         heights,
         depth,
     )

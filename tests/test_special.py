@@ -2,13 +2,14 @@ import csv
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from conftest import sample_elliptic
 from ellrook import special
 from ellrook.numeric import relative_error
-from ellrook.weights import ABq, Aq, PlainQ, WeightTable, random_generic_point
+from ellrook.weights import ABq, Aq, PlainQ, random_generic_point
 
 TRIVIAL = PlainQ(1)
 
@@ -261,12 +262,13 @@ def test_table_recursions_at_many_points(rng):
     # comparison is guarded against points where the enumerated values are
     # dominated by cancellation (resampled, not judged)
     from ellrook.errors import IllConditioned, PoleEncountered
-    from ellrook.files import ROW_ONLY, file_signature
+    from ellrook.files import ROW_ONLY, file_row
     from ellrook.numeric import guard_condition
-    from ellrook.rook import evaluate_signature_with_magnitude, rook_signature
+    from ellrook.rook import rook_row
 
-    def vm(signature, table):
-        return evaluate_signature_with_magnitude(signature, table)
+    def vm(row, k):
+        values, magnitudes = row(k=k, magnitude=True)
+        return values.get(k, 0), magnitudes.get(k, 0.0)
 
     def err(lhs_vm, coef_same, same_vm, coef_below, below_vm):
         lhs, lhs_mag = lhs_vm
@@ -277,31 +279,30 @@ def test_table_recursions_at_many_points(rng):
         guard_condition(scale, lhs, rhs, 1e6)
         return relative_error(lhs, rhs)
 
-    def rook_vm(board, k, table):
+    def rook_vm(board, k, fam):
         if not 0 <= k <= board.n:
             return 0, 0.0
-        return vm(rook_signature(board.heights, k), table)
+        return vm(partial(rook_row, board, fam), k)
 
-    def file_vm(board, k, table):
+    def file_vm(board, k, fam):
         if not 0 <= k <= board.n:
             return 0, 0.0
-        return vm(file_signature(board.heights, k, ROW_ONLY), table)
+        return vm(partial(file_row, board, fam, ROW_ONLY), k)
 
     checked = 0
     attempts = 0
     while checked < 10 and attempts < 300:
         attempts += 1
         fam = sample_elliptic(rng)
-        table = WeightTable(fam)
         try:
             for n in range(4):
                 for k in range(n + 2):
-                    lhs = rook_vm(special.staircase(n + 1), n + 1 - k, table)
-                    same = rook_vm(special.staircase(n), n - k, table) if n else (
+                    lhs = rook_vm(special.staircase(n + 1), n + 1 - k, fam)
+                    same = rook_vm(special.staircase(n), n - k, fam) if n else (
                         (1 if k == 0 else 0),
                         0.0,
                     )
-                    below = rook_vm(special.staircase(n), n - k + 1, table) if n else (
+                    below = rook_vm(special.staircase(n), n - k + 1, fam) if n else (
                         (1 if k == 1 else 0),
                         0.0,
                     )
@@ -309,9 +310,9 @@ def test_table_recursions_at_many_points(rng):
             for r in (2, 3):
                 for n in range(r, 5):
                     for k in range(r - 1, n + 2):
-                        lhs = rook_vm(special.staircase_r(n + 1, r), n + 1 - k, table)
-                        same = rook_vm(special.staircase_r(n, r), n - k, table)
-                        below = rook_vm(special.staircase_r(n, r), n - k + 1, table)
+                        lhs = rook_vm(special.staircase_r(n + 1, r), n + 1 - k, fam)
+                        same = rook_vm(special.staircase_r(n, r), n - k, fam)
+                        below = rook_vm(special.staircase_r(n, r), n - k + 1, fam)
                         assert (
                             err(lhs, fam.number(k), same, fam.big_weight(k - 1), below)
                             < 1e-9
@@ -319,9 +320,9 @@ def test_table_recursions_at_many_points(rng):
             for n in range(1, 4):
                 sh = fam.shifted(-n)
                 for k in range(1, n + 2):
-                    lhs = rook_vm(special.lah_board(n + 1), n + 1 - k, table)
-                    same = rook_vm(special.lah_board(n), n - k, table)
-                    below = rook_vm(special.lah_board(n), n - k + 1, table)
+                    lhs = rook_vm(special.lah_board(n + 1), n + 1 - k, fam)
+                    same = rook_vm(special.lah_board(n), n - k, fam)
+                    below = rook_vm(special.lah_board(n), n - k + 1, fam)
                     assert (
                         err(lhs, sh.number(n + k), same, sh.big_weight(n + k - 1), below)
                         < 1e-9
@@ -329,12 +330,12 @@ def test_table_recursions_at_many_points(rng):
             for n in range(4):
                 sh = fam.shifted(-n)
                 for k in range(n + 2):
-                    lhs = file_vm(special.staircase(n + 1), n + 1 - k, table)
-                    same = file_vm(special.staircase(n), n - k, table) if n else (
+                    lhs = file_vm(special.staircase(n + 1), n + 1 - k, fam)
+                    same = file_vm(special.staircase(n), n - k, fam) if n else (
                         (1 if k == 0 else 0),
                         0.0,
                     )
-                    below = file_vm(special.staircase(n), n - k + 1, table) if n else (
+                    below = file_vm(special.staircase(n), n - k + 1, fam) if n else (
                         (1 if k == 1 else 0),
                         0.0,
                     )

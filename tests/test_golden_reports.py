@@ -31,14 +31,22 @@ BOARDS = {
 }
 SEEDS = (0, 1, 2)
 FAMILIES = ("elliptic", "q")
-# the recursion identities again at sizes other than their defaults: r = 1
-# starts the restricted second- and first-kind checks at k = 0
+# identities again at sizes other than their defaults: r = 1 starts the
+# restricted second- and first-kind checks at k = 0, and the restricted and
+# general closed forms and bijections at r = 1 (or m != n) are the plain ones
 SIZED_BOARDS = {
     "recursion-stirling2-r": ("n=5,r=1", "n=5,r=3"),
     "recursion-lah-r": ("n=5,r=1", "n=5,r=3"),
     "recursion-stirling1-r": ("n=5,r=1", "n=5,r=3"),
     "recursion-gen-stirling2": ("n=4,I=1,J=2", "n=4,I=2,J=3"),
     "recursion-gen-stirling1": ("n=4,I=1,J=2", "n=4,I=2,J=3"),
+    "closed-form-abel-r": ("n=5,r=1",),
+    "closed-form-abel-general": ("n=4,m=4,r=1", "n=4,m=3,r=2"),
+    "closed-form-lah-r-aq": ("n=5,r=1",),
+    "closed-form-lah-r-q": ("n=5,r=1",),
+    "bijection-cycles": ("n=5,r=2",),
+    "bijection-tubes": ("n=4,r=1",),
+    "bijection-abel": ("n=4,m=6,r=2",),
 }
 
 

@@ -36,4 +36,5 @@ class UnknownIdentity(EllrookError, ValueError):
 
 
 class BadBoardSpec(EllrookError, ValueError):
-    """A board specification string could not be parsed."""
+    """A board specification could not be parsed, or its parameters give no
+    board or nothing to compare."""

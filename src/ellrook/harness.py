@@ -11,7 +11,12 @@ Each identity is one registry entry: a runner, its default trial count and
 its tolerance.  A runner reads its board and parameters once and returns
 one trial: a callable that run_check's one trial loop calls `trials` times,
 keeping the worst error.  The checks judged over a whole run at once (the
-bijection counts and degeneration-q) return that error instead.
+bijection counts and degeneration-q) return that error instead.  Runner
+factories serve whole groups: _product the product formulas, _recursion
+each recursion declared in special.RECURSIONS, and _closed_form the closed
+forms of the Lah and Abel numbers, whose entries name only the row, the
+closed form, the weight variant and the parameter defaults.  Parameters that
+leave no value to compare are a BadBoardSpec, never a PASS.
 
 Counting identities (bijection-*) are exact: max_rel_err holds the number
 of mismatches and the tolerance is 0.5, so passed still means
@@ -179,12 +184,16 @@ def _worst_trial(ctx: _Context, trial) -> float:
 
 
 def _grid_error(pairs) -> float:
-    return worst_error(*(relative_error(lhs, rhs) for lhs, rhs in pairs))
+    errors = [relative_error(lhs, rhs) for lhs, rhs in pairs]
+    if not errors:
+        raise BadBoardSpec("these parameters leave no value to compare")
+    return worst_error(*errors)
 
 
 def _grid(ctx: _Context, pairs, tag: str | None = None):
     """One trial: the worst error over the (lhs, rhs) pairs that pairs(fam)
-    yields, at a family (of variant tag, if given) redrawn until no pole."""
+    yields, at a family (of variant tag, if given) redrawn until no pole.
+    Parameters under which pairs yields nothing are a BadBoardSpec."""
     return partial(ctx.with_retry, lambda fam: _grid_error(pairs(fam)), tag)
 
 
@@ -345,81 +354,39 @@ def _run_closed_form_rect_aq(ctx: _Context):
     return _grid(ctx, pairs, "aq")
 
 
-def _run_closed_form_lah_aq(ctx: _Context):
-    n_max = ctx.param("n", 5)
+def _closed_form(row, closed, tag: str | None = None, **defaults):
+    """Runner comparing row(n, fam, **params).get(k) with closed(n, k, fam,
+    **params) for n = max(r, 1), ..., `n` and k = r, ..., n, at a family of
+    variant tag.  defaults gives `n` and every parameter of row and closed
+    with its default; r is 1 if it is not one of them."""
 
-    def pairs(fam):
-        for n in range(1, n_max + 1):
-            row = special.lah_row(n, fam)
-            for k in range(1, n + 1):
-                yield row.get(k, 0), special.lah_aq_closed(n, k, fam.a, fam.q)
+    def run(ctx: _Context):
+        params = {key: ctx.param(key, default) for key, default in defaults.items()}
+        n_max = params.pop("n")
+        r = params.get("r", 1)
 
-    return _grid(ctx, pairs, "aq")
+        def pairs(fam):
+            for n in range(max(r, 1), n_max + 1):
+                values = row(n, fam, **params)
+                for k in range(r, n + 1):
+                    yield values.get(k, 0), closed(n, k, fam, **params)
 
+        return _grid(ctx, pairs, tag)
 
-def _run_closed_form_lah_r_aq(ctx: _Context):
-    n_max = ctx.param("n", 5)
-    r = ctx.param("r", 2)
-
-    def pairs(fam):
-        for n in range(r, n_max + 1):
-            row = special.lah_r_row(n, r, fam)
-            for k in range(r, n + 1):
-                yield row.get(k, 0), special.lah_r_aq_closed(n, k, r, fam.a, fam.q)
-
-    return _grid(ctx, pairs, "aq")
+    return run
 
 
-def _run_closed_form_lah_r_q(ctx: _Context):
-    n_max = ctx.param("n", 5)
-    r = ctx.param("r", 2)
-
-    def pairs(fam):
-        for n in range(r, n_max + 1):
-            row = special.lah_r_row(n, r, fam)
-            for k in range(r, n + 1):
-                yield row.get(k, 0), special.lah_r_q_closed(n, k, r, fam.q)
-
-    return _grid(ctx, pairs, "q")
+# the Lah closed forms at a family's a and q
+def _lah_aq(n, k, fam):
+    return special.lah_aq_closed(n, k, fam.a, fam.q)
 
 
-def _run_closed_form_abel(ctx: _Context):
-    n_max = ctx.param("n", 5)
-
-    def pairs(fam):
-        for n in range(1, n_max + 1):
-            row = special.abel_row(n, fam)
-            for k in range(1, n + 1):
-                yield row.get(k, 0), special.abel_closed(n, k, fam)
-
-    return _grid(ctx, pairs)
+def _lah_r_aq(n, k, fam, r):
+    return special.lah_r_aq_closed(n, k, r, fam.a, fam.q)
 
 
-def _run_closed_form_abel_r(ctx: _Context):
-    n_max = ctx.param("n", 5)
-    r = ctx.param("r", 2)
-
-    def pairs(fam):
-        for n in range(r, n_max + 1):
-            row = special.abel_r_row(n, r, fam)
-            for k in range(r, n + 1):
-                yield row.get(k, 0), special.abel_r_closed(n, k, r, fam)
-
-    return _grid(ctx, pairs)
-
-
-def _run_closed_form_abel_general(ctx: _Context):
-    n_max = ctx.param("n", 4)
-    m = ctx.param("m", 8)
-    r = ctx.params.get("r", 1)
-
-    def pairs(fam):
-        for n in range(max(r, 1), n_max + 1):
-            row = special.abel_gen_row(m, n, r, fam)
-            for k in range(r, n + 1):
-                yield row.get(k, 0), special.abel_gen_closed(m, n, k, r, fam)
-
-    return _grid(ctx, pairs)
+def _lah_r_q(n, k, fam, r):
+    return special.lah_r_q_closed(n, k, r, fam.q)
 
 
 def _run_closed_form_stirling2_small_k(ctx: _Context):
@@ -584,7 +551,7 @@ def _run_bijection_partition(ctx: _Context) -> float:
 def _run_bijection_cycles(ctx: _Context) -> float:
     n = ctx.param("n", 5)
     r = ctx.params.get("r", 1)
-    board = special.staircase_r(n, r)
+    board = special.staircase(n, r)
     mismatches = 0
     images = set()
     total = 0
@@ -604,7 +571,7 @@ def _run_bijection_cycles(ctx: _Context) -> float:
 def _run_bijection_tubes(ctx: _Context) -> float:
     n = ctx.param("n", 4)
     r = ctx.params.get("r", 2)
-    board = special.lah_board_r(n, r)
+    board = special.lah_board(n, r)
     mismatches = 0
     images = set()
     by_k: dict[int, int] = {}
@@ -632,7 +599,7 @@ def _run_bijection_abel(ctx: _Context) -> float:
     n = ctx.param("n", 5)
     m = ctx.params.get("m")
     r = ctx.params.get("r", 1)
-    board = special.abel_board_general(m if m is not None else n, n, r)
+    board = special.abel_board(n, r, m)
     mismatches = 0
     images = set()
     by_k: dict[int, int] = {}
@@ -728,12 +695,16 @@ _IDENTITIES = {
     "recursion-binomial": (_run_recursion_binomial, 5, 1e-9),
     **{f"recursion-{name}": (_recursion(name), 5, 1e-9) for name in special.RECURSIONS},
     "closed-form-rect-aq": (_run_closed_form_rect_aq, 10, 1e-9),
-    "closed-form-lah-aq": (_run_closed_form_lah_aq, 10, 1e-9),
-    "closed-form-lah-r-aq": (_run_closed_form_lah_r_aq, 10, 1e-9),
-    "closed-form-lah-r-q": (_run_closed_form_lah_r_q, 10, 1e-9),
-    "closed-form-abel": (_run_closed_form_abel, 10, 1e-9),
-    "closed-form-abel-r": (_run_closed_form_abel_r, 10, 1e-9),
-    "closed-form-abel-general": (_run_closed_form_abel_general, 10, 1e-9),
+    "closed-form-lah-aq": (_closed_form(special.lah_row, _lah_aq, "aq", n=5), 10, 1e-9),
+    "closed-form-lah-r-aq": (_closed_form(special.lah_row, _lah_r_aq, "aq", n=5, r=2), 10, 1e-9),
+    "closed-form-lah-r-q": (_closed_form(special.lah_row, _lah_r_q, "q", n=5, r=2), 10, 1e-9),
+    "closed-form-abel": (_closed_form(special.abel_row, special.abel_closed, n=5), 10, 1e-9),
+    "closed-form-abel-r": (
+        _closed_form(special.abel_row, special.abel_closed, n=5, r=2), 10, 1e-9
+    ),
+    "closed-form-abel-general": (
+        _closed_form(special.abel_row, special.abel_closed, n=4, m=8, r=1), 10, 1e-9
+    ),
     "closed-form-stirling2-small-k": (_run_closed_form_stirling2_small_k, 10, 1e-9),
     "degeneration-chain": (_run_degeneration_chain, 50, 1e-12),
     "degeneration-q": (_run_degeneration_q, 10, 0.5),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .boards import SkylineBoard, _rook_attack_rows, j_attack_rows, j_uncancelled
-from .errors import NotJAttackingBoard
+from .errors import BadBoardSpec, NotJAttackingBoard
 from .files import ABOVE_ROOK, file_row
 from .numeric import CheckEntry, factor_sum, guard_condition
 # rook's evaluators under this module's own names, where bench/tracing.py
@@ -219,7 +219,7 @@ class RGWord:
 def enumerate_rg_words(offset: int, jump: int, n: int, k: int) -> list[RGWord]:
     """All valid colored words with n letters and k nonzero blocks."""
     if not 0 <= offset <= jump:
-        raise ValueError("words require 0 <= offset <= jump")
+        raise BadBoardSpec("words require 0 <= offset <= jump")
     out: list[RGWord] = []
     _extend_rg_words(offset, jump, n, k, (0,), (), 0, out)
     return out

@@ -1,17 +1,20 @@
 """Named elliptic special numbers as board instantiations: Stirling numbers
-of both kinds, Lah and Abel numbers, their restricted refinements, closed
-forms, classical oracles, and table export.
+of both kinds, Lah and Abel numbers with their restricted refinements,
+closed forms, classical oracles, and table export.
 
-Values are always computed from placement enumeration on the defining
-board, a whole row k -> S(n, k) per board in one transfer pass; each
-per-k function reads one entry of its family's row.  RECURSIONS declares
-the published two-term recursion of each Stirling, Lah and generalized
-Stirling family once, as data: via_recursion rebuilds a value from it
-through the one kernel, rook.triangle, and the harness derives its
-recursion-* checks from the same entries.  For the
-restricted families those recursions are only valid from n = r onward
-(the classical n = r-1 seed relies on all weights being 1), so they start
-from the exact base at n = r.
+Each family has one board builder, one row function and one per-k reader.
+The restriction r and the Abel height m are parameters of the family's
+board, and the plain numbers are r = 1 (and m = n); a restriction with no
+board raises BadBoardSpec.  Values are always computed from placement
+enumeration on that board, a whole row k -> S(n, k) per board in one
+transfer pass; each per-k function reads one entry of its family's row.
+RECURSIONS declares the published two-term recursion of each Stirling, Lah
+and generalized Stirling family once, as data: via_recursion rebuilds a
+value from it through the one kernel, rook.triangle, and the harness
+derives its recursion-* checks from the same entries.  For the restricted
+families those recursions are only valid from n = r onward (the classical
+n = r-1 seed relies on all weights being 1), so they start from the exact
+base at n = r.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from fractions import Fraction
 from functools import partial
 
 from .boards import SkylineBoard
+from .errors import BadBoardSpec
 from .files import ROW_ONLY, file_row
 from .jattack import by_blocks, gen_stirling1_row, gen_stirling2_row
 from .rook import rook_row, triangle
@@ -32,55 +36,38 @@ from .theta import q_pochhammer
 from .weights import PlainQ, WeightFamily, q_binomial, q_factorial, q_number
 
 # ---------------------------------------------------------------------------
-# boards
+# boards: the restriction r and the Abel height m are parameters of one board
+# per family, and r = 1, m = n give the plain boards
 # ---------------------------------------------------------------------------
 
 
-def staircase(n: int) -> SkylineBoard:
-    """B(0, 1, ..., n-1)."""
-    return SkylineBoard(tuple(range(n)))
+def _require_restriction(n: int, r: int, low: int = 1) -> None:
+    """A restricted board exists for low <= r <= n, and at r = 1 for n = 0."""
+    if not low <= r <= max(n, 1):
+        raise BadBoardSpec(f"the restriction needs {low} <= r <= n, not r={r} at n={n}")
 
 
-def staircase_r(n: int, r: int) -> SkylineBoard:
-    """The cut-off staircase: r empty columns, then heights r, ..., n-1."""
-    if not 1 <= r <= n:
-        raise ValueError("restriction requires 1 <= r <= n")
-    return SkylineBoard(tuple(0 for _ in range(r)) + tuple(range(r, n)))
+def staircase(n: int, r: int = 1) -> SkylineBoard:
+    """B(0, 1, ..., n-1) with its first r columns cut to height 0."""
+    _require_restriction(n, r)
+    return SkylineBoard(tuple(h if h >= r else 0 for h in range(n)))
 
 
-def lah_board(n: int) -> SkylineBoard:
-    """[n] x [n-1]."""
-    return SkylineBoard((n - 1,) * n)
-
-
-def lah_board_r(n: int, r: int) -> SkylineBoard:
+def lah_board(n: int, r: int = 1) -> SkylineBoard:
     """[n+r-1] x [n-r]."""
-    if not 1 <= r <= n:
-        raise ValueError("restriction requires 1 <= r <= n")
+    _require_restriction(n, r)
     return SkylineBoard((n - r,) * (n + r - 1))
 
 
-def abel_board(n: int) -> SkylineBoard:
-    """B(0, n, ..., n) on n columns."""
-    return SkylineBoard((0,) + (n,) * (n - 1))
-
-
-def abel_board_r(n: int, r: int) -> SkylineBoard:
-    """r empty columns then n - r columns of height n."""
-    if not 1 <= r <= n:
-        raise ValueError("restriction requires 1 <= r <= n")
-    return SkylineBoard((0,) * r + (n,) * (n - r))
-
-
-def abel_board_general(m: int, n: int, r: int = 1) -> SkylineBoard:
-    """r empty columns then n - r columns of height m."""
-    if not 0 <= r <= n:
-        raise ValueError("restriction requires 0 <= r <= n")
-    return SkylineBoard((0,) * r + (m,) * (n - r))
+def abel_board(n: int, r: int = 1, m: int | None = None) -> SkylineBoard:
+    """r empty columns then n - r columns of height m (m = n if None)."""
+    _require_restriction(n, r, low=0)
+    return SkylineBoard((0,) * r + (n if m is None else m,) * (n - r))
 
 
 def _restricted_base(n: int, r: int) -> dict:
-    """The row of an r-restricted family below n = r: S(r-1, r-1) = 1."""
+    """The row of an r-restricted family below n = r: S(r-1, r-1) = 1, which
+    is S(0, 0) = 1 of the plain numbers at r = 1."""
     return {n: 1} if n == r - 1 else {}
 
 
@@ -89,14 +76,14 @@ def _restricted_base(n: int, r: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def stirling2_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
-    if n == 0:
-        return {0: 1}
-    return by_blocks(n, k, partial(rook_row, staircase(n), fam))
+def stirling2_row(n: int, fam: WeightFamily, k: int | None = None, r: int = 1) -> dict:
+    if n < r:
+        return _restricted_base(n, r)
+    return by_blocks(n, k, partial(rook_row, staircase(n, r), fam))
 
 
-def stirling2(n: int, k: int, fam: WeightFamily):
-    return stirling2_row(n, fam, k).get(k, 0)
+def stirling2(n: int, k: int, fam: WeightFamily, r: int = 1):
+    return stirling2_row(n, fam, k, r).get(k, 0)
 
 
 def stirling2_small_k(n: int, k: int, fam: WeightFamily):
@@ -131,16 +118,6 @@ def carlitz_stirling2_q(n: int, k: int, q):
     return total / den
 
 
-def stirling2_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
-    if n < r:
-        return _restricted_base(n, r)
-    return by_blocks(n, k, partial(rook_row, staircase_r(n, r), fam))
-
-
-def stirling2_r(n: int, k: int, r: int, fam: WeightFamily):
-    return stirling2_r_row(n, r, fam, k).get(k, 0)
-
-
 def classical_stirling2_r(n: int, k: int, r: int) -> int:
     """Counting oracle: partitions of [n] into k blocks, 1..r separated."""
     if n < r:
@@ -155,14 +132,15 @@ def classical_stirling2_r(n: int, k: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def lah_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
-    if n == 0:
-        return {0: 1}
-    return by_blocks(n, k, partial(rook_row, lah_board(n), fam))
+def lah_row(n: int, fam: WeightFamily, k: int | None = None, r: int = 1) -> dict:
+    """Lah numbers, with the defining parameter shift of the restricted ones."""
+    if n < r:
+        return _restricted_base(n, r)
+    return by_blocks(n, k, partial(rook_row, lah_board(n, r), fam.shifted(1 - r)))
 
 
-def lah(n: int, k: int, fam: WeightFamily):
-    return lah_row(n, fam, k).get(k, 0)
+def lah(n: int, k: int, fam: WeightFamily, r: int = 1):
+    return lah_row(n, fam, k, r).get(k, 0)
 
 
 def lah_aq_closed(n: int, k: int, a, q):
@@ -181,18 +159,6 @@ def lah_q_closed(n: int, k: int, q):
     if k < 1 or k > n:
         return 0 if n else (1 if k == 0 else 0)
     return q ** (k * (k - 1)) * q_binomial(q, n, k) * q_factorial(q, n - 1) / q_factorial(q, k - 1)
-
-
-def lah_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
-    """Restricted Lah numbers, with the defining parameter shift applied."""
-    if n < r:
-        return _restricted_base(n, r)
-    return by_blocks(n, k, partial(rook_row, lah_board_r(n, r), fam.shifted(1 - r)))
-
-
-def lah_r(n: int, k: int, r: int, fam: WeightFamily):
-    """Restricted Lah number, with the defining parameter shift applied."""
-    return lah_r_row(n, r, fam, k).get(k, 0)
 
 
 def lah_r_aq_closed(n: int, k: int, r: int, a, q):
@@ -235,24 +201,14 @@ def classical_lah_r(n: int, k: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def stirling1_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
-    if n == 0:
-        return {0: 1}
-    return by_blocks(n, k, partial(file_row, staircase(n), fam, ROW_ONLY))
-
-
-def stirling1(n: int, k: int, fam: WeightFamily):
-    return stirling1_row(n, fam, k).get(k, 0)
-
-
-def stirling1_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
+def stirling1_row(n: int, fam: WeightFamily, k: int | None = None, r: int = 1) -> dict:
     if n < r:
         return _restricted_base(n, r)
-    return by_blocks(n, k, partial(file_row, staircase_r(n, r), fam, ROW_ONLY))
+    return by_blocks(n, k, partial(file_row, staircase(n, r), fam, ROW_ONLY))
 
 
-def stirling1_r(n: int, k: int, r: int, fam: WeightFamily):
-    return stirling1_r_row(n, r, fam, k).get(k, 0)
+def stirling1(n: int, k: int, fam: WeightFamily, r: int = 1):
+    return stirling1_row(n, fam, k, r).get(k, 0)
 
 
 def classical_stirling1(n: int, k: int) -> int:
@@ -269,55 +225,21 @@ def classical_stirling1(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def abel_row(n: int, fam: WeightFamily, k: int | None = None) -> dict:
-    return by_blocks(n, k, partial(file_row, abel_board(n), fam, ROW_ONLY))
+def abel_row(
+    n: int, fam: WeightFamily, k: int | None = None, r: int = 1, m: int | None = None
+) -> dict:
+    return by_blocks(n, k, partial(file_row, abel_board(n, r, m), fam, ROW_ONLY))
 
 
-def abel(n: int, k: int, fam: WeightFamily):
-    return abel_row(n, fam, k).get(k, 0)
+def abel(n: int, k: int, fam: WeightFamily, r: int = 1, m: int | None = None):
+    return abel_row(n, fam, k, r, m).get(k, 0)
 
 
-def abel_closed(n: int, k: int, fam: WeightFamily):
-    if k < 1 or k > n:
-        return 0
-    sh = fam.shifted(-n)
-    return (
-        math.comb(n - 1, k - 1)
-        * sh.big_weight(n) ** (k - 1)
-        * sh.number(n) ** (n - k)
-    )
-
-
-def abel_r_row(n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
-    return by_blocks(n, k, partial(file_row, abel_board_r(n, r), fam, ROW_ONLY))
-
-
-def abel_r(n: int, k: int, r: int, fam: WeightFamily):
-    return abel_r_row(n, r, fam, k).get(k, 0)
-
-
-def abel_r_closed(n: int, k: int, r: int, fam: WeightFamily):
+def abel_closed(n: int, k: int, fam: WeightFamily, r: int = 1, m: int | None = None):
     if k < r or k > n:
         return 0
-    sh = fam.shifted(-n)
-    return (
-        math.comb(n - r, k - r)
-        * sh.big_weight(n) ** (k - r)
-        * sh.number(n) ** (n - k)
-    )
-
-
-def abel_gen_row(m: int, n: int, r: int, fam: WeightFamily, k: int | None = None) -> dict:
-    return by_blocks(n, k, partial(file_row, abel_board_general(m, n, r), fam, ROW_ONLY))
-
-
-def abel_gen(m: int, n: int, k: int, r: int, fam: WeightFamily):
-    return abel_gen_row(m, n, r, fam, k).get(k, 0)
-
-
-def abel_gen_closed(m: int, n: int, k: int, r: int, fam: WeightFamily):
-    if k < r or k > n:
-        return 0
+    if m is None:
+        m = n
     sh = fam.shifted(-m)
     return (
         math.comb(n - r, k - r)
@@ -356,25 +278,26 @@ class Recursion:
         return self.row(fam, n, **params).get(k, 0)
 
 
-def _restricted(base: Recursion, row, first_k) -> Recursion:
-    """The r-restricted form of base: the same coefficients, from the exact
-    row n = r on (the classical n = r - 1 seed holds only at weights 1)."""
-    return replace(base, row=row, params={"r": 2}, seed=lambda r: r, first_k=first_k)
+def _restricted(base: Recursion, first_k) -> Recursion:
+    """The r-restricted form of base: the same row function and coefficients,
+    from the exact row n = r on (the classical n = r - 1 seed holds only at
+    weights 1)."""
+    return replace(base, params={"r": 2}, seed=lambda r: r, first_k=first_k)
 
 
 _STIRLING2 = Recursion(
-    row=lambda fam, n: stirling2_row(n, fam),
+    row=lambda fam, n, r=1: stirling2_row(n, fam, r=r),
     same=lambda fam, n, k, **_: fam.number(k),
     below=lambda fam, n, k, **_: fam.big_weight(k - 1),
 )
 _LAH = Recursion(
-    row=lambda fam, n: lah_row(n, fam),
+    row=lambda fam, n, r=1: lah_row(n, fam, r=r),
     same=lambda fam, n, k, **_: fam.shifted(-n).number(n + k),
     below=lambda fam, n, k, **_: fam.shifted(-n).big_weight(n + k - 1),
     seed=lambda: 1,
 )
 _STIRLING1 = Recursion(
-    row=lambda fam, n: stirling1_row(n, fam),
+    row=lambda fam, n, r=1: stirling1_row(n, fam, r=r),
     same=lambda fam, n, k, **_: fam.shifted(-n).number(n),
     below=lambda fam, n, k, **_: fam.shifted(-n).big_weight(n),
 )
@@ -382,15 +305,11 @@ _STIRLING1 = Recursion(
 # family name -> its recursion; the harness checks each as recursion-<name>
 RECURSIONS = {
     "stirling2": _STIRLING2,
-    "stirling2-r": _restricted(
-        _STIRLING2, lambda fam, n, r: stirling2_r_row(n, r, fam), lambda r: r - 1
-    ),
+    "stirling2-r": _restricted(_STIRLING2, lambda r: r - 1),
     "lah": _LAH,
-    "lah-r": _restricted(_LAH, lambda fam, n, r: lah_r_row(n, r, fam), lambda r: r),
+    "lah-r": _restricted(_LAH, lambda r: r),
     "stirling1": _STIRLING1,
-    "stirling1-r": _restricted(
-        _STIRLING1, lambda fam, n, r: stirling1_r_row(n, r, fam), lambda r: r - 1
-    ),
+    "stirling1-r": _restricted(_STIRLING1, lambda r: r - 1),
     "gen-stirling2": Recursion(
         row=lambda fam, n, I, J: gen_stirling2_row(I, J, n, fam),
         same=lambda fam, n, k, I, J: fam.shifted(-I).number(I + k * J),
@@ -423,15 +342,15 @@ def via_recursion(name: str, n: int, k: int, fam: WeightFamily, **params):
 # table family -> row(n, fam, r, m), the dict k -> value
 _TABLE_ROWS = {
     "stirling2": lambda n, fam, r, m: stirling2_row(n, fam),
-    "stirling2r": lambda n, fam, r, m: stirling2_r_row(n, r, fam),
+    "stirling2r": lambda n, fam, r, m: stirling2_row(n, fam, r=r),
     "lah": lambda n, fam, r, m: lah_row(n, fam),
-    "lahr": lambda n, fam, r, m: lah_r_row(n, r, fam),
+    "lahr": lambda n, fam, r, m: lah_row(n, fam, r=r),
     "stirling1": lambda n, fam, r, m: stirling1_row(n, fam),
-    "stirling1r": lambda n, fam, r, m: stirling1_r_row(n, r, fam),
+    "stirling1r": lambda n, fam, r, m: stirling1_row(n, fam, r=r),
     "abel": lambda n, fam, r, m: abel_row(n, fam),
-    "abelr": lambda n, fam, r, m: abel_r_row(n, r, fam),
-    "abelgen": lambda n, fam, r, m: abel_gen_row(m, n, 1, fam),
-    "abelgenr": lambda n, fam, r, m: abel_gen_row(m, n, r, fam),
+    "abelr": lambda n, fam, r, m: abel_row(n, fam, r=r),
+    "abelgen": lambda n, fam, r, m: abel_row(n, fam, m=m),
+    "abelgenr": lambda n, fam, r, m: abel_row(n, fam, r=r, m=m),
 }
 TABLE_FAMILIES = tuple(_TABLE_ROWS)
 
@@ -461,7 +380,7 @@ class SpecialNumberTable:
         for n in range(n_max + 1):
             try:
                 row = row_of(n, fam, r, m)
-            except ValueError:
+            except BadBoardSpec:
                 continue  # no board of this family at n
             for k in range(n + 1):
                 table.values[(n, k)] = row.get(k, 0)

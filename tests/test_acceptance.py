@@ -254,7 +254,7 @@ def test_criterion_05_recursions_match_enumerations():
     def lah_r_vm(n, k, r, fam):
         if n < r or not 0 <= n - k <= n:
             return (1 if n == k == r - 1 else 0), 0.0
-        return _value_mag(partial(rook_row, special.lah_board_r(n, r), fam), n - k)
+        return _value_mag(partial(rook_row, special.lah_board(n, r), fam), n - k)
 
     def lah_r_attempt(fam, _z):
         err = 0.0
@@ -368,14 +368,14 @@ def test_criterion_06_closed_forms():
                     worst = worst_error(
                         worst,
                         relative_error(
-                            special.lah_r(n, k, r, fam),
+                            special.lah(n, k, fam, r),
                             special.lah_r_aq_closed(n, k, r, a, q),
                         ),
                     )
                     worst = worst_error(
                         worst,
                         relative_error(
-                            special.lah_r(n, k, r, PlainQ(q)),
+                            special.lah(n, k, PlainQ(q), r),
                             special.lah_r_q_closed(n, k, r, q),
                         ),
                     )
@@ -398,8 +398,8 @@ def test_criterion_06_closed_forms():
                         worst = worst_error(
                             worst,
                             relative_error(
-                                special.abel_r(n, k, r, fam),
-                                special.abel_r_closed(n, k, r, fam),
+                                special.abel(n, k, fam, r),
+                                special.abel_closed(n, k, fam, r),
                             ),
                         )
             for m in range(1, 9):
@@ -409,8 +409,8 @@ def test_criterion_06_closed_forms():
                             worst = worst_error(
                                 worst,
                                 relative_error(
-                                    special.abel_gen(m, n, k, r, fam),
-                                    special.abel_gen_closed(m, n, k, r, fam),
+                                    special.abel(n, k, fam, r, m),
+                                    special.abel_closed(n, k, fam, r, m),
                                 ),
                             )
         except PoleEncountered:
@@ -509,7 +509,7 @@ def test_criterion_09_bijections_and_exact_counts():
     # cut-staircase files <-> restricted cycle forms, n <= 7, r <= 3
     for n in range(3, 8):
         for r in (1, 2, 3):
-            board = special.staircase_r(n, r)
+            board = special.staircase(n, r)
             seen = set()
             for k in range(n + 1):
                 for cells in file_placements(board.heights, n - k):
@@ -527,7 +527,7 @@ def test_criterion_09_bijections_and_exact_counts():
         for r in (1, 2):
             if r > n:
                 continue
-            board = special.lah_board_r(n, r)
+            board = special.lah_board(n, r)
             seen = set()
             by_k = {}
             for k in range(r, n + 1):
@@ -572,7 +572,7 @@ def test_criterion_09_bijections_and_exact_counts():
         mismatches += 1
 
     # colored forests on the 4-by-3 general Abel board: exactly 1 / 8 / 16
-    board = special.abel_board_general(4, 3, 1)
+    board = special.abel_board(3, 1, 4)
     colored = {}
     seen = set()
     for k in (1, 2, 3):

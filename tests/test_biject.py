@@ -34,7 +34,7 @@ def test_cycles_fixed_points():
 
 
 def test_cycles_roundtrip_exhaustive():
-    board = special.staircase_r(5, 2)
+    board = special.staircase(5, 2)
     images = set()
     total = 0
     for k in range(6):
@@ -106,7 +106,7 @@ def test_forest_roundtrip_and_counts():
 
 
 def test_colored_forest_counts():
-    board = special.abel_board_general(4, 3, 1)
+    board = special.abel_board(3, 1, 4)
     by_k = {}
     images = set()
     for k in range(1, 4):
@@ -120,7 +120,7 @@ def test_colored_forest_counts():
 
 
 def test_restricted_forest_roundtrip():
-    board = special.abel_board_r(4, 2)
+    board = special.abel_board(4, 2)
     images = set()
     for k in range(2, 5):
         for cells in file_placements(board.heights, 4 - k):
@@ -154,7 +154,7 @@ def test_tubes_singletons():
 
 
 def test_tubes_roundtrip_and_counts():
-    board = special.lah_board_r(4, 2)
+    board = special.lah_board(4, 2)
     by_k = {}
     images = set()
     for k in range(2, 5):
@@ -176,7 +176,7 @@ def test_tall_board_forest_roundtrips():
     # general Abel boards: m <= 8, n <= 4, colored as soon as m > n
     for m in range(1, 9):
         for n in range(2, 5):
-            board = special.abel_board_general(m, n, 1)
+            board = special.abel_board(n, 1, m)
             images = set()
             for k in range(1, n + 1):
                 for cells in file_placements(board.heights, n - k):

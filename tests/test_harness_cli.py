@@ -165,9 +165,22 @@ def test_cli_check_failure_exit_code():
 
 
 def test_cli_bad_board_is_an_error():
-    result = _cli("check", "product-rook", "--board", "0,x")
-    assert result.returncode == 2
-    assert "error:" in result.stderr
+    # unparsable, out of range (no board), and in range but nothing to compare
+    for identity, board in (
+        ("product-rook", "0,x"),
+        ("bijection-cycles", "n=3,r=5"),
+        ("bijection-tubes", "n=3,r=5"),
+        ("bijection-abel", "n=3,r=5"),
+        ("recursion-lah-r", "n=3,r=0"),
+        ("bijection-rg", "n=3,I=4,J=2"),
+        ("recursion-stirling2-r", "n=5,r=9"),
+        ("closed-form-lah-r-aq", "n=3,r=5"),
+        ("closed-form-abel-r", "n=3,r=5"),
+        ("closed-form-abel-general", "n=3,m=2,r=5"),
+    ):
+        result = _cli("check", identity, "--board", board)
+        assert result.returncode == 2, (identity, board, result.stdout, result.stderr)
+        assert "error:" in result.stderr
 
 
 def test_cli_demo_cycles():

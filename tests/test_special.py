@@ -16,12 +16,12 @@ TRIVIAL = PlainQ(1)
 
 def test_boards():
     assert special.staircase(4).heights == (0, 1, 2, 3)
-    assert special.staircase_r(5, 2).heights == (0, 0, 2, 3, 4)
+    assert special.staircase(5, 2).heights == (0, 0, 2, 3, 4)
     assert special.lah_board(4).heights == (3, 3, 3, 3)
-    assert special.lah_board_r(4, 2).heights == (2,) * 5
+    assert special.lah_board(4, 2).heights == (2,) * 5
     assert special.abel_board(4).heights == (0, 4, 4, 4)
-    assert special.abel_board_r(4, 2).heights == (0, 0, 4, 4)
-    assert special.abel_board_general(7, 4, 1).heights == (0, 7, 7, 7)
+    assert special.abel_board(4, 2).heights == (0, 0, 4, 4)
+    assert special.abel_board(4, 1, 7).heights == (0, 7, 7, 7)
 
 
 def test_stirling2_small_k(rng):
@@ -87,22 +87,17 @@ def test_carlitz_oracle_values():
 
 def test_stirling2_r(rng):
     fam = sample_elliptic(rng)
-    for n in range(1, 6):
-        for k in range(n + 1):
-            lhs = special.stirling2_r(n, k, 1, fam)
-            rhs = special.stirling2(n, k, fam)
-            assert relative_error(lhs, rhs) < 1e-12
-    assert special.stirling2_r(5, 0, 2, fam) == 0
+    assert special.stirling2(5, 0, fam, 2) == 0
     for n in range(2, 6):
         for k in range(n + 1):
-            assert special.stirling2_r(n, k, 2, TRIVIAL) == special.classical_stirling2_r(
+            assert special.stirling2(n, k, TRIVIAL, 2) == special.classical_stirling2_r(
                 n, k, 2
             )
     # recursion from the exact base at n = r
     for n in range(2, 6):
         for k in range(1, n + 1):
             lhs = special.via_recursion("stirling2-r", n, k, fam, r=2)
-            rhs = special.stirling2_r(n, k, 2, fam)
+            rhs = special.stirling2(n, k, fam, 2)
             assert relative_error(lhs, rhs) < 1e-10
 
 
@@ -110,7 +105,7 @@ def test_restricted_seed_is_classical_only(rng):
     # the published n = r-1 seed only works when all weights are 1: the
     # first elliptic step lands on W(r-1), not 1
     fam = sample_elliptic(rng)
-    direct = special.stirling2_r(2, 2, 2, fam)
+    direct = special.stirling2(2, 2, fam, 2)
     seeded = fam.big_weight(1)
     assert relative_error(direct, 1) < 1e-12
     assert relative_error(direct, seeded) > 1e-3
@@ -145,17 +140,11 @@ def test_lah_aq_limit_is_q_lah():
 
 def test_lah_r(rng):
     fam = sample_elliptic(rng)
-    for n in range(1, 5):
-        for k in range(1, n + 1):
-            assert (
-                relative_error(special.lah_r(n, k, 1, fam), special.lah(n, k, fam))
-                < 1e-12
-            )
     assert special.classical_lah_r(4, 3, 2) == 10
     for k in range(2, 5):
-        assert special.lah_r(4, k, 2, TRIVIAL) == special.classical_lah_r(4, k, 2)
+        assert special.lah(4, k, TRIVIAL, 2) == special.classical_lah_r(4, k, 2)
     lhs = special.via_recursion("lah-r", 4, 3, fam, r=2)
-    rhs = special.lah_r(4, 3, 2, fam)
+    rhs = special.lah(4, 3, fam, 2)
     assert relative_error(lhs, rhs) < 1e-9
 
 
@@ -165,10 +154,10 @@ def test_lah_r_closed_forms(rng):
         for n in range(r, 5):
             for k in range(r, n + 1):
                 lhs = special.lah_r_aq_closed(n, k, r, a, q)
-                rhs = special.lah_r(n, k, r, Aq(a, q))
+                rhs = special.lah(n, k, Aq(a, q), r)
                 assert relative_error(lhs, rhs) < 1e-10
                 lhs = special.lah_r_q_closed(n, k, r, q)
-                rhs = special.lah_r(n, k, r, PlainQ(q))
+                rhs = special.lah(n, k, PlainQ(q), r)
                 assert relative_error(lhs, rhs) < 1e-10
 
 
@@ -181,11 +170,11 @@ def test_stirling1(rng):
             assert relative_error(lhs, rhs) < 1e-10
     assert special.stirling1(5, 2, TRIVIAL) == 50
     assert special.classical_stirling1(5, 2) == 50
-    assert special.stirling1_r(1, 1, 2, TRIVIAL) == 1  # the (r-1, r-1) convention
+    assert special.stirling1(1, 1, TRIVIAL, 2) == 1  # the (r-1, r-1) convention
     for n in range(2, 6):
         for k in range(1, n + 1):
             lhs = special.via_recursion("stirling1-r", n, k, fam, r=2)
-            rhs = special.stirling1_r(n, k, 2, fam)
+            rhs = special.stirling1(n, k, fam, 2)
             assert relative_error(lhs, rhs) < 1e-10
 
 
@@ -198,14 +187,14 @@ def test_abel(rng):
             rhs = special.abel(n, k, fam)
             assert relative_error(lhs, rhs) < 1e-9
     for k in (3, 2, 1):
-        assert special.abel_gen(4, 3, k, 1, TRIVIAL) == (1, 8, 16)[3 - k]
+        assert special.abel(3, k, TRIVIAL, 1, 4) == (1, 8, 16)[3 - k]
     for n in range(2, 5):
         for k in range(2, n + 1):
-            lhs = special.abel_r_closed(n, k, 2, fam)
-            rhs = special.abel_r(n, k, 2, fam)
+            lhs = special.abel_closed(n, k, fam, 2)
+            rhs = special.abel(n, k, fam, 2)
             assert relative_error(lhs, rhs) < 1e-9
-    lhs = special.abel_gen_closed(7, 4, 2, 1, fam)
-    rhs = special.abel_gen(7, 4, 2, 1, fam)
+    lhs = special.abel_closed(4, 2, fam, 1, 7)
+    rhs = special.abel(4, 2, fam, 1, 7)
     assert relative_error(lhs, rhs) < 1e-9
 
 
@@ -232,6 +221,13 @@ def test_table_export(tmp_path):
         rows = list(csv.DictReader(handle))
     match = [r for r in rows if r["n"] == "3" and r["k"] == "2"]
     assert match and match[0]["value"] == "6"
+
+    # every family at r = 1 starts with the row S(0, 0) = 1
+    for family in special.TABLE_FAMILIES:
+        table = special.SpecialNumberTable.build(family, 1, TRIVIAL)
+        assert [row for row in table.rows() if row["n"] == 0] == [
+            {"family": family, "n": 0, "k": 0, "value": "1"}
+        ]
 
 
 def test_table_export_complex(rng, tmp_path):
@@ -310,9 +306,9 @@ def test_table_recursions_at_many_points(rng):
             for r in (2, 3):
                 for n in range(r, 5):
                     for k in range(r - 1, n + 2):
-                        lhs = rook_vm(special.staircase_r(n + 1, r), n + 1 - k, fam)
-                        same = rook_vm(special.staircase_r(n, r), n - k, fam)
-                        below = rook_vm(special.staircase_r(n, r), n - k + 1, fam)
+                        lhs = rook_vm(special.staircase(n + 1, r), n + 1 - k, fam)
+                        same = rook_vm(special.staircase(n, r), n - k, fam)
+                        below = rook_vm(special.staircase(n, r), n - k + 1, fam)
                         assert (
                             err(lhs, fam.number(k), same, fam.big_weight(k - 1), below)
                             < 1e-9

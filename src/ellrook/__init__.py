@@ -2,7 +2,7 @@
 boards, their product formulas and recursions, elliptic special numbers,
 explicit bijections, and a seeded identity verification harness."""
 
-from .boards import ExtendedBoard, Placement, SkylineBoard
+from .boards import SkylineBoard
 from .errors import (
     BadBoardSpec,
     EllrookError,
@@ -35,13 +35,11 @@ __all__ = [
     "BadBoardSpec",
     "CheckReport",
     "EllrookError",
-    "ExtendedBoard",
     "FrakPQ",
     "FullElliptic",
     "NoConvergence",
     "Nome",
     "NotJAttackingBoard",
-    "Placement",
     "PlainQ",
     "PoleEncountered",
     "ResamplesExhausted",

@@ -507,4 +507,8 @@ def abel_count(n: int, k: int) -> int:
 
 
 def abel_count_general(m: int, n: int, k: int, r: int = 1) -> int:
+    """Rooted forests of k trees on [n], 1..r in distinct trees and 1..r-1
+    roots, each non-root vertex colored as the height m allows."""
+    if k < r or k > n:
+        return 0
     return math.comb(n - r, k - r) * m ** (n - k)

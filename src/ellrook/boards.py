@@ -1,26 +1,23 @@
 """Skyline boards, rook/file/jump placements, and cancellation geometry.
 
 Cells are (column, row) pairs, columns 1-based left to right, rows 1-based
-bottom to top.  An extended board appends depth extra rows below the ground
-line, indexed 0, -1, ..., 1-depth.
+bottom to top.  A placement is a tuple of cells.  A board extended by depth
+rows below the ground line gains rows 0, -1, ..., 1-depth in every column;
+the functions that allow it take the depth beside the heights.
 
-Three placement kinds:
-
-    JROOK  at most one rook per column on a jump-attacking board; a rook
-           attacks, in the columns strictly to its right, the first `jump`
-           rows weakly above its own row that are not already attacked by
-           a rook further left.  Below the ground the attack wraps: if
-           only t < jump such rows exist down there, the first jump - t
-           unattacked rows below the rook's row are attacked instead.
-    ROOK   the 1-attacking placements: no two rooks share a row or column;
-           a rook cancels the cells strictly to its right in its row and
-           strictly below it in its column.
-    FILE   the 0-attacking placements: no two rooks share a column; a rook
-           cancels only the cells below it in its column.
+In the jump-attacking model a placement has at most one rook per column,
+and a rook attacks, in the columns strictly to its right, the first `jump`
+rows weakly above its own row that are not already attacked by a rook
+further left.  Below the ground the attack wraps: if only t < jump such
+rows exist down there, the first jump - t unattacked rows below the rook's
+row are attacked instead.  Jump 1 gives the rook placements (no two rooks
+share a row or column; a rook cancels the cells strictly to its right in
+its row and strictly below it in its column), jump 0 the file placements
+(no two rooks share a column; a rook cancels only the cells below it in
+its column).
 
 One column-major backtracker, j_rook_placements, enumerates all three
-kinds; placements are emitted exactly once each.  Boards and placements
-are immutable.
+kinds; placements are emitted exactly once each.  Boards are immutable.
 """
 
 from __future__ import annotations
@@ -28,13 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BadBoardSpec, NotJAttackingBoard
+from .errors import BadBoardSpec
 
 Cell = tuple[int, int]
-
-ROOK = "rook"
-FILE = "file"
-JROOK = "jrook"
 
 
 @dataclass(frozen=True)
@@ -76,96 +69,12 @@ class SkylineBoard:
     def height(self, col: int) -> int:
         return self.heights[col - 1]
 
-    def cells(self) -> Iterator[Cell]:
-        for i, h in enumerate(self.heights, 1):
-            for j in range(1, h + 1):
-                yield (i, j)
-
-    def extended(self, depth: int) -> "ExtendedBoard":
-        return ExtendedBoard(self, depth)
-
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.heights)
 
 
-@dataclass(frozen=True)
-class ExtendedBoard:
-    """A skyline board with `depth` full rows 0, -1, ..., 1-depth appended."""
-
-    base: SkylineBoard
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-
-    @property
-    def heights(self) -> tuple[int, ...]:
-        return self.base.heights
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def bottom_row(self) -> int:
-        return 1 - self.depth
-
-    def height(self, col: int) -> int:
-        return self.base.heights[col - 1]
-
-    def cells(self) -> Iterator[Cell]:
-        for i in range(1, self.n + 1):
-            for j in range(self.bottom_row, self.height(i) + 1):
-                yield (i, j)
-
-
-Board = SkylineBoard | ExtendedBoard
-
-
-def _board_parts(board: Board) -> tuple[tuple[int, ...], int]:
-    if isinstance(board, ExtendedBoard):
-        return board.heights, board.depth
-    return board.heights, 0
-
-
-@dataclass(frozen=True)
-class Placement:
-    board: Board
-    cells: tuple[Cell, ...]
-    kind: str = ROOK
-    jump: int = 1
-
-    def __post_init__(self):
-        if self.kind not in (ROOK, FILE, JROOK):
-            raise ValueError(f"unknown placement kind {self.kind!r}")
-        object.__setattr__(self, "cells", tuple(sorted(self.cells)))
-
-    def validate(self) -> None:
-        """Raise ValueError if the placement breaks its kind's invariants."""
-        heights, depth = _board_parts(self.board)
-        cols = [i for i, _ in self.cells]
-        rows = [j for _, j in self.cells]
-        for i, j in self.cells:
-            if not (1 <= i <= len(heights) and 1 - depth <= j <= heights[i - 1]):
-                raise ValueError(f"cell {(i, j)} outside the board")
-        if len(set(cols)) != len(cols):
-            raise ValueError("two rooks share a column")
-        if self.kind == ROOK and len(set(rows)) != len(rows):
-            raise ValueError("two rooks share a row")
-        if self.kind == JROOK:
-            board = self.board if isinstance(self.board, SkylineBoard) else self.board.base
-            if not board.is_j_attacking(self.jump):
-                raise NotJAttackingBoard(f"{board} is not {self.jump}-attacking")
-            attacked = j_attack_rows(self.board, self.cells, self.jump)
-            for i, j in self.cells:
-                col = attacked.get(j)
-                if col is not None and col < i:
-                    raise ValueError(f"rook {(i, j)} sits in an attacked cell")
-
-
 # ---------------------------------------------------------------------------
-# raw enumeration (cells only; the bijection checks count placements with it)
+# enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -232,48 +141,14 @@ def _rook_attack_rows(row: int, jump: int, attacked: dict[int, int], bottom: int
     return rows
 
 
-def j_attack_rows(board: Board, cells, jump: int) -> dict[int, int]:
-    """Map row -> attacking column for a left-to-right placed rook set."""
-    heights, depth = _board_parts(board)
-    bottom = 1 - depth
+def j_attack_rows(cells, jump: int, depth: int = 0) -> dict[int, int]:
+    """Map row -> attacking column for a left-to-right placed rook set on a
+    board extended by depth rows below the ground."""
     attacked: dict[int, int] = {}
     for i, j in sorted(cells):
-        for row in _rook_attack_rows(j, jump, attacked, bottom):
+        for row in _rook_attack_rows(j, jump, attacked, 1 - depth):
             attacked[row] = i
     return attacked
-
-
-def j_attacked_cells(board: Board, cells, jump: int) -> set[Cell]:
-    """The set of board cells jump-attacked by the given rooks."""
-    heights, depth = _board_parts(board)
-    attacked = j_attack_rows(board, cells, jump)
-    out = set()
-    for row, col in attacked.items():
-        for i in range(col + 1, len(heights) + 1):
-            if (1 - depth) <= row <= heights[i - 1]:
-                out.add((i, row))
-    return out
-
-
-def enumerate_placements(board: Board, kind: str, k: int, jump: int = 1) -> Iterator[Placement]:
-    """Yield every placement of the given kind exactly once."""
-    heights, depth = _board_parts(board)
-    if kind == ROOK:
-        for cells in rook_placements(heights, k, depth):
-            yield Placement(board, cells, ROOK)
-    elif kind == FILE:
-        if depth:
-            raise ValueError("file enumeration is defined on plain skyline boards")
-        for cells in file_placements(heights, k):
-            yield Placement(board, cells, FILE)
-    elif kind == JROOK:
-        base = board.base if isinstance(board, ExtendedBoard) else board
-        if not base.is_j_attacking(jump):
-            raise NotJAttackingBoard(f"{base} is not {jump}-attacking")
-        for cells in j_rook_placements(heights, jump, k, depth):
-            yield Placement(board, cells, JROOK, jump)
-    else:
-        raise ValueError(f"unknown placement kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +178,6 @@ def rook_uncancelled(heights, cells, depth: int = 0) -> dict[Cell, int]:
                 continue  # cancelled rightward along the row
             out[(i, j)] = northwest_count(cells, i, j)
     return out
-
-
-def uncancelled_cells(placement: Placement) -> dict[Cell, int]:
-    """U_B(P) with, for each cell, the count of rooks strictly north-west."""
-    heights, depth = _board_parts(placement.board)
-    return rook_uncancelled(heights, placement.cells, depth)
 
 
 def file_uncancelled(heights, cells) -> set[Cell]:
@@ -348,8 +217,3 @@ def j_uncancelled(heights, cells, attacked: dict[int, int], depth: int = 0) -> d
             out[(i, j)] = northwest_count(cells, i, j)
     return out
 
-
-def max_stat(placement: Placement) -> int:
-    """Depth index of the lowest below-ground rook; 0 if all are above."""
-    lowest = min((j for _, j in placement.cells), default=1)
-    return max(0, 1 - lowest)

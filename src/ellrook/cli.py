@@ -18,7 +18,7 @@ import sys
 
 from . import biject, special
 from .errors import BadBoardSpec, EllrookError
-from .harness import identity_names, run_check
+from .harness import identity_names, parse_board_spec, run_check
 from .weights import FAMILY_TAGS, PlainQ, random_family
 import random
 
@@ -41,10 +41,12 @@ def _parse_cells(text: str):
     if not text:
         return ()
     cells = []
-    for chunk in text.replace("),(", ");(").split(";"):
-        chunk = chunk.strip().strip("()")
-        col, row = chunk.split(",")
-        cells.append((int(col), int(row)))
+    try:
+        for chunk in text.replace("),(", ");(").split(";"):
+            col, row = chunk.strip().strip("()").split(",")
+            cells.append((int(col), int(row)))
+    except ValueError as exc:
+        raise BadBoardSpec(f"bad demo cells {text!r}; expected '(col,row),...'") from exc
     return tuple(cells)
 
 
@@ -52,13 +54,22 @@ def _parse_demo_input(text: str):
     if "|" not in text:
         raise BadBoardSpec("demo input must look like '<board part>|<cells part>'")
     board_part, cells_part = text.split("|", 1)
-    params = {}
-    for part in board_part.split(","):
-        if "=" not in part:
-            raise BadBoardSpec(f"bad demo board part {board_part!r}")
-        key, value = part.split("=")
-        params[key.strip()] = int(value)
+    params = parse_board_spec(board_part)
+    if not isinstance(params, dict) or "n" not in params:
+        raise BadBoardSpec(f"demo board part {board_part!r} needs n=<size>")
     return params, _parse_cells(cells_part)
+
+
+def _require_placement(board, cells, jump: int) -> None:
+    """Reject cells that are not a placement of board: a cell outside it,
+    two rooks in one column, or at jump 1 two rooks in one row."""
+    for col, row in cells:
+        if not (1 <= col <= board.n and 1 <= row <= board.height(col)):
+            raise BadBoardSpec(f"cell {(col, row)} lies outside the board {board}")
+    if len({col for col, _ in cells}) != len(cells):
+        raise BadBoardSpec("two rooks share a column")
+    if jump == 1 and len({row for _, row in cells}) != len(cells):
+        raise BadBoardSpec("two rooks share a row")
 
 
 def _cmd_check(args) -> int:
@@ -94,7 +105,11 @@ def _cmd_table(args) -> int:
     else:
         fam = random_family(random.Random(args.seed), args.family)
     table = special.SpecialNumberTable.build(
-        args.table_family, args.nmax, fam, r=args.r or 1, m=args.m or 1
+        args.table_family,
+        args.nmax,
+        fam,
+        r=1 if args.r is None else args.r,
+        m=1 if args.m is None else args.m,
     )
     if args.format == "csv":
         table.write_csv(args.out)
@@ -106,22 +121,21 @@ def _cmd_table(args) -> int:
 
 def _cmd_demo(args) -> int:
     params, cells = _parse_demo_input(args.input)
-    n = params.get("n")
-    if n is None:
-        raise BadBoardSpec("demo input needs n=<size>")
-    r = params.get("r", 1)
-    m = params.get("m")
+    n, r, m = params["n"], params.get("r", 1), params.get("m")
+    # each board is the one its bijection-* check enumerates
     if args.bijection == "partition":
+        _require_placement(special.staircase(n), cells, jump=1)
         part = biject.rooks_to_partition(cells, n)
         print("{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in part) + "}")
     elif args.bijection == "cycles":
+        _require_placement(special.staircase(n, r), cells, jump=0)
         print(biject.file_to_cycles(cells, n).render())
     elif args.bijection == "tubes":
+        _require_placement(special.lah_board(n, r), cells, jump=1)
         print(biject.rooks_to_tubes(cells, n, r).render())
-    elif args.bijection == "forest":
-        print(biject.file_to_forest(cells, n, m, r).render())
     else:
-        raise BadBoardSpec(f"unknown bijection {args.bijection!r}")
+        _require_placement(special.abel_board(n, r, m), cells, jump=0)
+        print(biject.file_to_forest(cells, n, m, r).render())
     return 0
 
 

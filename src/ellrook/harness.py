@@ -13,9 +13,11 @@ one trial: a callable that run_check's one trial loop calls `trials` times,
 keeping the worst error.  The checks judged over a whole run at once (the
 bijection counts and degeneration-q) return that error instead.  Runner
 factories serve whole groups: _product the product formulas, _recursion
-each recursion declared in special.RECURSIONS, and _closed_form the closed
+each recursion declared in special.RECURSIONS, _closed_form the closed
 forms of the Lah and Abel numbers, whose entries name only the row, the
-closed form, the weight variant and the parameter defaults.  Parameters that
+closed form, the weight variant and the parameter defaults, and _bijection
+the five counting bijections, whose entries name the placements, the two
+maps, the block count, the codomain and a count oracle.  Parameters that
 leave no value to compare are a BadBoardSpec, never a PASS.
 
 Counting identities (bijection-*) are exact: max_rel_err holds the number
@@ -529,117 +531,38 @@ def _run_addition_formula(ctx: _Context):
 # --- bijections (exact counting) ---------------------------------------------
 
 
-def _run_bijection_partition(ctx: _Context) -> float:
-    n = ctx.param("n", 5)
-    board = special.staircase(n)
-    mismatches = 0
-    images = set()
-    total = 0
-    for k in range(n + 1):
-        for cells in rook_placements(board.heights, n - k):
-            part = biject.rooks_to_partition(cells, n)
-            if len(part) != k or biject.partition_to_rooks(part) != tuple(sorted(cells)):
-                mismatches += 1
-            images.add(part)
-            total += 1
-    codomain = set(biject.set_partitions(n))
-    if images != codomain or total != len(images):
-        mismatches += 1
-    return float(mismatches)
+def _bijection(domain, forward, inverse, blocks, codomain, count=None, **defaults):
+    """Runner for a bijection from placements onto a set of objects,
+    judged over the whole run.  For k = 0, ..., n each placement of
+    domain(n - k), a tuple of cells in column order, is mapped to
+    forward(cells); the image must have blocks(image) == k and map back to
+    the same tuple under inverse, the images must be distinct and make up
+    codomain(), and if count is given there must be count(k) of them.
+    Every callable but blocks takes the parameters as keywords, `defaults`
+    giving `n` and each parameter with its default.  The result is the
+    number of mismatches."""
 
-
-def _run_bijection_cycles(ctx: _Context) -> float:
-    n = ctx.param("n", 5)
-    r = ctx.params.get("r", 1)
-    board = special.staircase(n, r)
-    mismatches = 0
-    images = set()
-    total = 0
-    for k in range(n + 1):
-        for cells in file_placements(board.heights, n - k):
-            perm = biject.file_to_cycles(cells, n)
-            if len(perm.cycles) != k or biject.cycles_to_file(perm) != tuple(sorted(cells)):
-                mismatches += 1
-            images.add(perm)
-            total += 1
-    codomain = biject.restricted_cycle_structures(n, r)
-    if images != codomain or total != len(images):
-        mismatches += 1
-    return float(mismatches)
-
-
-def _run_bijection_tubes(ctx: _Context) -> float:
-    n = ctx.param("n", 4)
-    r = ctx.params.get("r", 2)
-    board = special.lah_board(n, r)
-    mismatches = 0
-    images = set()
-    by_k: dict[int, int] = {}
-    for k in range(r, n + 1):
-        for cells in rook_placements(board.heights, n - k):
-            tubes = biject.rooks_to_tubes(cells, n, r)
-            if len(tubes.tubes) != k or biject.tubes_to_rooks(tubes, n, r) != tuple(
-                sorted(cells)
-            ):
-                mismatches += 1
-            images.add(tubes)
-            by_k[k] = by_k.get(k, 0) + 1
-    for k, count in by_k.items():
-        if count != special.classical_lah_r(n, k, r):
-            mismatches += 1
-    codomain = set()
-    for k in range(r, n + 1):
-        codomain |= biject.tube_placements(n, k, r)
-    if images != codomain:
-        mismatches += 1
-    return float(mismatches)
-
-
-def _run_bijection_abel(ctx: _Context) -> float:
-    n = ctx.param("n", 5)
-    m = ctx.params.get("m")
-    r = ctx.params.get("r", 1)
-    board = special.abel_board(n, r, m)
-    mismatches = 0
-    images = set()
-    by_k: dict[int, int] = {}
-    for k in range(r, n + 1):
-        for cells in file_placements(board.heights, n - k):
-            forest = biject.file_to_forest(cells, n, m, r)
-            if len(forest.roots) != k or biject.forest_to_file(forest, n, m, r) != tuple(
-                sorted(cells)
-            ):
-                mismatches += 1
-            images.add(forest)
-            by_k[k] = by_k.get(k, 0) + 1
-    for k, count in by_k.items():
-        expected = biject.abel_count_general(m if m is not None else n, n, k, r)
-        if count != expected:
-            mismatches += 1
-    codomain = biject.rooted_forests(n, m, r)
-    if images != codomain:
-        mismatches += 1
-    return float(mismatches)
-
-
-def _run_bijection_rg(ctx: _Context) -> float:
-    n = ctx.param("n", 4)
-    offset = ctx.param("I", 1)
-    jump = ctx.param("J", 2)
-    board = jattack.b_board(offset, jump, n)
-    mismatches = 0
-    for k in range(n + 1):
-        words = jattack.enumerate_rg_words(offset, jump, n, k)
-        placements = set(j_rook_placements(board.heights, jump, n - k))
+    def run(ctx: _Context) -> float:
+        params = {key: ctx.params.get(key, default) for key, default in defaults.items()}
+        mismatches = 0
         images = set()
-        for gamma in words:
-            cells = jattack.phi(gamma)
-            images.add(cells)
-            if jattack.phi_inverse(offset, jump, n, cells) != gamma:
+        total = 0
+        for k in range(params["n"] + 1):
+            placements = 0
+            for cells in domain(params["n"] - k, **params):
+                image = forward(cells, **params)
+                if blocks(image) != k or inverse(image, **params) != cells:
+                    mismatches += 1
+                images.add(image)
+                placements += 1
+            if count is not None and placements != count(k, **params):
                 mismatches += 1
-        if images != placements or len(images) != len(words):
+            total += placements
+        if images != set(codomain(**params)) or total != len(images):
             mismatches += 1
-    return float(mismatches)
+        return float(mismatches)
+
+    return run
 
 
 def _run_bijection_rg_weight(ctx: _Context):
@@ -683,6 +606,60 @@ def _run_matrix_inverse(ctx: _Context):
 
 # --- registry -----------------------------------------------------------------
 
+# the counting bijections; each map is looked up on its module at the call
+_BIJECTIONS = {
+    "bijection-partition": _bijection(
+        lambda rooks, n: rook_placements(special.staircase(n).heights, rooks),
+        lambda cells, n: biject.rooks_to_partition(cells, n),
+        lambda part, n: biject.partition_to_rooks(part),
+        len,
+        lambda n: biject.set_partitions(n),
+        n=5,
+    ),
+    "bijection-cycles": _bijection(
+        lambda rooks, n, r: file_placements(special.staircase(n, r).heights, rooks),
+        lambda cells, n, r: biject.file_to_cycles(cells, n),
+        lambda perm, n, r: biject.cycles_to_file(perm),
+        lambda perm: len(perm.cycles),
+        lambda n, r: biject.restricted_cycle_structures(n, r),
+        n=5,
+        r=1,
+    ),
+    "bijection-tubes": _bijection(
+        lambda rooks, n, r: rook_placements(special.lah_board(n, r).heights, rooks),
+        lambda cells, n, r: biject.rooks_to_tubes(cells, n, r),
+        lambda tubes, n, r: biject.tubes_to_rooks(tubes, n, r),
+        lambda tubes: len(tubes.tubes),
+        lambda n, r: set().union(*(biject.tube_placements(n, k, r) for k in range(r, n + 1))),
+        lambda k, n, r: special.classical_lah_r(n, k, r),
+        n=4,
+        r=2,
+    ),
+    "bijection-abel": _bijection(
+        lambda rooks, n, r, m: file_placements(special.abel_board(n, r, m).heights, rooks),
+        lambda cells, n, r, m: biject.file_to_forest(cells, n, m, r),
+        lambda forest, n, r, m: biject.forest_to_file(forest, n, m, r),
+        lambda forest: len(forest.roots),
+        lambda n, r, m: biject.rooted_forests(n, m, r),
+        lambda k, n, r, m: biject.abel_count_general(n if m is None else m, n, k, r),
+        n=5,
+        r=1,
+        m=None,
+    ),
+    "bijection-rg": _bijection(
+        lambda rooks, n, I, J: j_rook_placements(jattack.b_board(I, J, n).heights, J, rooks),
+        lambda cells, n, I, J: jattack.phi_inverse(I, J, n, cells),
+        lambda gamma, n, I, J: jattack.phi(gamma),
+        lambda gamma: gamma.k,
+        lambda n, I, J: (
+            w for k in range(n + 1) for w in jattack.enumerate_rg_words(I, J, n, k)
+        ),
+        n=4,
+        I=1,
+        J=2,
+    ),
+}
+
 # name -> (runner, default trials, default tolerance)
 _IDENTITIES = {
     "product-rook": (_product(rook.product_formula_check), 25, 1e-8),
@@ -713,11 +690,7 @@ _IDENTITIES = {
     "theta-inversion": (_run_theta_inversion, 200, 1e-10),
     "theta-quasiperiodicity": (_run_theta_quasiperiod, 200, 1e-10),
     "addition-formula": (_run_addition_formula, 200, 1e-10),
-    "bijection-partition": (_run_bijection_partition, 1, 0.5),
-    "bijection-cycles": (_run_bijection_cycles, 1, 0.5),
-    "bijection-tubes": (_run_bijection_tubes, 1, 0.5),
-    "bijection-abel": (_run_bijection_abel, 1, 0.5),
-    "bijection-rg": (_run_bijection_rg, 1, 0.5),
+    **{name: (runner, 1, 0.5) for name, runner in _BIJECTIONS.items()},
     "bijection-rg-weight": (_run_bijection_rg_weight, 3, 1e-10),
     "matrix-inverse": (_run_matrix_inverse, 3, 1e-9),
 }

@@ -59,7 +59,7 @@ def rook_number_j(board: SkylineBoard, k: int, jump: int, fam: WeightFamily):
 def j_placement_weight(board: SkylineBoard, cells, jump: int, fam: WeightFamily):
     """The weight of one jump-nonattacking placement."""
     _require_j_attacking(board, jump)
-    attacked = j_attack_rows(board, cells, jump)
+    attacked = j_attack_rows(cells, jump)
     table = WeightTable(fam)
     prod = 1
     for (i, j), nw in j_uncancelled(board.heights, cells, attacked).items():

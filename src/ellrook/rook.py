@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache, partial
 
-from .boards import ExtendedBoard, SkylineBoard, _rook_attack_rows
+from .boards import SkylineBoard, _rook_attack_rows
 from .numeric import CheckEntry, factor_sum, guard_condition
 from .theta import q_pochhammer
 from .weights import PlainQ, WeightFamily, WeightTable, q_binomial, q_factorial
@@ -312,7 +312,3 @@ def rect_rook_number_aq(ell: int, m: int, k: int, a, q):
 def rectangle(ell: int, m: int) -> SkylineBoard:
     """The [ell] x [m] board: ell columns of height m."""
     return SkylineBoard((m,) * ell)
-
-
-def extended(board: SkylineBoard, depth: int) -> ExtendedBoard:
-    return board.extended(depth)

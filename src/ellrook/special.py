@@ -384,6 +384,8 @@ class SpecialNumberTable:
                 continue  # no board of this family at n
             for k in range(n + 1):
                 table.values[(n, k)] = row.get(k, 0)
+        if not table.values:
+            raise BadBoardSpec(f"no {family} board at r={r}, m={m} for any n <= {n_max}")
         return table
 
     def rows(self):

@@ -4,21 +4,15 @@ from itertools import combinations
 import pytest
 
 from ellrook.boards import (
-    FILE,
-    JROOK,
-    ROOK,
-    Placement,
     SkylineBoard,
-    enumerate_placements,
     file_placements,
     file_uncancelled,
-    j_attacked_cells,
-    max_stat,
+    j_attack_rows,
+    j_rook_placements,
     rook_placements,
     rook_uncancelled,
-    uncancelled_cells,
 )
-from ellrook.errors import BadBoardSpec, NotJAttackingBoard
+from ellrook.errors import BadBoardSpec
 
 
 def test_board_parsing_and_predicates():
@@ -51,19 +45,44 @@ def test_file_counts_are_elementary_symmetric():
 
 def test_no_duplicate_placements():
     heights = (2, 3, 3, 4)
-    for kind, gen in ((ROOK, rook_placements(heights, 2)), (FILE, file_placements(heights, 2))):
-        seen = list(gen)
+    for kind, placements in (("rook", rook_placements), ("file", file_placements)):
+        seen = list(placements(heights, 2))
         assert len(seen) == len(set(seen)), kind
 
 
-def test_placement_validation():
-    board = SkylineBoard((2, 2))
-    Placement(board, ((1, 1), (2, 2)), ROOK).validate()
-    with pytest.raises(ValueError):
-        Placement(board, ((1, 1), (2, 1)), ROOK).validate()
-    Placement(board, ((1, 1), (2, 1)), FILE).validate()
-    with pytest.raises(NotJAttackingBoard):
-        Placement(SkylineBoard((1, 1, 2)), ((1, 1),), JROOK, 2).validate()
+def _is_placement(cells, jump, depth):
+    """The definition, for cells sorted by column: at most one rook per
+    column, and no rook in a row that the rooks further left attack."""
+    if len({i for i, _ in cells}) != len(cells):
+        return False
+    return all(j not in j_attack_rows(cells[:t], jump, depth) for t, (_, j) in enumerate(cells))
+
+
+@pytest.mark.parametrize("jump", (0, 1, 2), ids="jump={}".format)
+@pytest.mark.parametrize("depth", (0, 1, 2), ids="depth={}".format)
+def test_enumerator_equals_brute_force_filter(jump, depth):
+    # every placement exactly once, and nothing else, against a filter over
+    # all cell subsets of the board extended by depth rows
+    for heights in ((1, 2, 3), (2, 0, 3), (3, 1, 1), (1, 3, 5, 5)):
+        cells = [(i, j) for i, h in enumerate(heights, 1) for j in range(1 - depth, h + 1)]
+        for k in range(len(heights) + 2):
+            if 0 < depth < jump and 0 < k <= len(heights):
+                # a rook in row 0 finds too few rows to attack below it
+                with pytest.raises(ValueError):
+                    list(j_rook_placements(heights, jump, k, depth))
+                continue
+            enumerated = list(j_rook_placements(heights, jump, k, depth))
+            filtered = [c for c in combinations(cells, k) if _is_placement(c, jump, depth)]
+            assert len(enumerated) == len(set(enumerated))
+            assert set(enumerated) == set(filtered), (heights, k)
+            if jump < 2:
+                # rooks in distinct columns, and at jump 1 in distinct rows
+                plain = [
+                    c
+                    for c in combinations(cells, k)
+                    if len({i for i, _ in c}) == k and (jump == 0 or len({j for _, j in c}) == k)
+                ]
+                assert set(filtered) == set(plain), (heights, k)
 
 
 def test_rook_cancellation_figure():
@@ -79,9 +98,7 @@ def test_rook_cancellation_square_example():
 
 
 def test_empty_placement_single_cell():
-    board = SkylineBoard((1, 1))
-    placement = Placement(board, (), ROOK)
-    assert uncancelled_cells(placement) == {(1, 1): 0, (2, 1): 0}
+    assert rook_uncancelled((1, 1), ()) == {(1, 1): 0, (2, 1): 0}
 
 
 def test_file_cancellation_examples():
@@ -91,33 +108,26 @@ def test_file_cancellation_examples():
 
 
 def test_j_attack_figure():
-    board = SkylineBoard((1, 2, 3, 5, 7, 8, 9))
-    attacked = j_attacked_cells(board, ((2, 2), (4, 1), (6, 6)), 2)
-    expected = set()
-    for col in range(3, 8):
-        for row in (2, 3):
-            if row <= board.heights[col - 1]:
-                expected.add((col, row))
-    for col in range(5, 8):
-        for row in (1, 4):
-            if row <= board.heights[col - 1]:
-                expected.add((col, row))
-    expected |= {(7, 6), (7, 7)}
-    assert attacked == expected
+    # on B(1,2,3,5,7,8,9) at jump 2: (2,2) attacks rows 2 and 3, (4,1) the
+    # free rows 1 and 4, and (6,6) rows 6 and 7, each to the right of its column
+    attacked = j_attack_rows(((2, 2), (4, 1), (6, 6)), 2)
+    assert attacked == {2: 2, 3: 2, 1: 4, 4: 4, 6: 6, 7: 6}
 
 
 def test_j_attack_degenerates_to_row_cancellation():
-    board = SkylineBoard((1, 2, 3))
-    attacked = j_attacked_cells(board, ((1, 1),), 1)
-    assert attacked == {(2, 1), (3, 1)}
-    assert j_attacked_cells(board, ((3, 2),), 1) == set()
+    assert j_attack_rows(((1, 1),), 1) == {1: 1}
+    assert j_attack_rows(((1, 1), (3, 2)), 1) == {1: 1, 2: 3}
+    assert j_attack_rows(((1, 1), (3, 2)), 0) == {}
 
 
-def test_max_stat():
-    board = SkylineBoard((1, 2)).extended(3)
-    assert max_stat(Placement(board, ((1, 1), (2, 2)), ROOK)) == 0
-    assert max_stat(Placement(board, ((1, 0), (2, 2)), ROOK)) == 1
-    assert max_stat(Placement(board, ((1, -2), (2, 1)), ROOK)) == 3
+def test_j_attack_wraps_below_the_ground():
+    # a rook in row 0 at jump 2 attacks row 0, then wraps to row -1, the
+    # first free row below it; below the ground the upward scan stops at
+    # row 0, so the next rook's attack wraps past the two taken rows
+    assert j_attack_rows(((1, 0),), 2, depth=2) == {0: 1, -1: 1}
+    assert j_attack_rows(((1, 0), (2, -2)), 2, depth=4) == {0: 1, -1: 1, -2: 2, -3: 2}
+    with pytest.raises(ValueError):
+        j_attack_rows(((1, 0),), 2, depth=1)
 
 
 def test_counting_matches_classical_product():
@@ -131,19 +141,6 @@ def test_counting_matches_classical_product():
             count = sum(1 for _ in rook_placements(heights, n - k))
             rhs += count * math.prod(z - j for j in range(k))
         assert lhs == rhs, heights
-
-
-def test_enumerate_placements_wrapper():
-    board = SkylineBoard((1, 2, 3))
-    rooks = list(enumerate_placements(board, ROOK, 2))
-    assert all(p.kind == ROOK for p in rooks)
-    for p in rooks:
-        p.validate()
-    js = list(enumerate_placements(SkylineBoard((1, 2, 3)), JROOK, 2, jump=2))
-    for p in js:
-        p.validate()
-    with pytest.raises(NotJAttackingBoard):
-        list(enumerate_placements(SkylineBoard((2, 2)), JROOK, 1, jump=3))
 
 
 def test_counting_product_on_every_small_ferrers_board():

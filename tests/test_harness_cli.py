@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ellrook import harness, rook, special
+from ellrook import biject, harness, jattack, rook, special
 from ellrook.errors import BadBoardSpec, PoleEncountered, ResamplesExhausted, UnknownIdentity
 from ellrook.harness import (
     CheckReport,
@@ -197,6 +197,47 @@ def test_cli_demo_tubes():
     assert result.stdout.strip() == "{(8,1),(3,2,4),(5),(7,6)}"
 
 
+@pytest.mark.parametrize(
+    "bijection, text",
+    [
+        ("partition", "n=4|(1)"),  # a malformed cell
+        ("partition", "n=x|(1,1)"),  # a malformed size
+        ("partition", "4|(1,1)"),  # no n=
+        ("partition", "n=4|(9,9)"),  # outside the staircase
+        ("cycles", "n=4|(1,1)"),  # column 1 of the staircase has height 0
+        ("tubes", "n=4,r=7|"),  # no restricted Lah board
+        ("partition", "n=3|(2,1),(3,1)"),  # two rooks in one row
+        ("cycles", "n=4|(3,1),(3,2)"),  # two rooks in one column
+        ("forest", "n=3,m=4|(2,5)"),  # above the height m
+    ],
+)
+def test_cli_demo_bad_input_is_an_error(bijection, text):
+    result = _cli("demo", bijection, "--input", text)
+    assert result.returncode == 2, (result.stdout, result.stderr)
+    assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_cli_demo_file_placements_share_rows():
+    # a file placement may hold two rooks in one row; a rook placement may not
+    assert _cli("demo", "cycles", "--input", "n=3|(2,1),(3,1)").stdout.strip() == "(2 3 1)"
+    assert _cli("demo", "forest", "--input", "n=3,m=4|(2,4)").returncode == 0
+
+
+def test_table_takes_r_and_m_of_zero(tmp_path):
+    # r = 0 has Abel boards and no Stirling boards; a given 0 is never read as 1
+    fam = harness.PlainQ(1)
+    at_zero = special.SpecialNumberTable.build("abelgenr", 3, fam, r=0, m=3)
+    assert at_zero.values != special.SpecialNumberTable.build("abelgenr", 3, fam, r=1, m=3).values
+    assert at_zero.values[(1, 0)] == 3
+    with pytest.raises(BadBoardSpec):
+        special.SpecialNumberTable.build("stirling1r", 3, fam, r=0)
+    out = tmp_path / "t.csv"
+    result = _cli("table", "abelgenr", "--nmax", "3", "--r", "0", "--m", "3", "--out", str(out))
+    assert result.returncode == 0 and "abelgenr,1,0,3" in out.read_text()
+    result = _cli("table", "stirling1r", "--r", "0", "--nmax", "3", "--out", str(out))
+    assert result.returncode == 2 and "error:" in result.stderr
+
+
 def test_cli_table(tmp_path):
     out = tmp_path / "table.csv"
     result = _cli(
@@ -355,3 +396,118 @@ def test_degeneration_chain_pole_is_resampled(monkeypatch):
     monkeypatch.setattr(harness.ABq, "small_weight", first_call_hits_a_pole)
     report = run_check("degeneration-chain", trials=3)
     assert report.resamples == 1 and report.passed
+
+
+# each counting bijection-* check at a size where it passes unpatched (see
+# test_every_identity_is_runnable): the module its maps live on, the names
+# of its forward map, inverse map, codomain and count oracle (module and
+# name, if any), the position of the forward map's cells argument, and one
+# placement of one rook
+BIJECTIONS = {
+    "bijection-partition": dict(
+        board="n=4",
+        module=biject,
+        forward="rooks_to_partition",
+        inverse="partition_to_rooks",
+        codomain="set_partitions",
+        rook=(2, 1),
+    ),
+    "bijection-cycles": dict(
+        board="n=4,r=2",
+        module=biject,
+        forward="file_to_cycles",
+        inverse="cycles_to_file",
+        codomain="restricted_cycle_structures",
+        rook=(3, 1),
+    ),
+    "bijection-tubes": dict(
+        board="n=4,r=2",
+        module=biject,
+        forward="rooks_to_tubes",
+        inverse="tubes_to_rooks",
+        codomain="tube_placements",
+        count=(special, "classical_lah_r"),
+        rook=(1, 1),
+    ),
+    "bijection-abel": dict(
+        board="n=4",
+        module=biject,
+        forward="file_to_forest",
+        inverse="forest_to_file",
+        codomain="rooted_forests",
+        count=(biject, "abel_count_general"),
+        rook=(2, 1),
+    ),
+    "bijection-rg": dict(
+        board="n=3,I=1,J=2",
+        module=jattack,
+        forward="phi_inverse",
+        cells_at=3,
+        inverse="phi",
+        codomain="enumerate_rg_words",
+        rook=(1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("identity", BIJECTIONS)
+def test_bijection_catches_an_inverse_that_drops_a_cell(monkeypatch, identity):
+    entry = BIJECTIONS[identity]
+    original = getattr(entry["module"], entry["inverse"])
+    monkeypatch.setattr(entry["module"], entry["inverse"], lambda *args: original(*args)[1:])
+    assert not run_check(identity, entry["board"]).passed
+
+
+@pytest.mark.parametrize("identity", BIJECTIONS)
+def test_bijection_catches_a_forward_map_with_the_wrong_block_count(monkeypatch, identity):
+    # the forward map sends the empty placement to the image of a one-rook
+    # placement and back, and the inverse map undoes the swap: the round
+    # trip, the images and the counts still hold, and only the block counts
+    # of those two placements are wrong
+    entry = BIJECTIONS[identity]
+    module, at = entry["module"], entry.get("cells_at", 0)
+    swap = {(): (entry["rook"],), (entry["rook"],): ()}
+    forward, inverse = getattr(module, entry["forward"]), getattr(module, entry["inverse"])
+
+    def swapped_forward(*args):
+        args = list(args)
+        args[at] = swap.get(tuple(args[at]), args[at])
+        return forward(*args)
+
+    def swapped_inverse(*args):
+        cells = inverse(*args)
+        return swap.get(cells, cells)
+
+    monkeypatch.setattr(module, entry["forward"], swapped_forward)
+    monkeypatch.setattr(module, entry["inverse"], swapped_inverse)
+    report = run_check(identity, entry["board"])
+    assert not report.passed and report.max_rel_err == 2
+
+
+@pytest.mark.parametrize("identity", BIJECTIONS)
+def test_bijection_catches_a_codomain_missing_one_object(monkeypatch, identity):
+    entry = BIJECTIONS[identity]
+    original = getattr(entry["module"], entry["codomain"])
+    dropped = []
+
+    def missing_one(*args):
+        objects = list(original(*args))
+        if objects and not dropped:
+            dropped.append(objects.pop())
+        return objects
+
+    monkeypatch.setattr(entry["module"], entry["codomain"], missing_one)
+    report = run_check(identity, entry["board"])
+    # only the comparison with the codomain fails
+    assert not report.passed and report.max_rel_err == 1 and len(dropped) == 1
+
+
+@pytest.mark.parametrize("identity", [name for name in BIJECTIONS if "count" in BIJECTIONS[name]])
+def test_bijection_catches_a_count_oracle_off_by_one(monkeypatch, identity):
+    entry = BIJECTIONS[identity]
+    module, name = entry["count"]
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: original(*args) + 1)
+    report = run_check(identity, entry["board"])
+    # only the counts fail, once for each k = 0, ..., 4
+    assert not report.passed and report.max_rel_err == 5

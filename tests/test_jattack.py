@@ -304,10 +304,9 @@ def test_jump_one_signatures_identical_on_all_small_ferrers():
     jump = 1
     for n in range(1, 5):
         for heights in combinations_with_replacement(range(5), n):
-            board = SkylineBoard(heights)
             for k in range(n + 1):
                 for cells in rook_placements(heights, k):
-                    attacked = j_attack_rows(board, cells, jump)
+                    attacked = j_attack_rows(cells, jump)
                     j_cells = j_uncancelled(heights, cells, attacked)
                     j_args = [jump * (i - 1) + 1 - j - jump * nw for (i, j), nw in j_cells.items()]
                     r_cells = rook_uncancelled(heights, cells)

@@ -77,10 +77,9 @@ def _file_reference(heights, k):
 
 @cache
 def _jump_reference(heights, jump, k, depth=0):
-    board = SkylineBoard(heights).extended(depth)
     terms = []
     for cells in j_rook_placements(heights, jump, k, depth):
-        attacked = j_attack_rows(board, cells, jump)
+        attacked = j_attack_rows(cells, jump, depth)
         uncancelled = j_uncancelled(heights, cells, attacked, depth)
         terms.append([jump * (i - 1) + 1 - j - jump * nw for (i, j), nw in uncancelled.items()])
     return _signature(terms)

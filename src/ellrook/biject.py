@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
+from .errors import BadBoardSpec
+
 
 Cell = tuple[int, int]
 
@@ -249,8 +251,12 @@ def file_to_forest(cells, n: int, m: int | None = None, r: int = 1) -> RootedFor
     the resulting partial map are cut open, concatenated in decreasing
     order of minima, and planted above vertex 1; the colors of the cut
     edges move to the replacement edges with the same parent.  For r >= 2
-    the labels 1 and r are exchanged at the end.
+    the labels 1 and r are exchanged at the end.  At r = 0 column 1 is not
+    empty, so vertex 1 may lie on a cycle, and planting above it would close
+    one again: the map is defined for r >= 1 only.
     """
+    if r < 1:
+        raise BadBoardSpec(f"the forest bijection needs r >= 1, got r = {r}")
     if m is None:
         m = n
     colors_used = m > n

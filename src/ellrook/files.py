@@ -68,7 +68,9 @@ def file_row(
     """
     if weighting not in (ROW_ONLY, ABOVE_ROOK):
         raise ValueError(f"unknown file weighting {weighting!r}")
-    return transfer_row(partial(_file_transfer, board.heights, weighting, k), fam, magnitude)
+    return transfer_row(
+        partial(_file_transfer, board.heights, weighting, k), fam, magnitude, board.heights
+    )
 
 
 def _file_transfer(heights, weighting, k, weight) -> dict:

@@ -54,7 +54,6 @@ from .weights import (
     PlainQ,
     ZeroBq,
     _polar,
-    q_falling,
     q_number,
     random_family,
     random_z,
@@ -439,16 +438,23 @@ def _run_degeneration_q(ctx: _Context) -> float:
         v = Fraction(num, den)
         if v != 1 and v not in values:
             values.append(v)
+    shifts = [b - i + 1 for i, b in enumerate(board.heights, 1)]
+    # every m of an [m]_q below: z + shift and z - k + 1, for z <= n + 2
+    needed = range(min([1 - n, *shifts]), n + 3 + max([0, *shifts]))
     for q in values:
         fam = PlainQ(q)
+        number = {m: q_number(q, m) for m in needed}
         row = rook.rook_row(board, fam)
         for z in range(n + 3):
             lhs = 1
-            for i, b in enumerate(board.heights, 1):
-                lhs *= q_number(q, z + b - i + 1)
+            for shift in shifts:
+                lhs *= number[z + shift]
             rhs = 0
+            falling = 1  # [z]_q [z-1]_q ... [z-k+1]_q
             for k in range(n + 1):
-                rhs += row.get(n - k, 0) * q_falling(q, z, k)
+                if k:
+                    falling *= number[z - k + 1]
+                rhs += row.get(n - k, 0) * falling
             if lhs != rhs:
                 mismatches += 1
         # the column recursion computes the same numbers independently

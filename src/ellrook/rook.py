@@ -11,6 +11,11 @@ for the jump-attacking model, whose jump 1 is the rook model: rook_row is
 j_rook_row at jump 1, and jattack uses it at every jump.  The
 placement-level definition is `boards.rook_uncancelled`.
 
+At an exact q (a PlainQ over an int or a Fraction, Garsia and Remmel's
+classical point) each sum is an integer polynomial in q: transfer_row runs
+the kernel once over ints, q being a power of two wide enough to hold each
+coefficient in its own bit field, and reads the sums at q off them.
+
 rook_signature is the family-free form of the same sum per (board, k,
 depth): the multiset of small-weight arguments, one entry per placement,
 which evaluate_signature sums at a family.  It is the same transfer run
@@ -23,6 +28,8 @@ tests and the benchmark.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import cache, lru_cache, partial
 
 from .boards import SkylineBoard, _rook_attack_rows
@@ -131,17 +138,57 @@ def j_rook_row(
     magnitude, returns the pair (sums, magnitudes): the magnitudes are the
     same sums over |w| in doubles, each sum's pre-cancellation scale.
     """
-    return transfer_row(partial(_j_rook_transfer, board.heights, jump, depth, k), fam, magnitude)
+    return transfer_row(
+        partial(_j_rook_transfer, board.heights, jump, depth, k),
+        fam,
+        magnitude,
+        [h + depth for h in board.heights],
+    )
 
 
-def transfer_row(transfer, fam: WeightFamily, magnitude: bool):
+def transfer_row(transfer, fam: WeightFamily, magnitude: bool, rows):
     """transfer(weight) at the small weights of fam; with magnitude, the
-    pair of it and transfer(|weight|) in doubles."""
+    pair of it and transfer(|weight|) in doubles.
+
+    rows holds each column's row count.  At an exact q (a PlainQ whose q
+    is an int or a Fraction) every small weight is q, so each sum is
+    sum_i c_i q^i with c_i counting placements.  transfer then runs once
+    on ints, every weight being 2^S with S = prod(r + 1).bit_length():
+    each coefficient of a sum, or of a partial sum in the kernel, counts
+    placements on some of the columns, at most prod(r + 1) < 2^S, so the
+    S-bit fields of a packed sum never carry (Kronecker substitution), and
+    _unpack reads the c_i off it.
+    """
     weight = WeightTable(fam).__getitem__
-    values = transfer(weight)
+    if isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction)):
+        shift = math.prod(r + 1 for r in rows).bit_length()
+        packed = 1 << shift
+        q = fam.q
+        values = {
+            k: _unpack(value, shift, q.numerator, q.denominator)
+            for k, value in transfer(lambda ell: packed).items()
+        }
+    else:
+        values = transfer(weight)
     if not magnitude:
         return values
     return values, transfer(cache(lambda ell: abs(complex(weight(ell)))))
+
+
+def _unpack(value: int, shift: int, u: int, v: int):
+    """sum_i c_i (u/v)^i for the shift-bit fields c_i of value, lowest
+    first: the homogeneous Horner sum sum_i c_i u^i v^(D-i) over v^D, D
+    being the top field's index; an int when v = 1."""
+    mask = (1 << shift) - 1
+    fields = []
+    while value:
+        fields.append(value & mask)
+        value >>= shift
+    num, den = 0, 1  # den = v^(D+1) at the end
+    for c in reversed(fields):
+        num = num * u + c * den
+        den *= v
+    return num if v == 1 else Fraction(num * v, den)
 
 
 def _j_rook_transfer(heights, jump, depth, k, weight) -> dict:

@@ -68,14 +68,13 @@ def series(x, p, cfg: ThetaEvalConfig, table):
     fixed point, or by product where there is no table.
 
     The reduction runs in the same fixed point: with x = p^m y,
-    theta(x; p) = (-1)^m p^{-m(m-1)/2} y^{-m} theta(y; p), whose scale is
-    the product of the m factors p^-j / y, j = 0..m-1, for m > 0, and of
-    the -m factors p^-j y, j = 1..-m, for m < 0; each factor past the first
-    is at least |p|^{-1/2} in modulus, so the scale keeps its relative
-    precision.  y is formed at e = wp + |m| log2(1/|p|) fraction bits from
-    the small one of x (m > 0) and p^-m (m < 0), of modulus about |p|^|m|,
-    and for m > 0 as 1 - y = (p^m - x) / p^m, whose difference is exact
-    near the zero x = p^m."""
+    theta(x; p) = (-1)^m p^{-m(m-1)/2} y^{-m} theta(y; p).  y is formed at
+    e = wp + |m| log2(1/|p|) fraction bits from the small one of x (m > 0)
+    and p^-m (m < 0), of modulus about |p|^|m|, and for m > 0 as
+    1 - y = (p^m - x) / p^m, whose difference is exact near the zero
+    x = p^m.  The powers of p, 1/p and y are taken by binary powering over
+    block-floating values of wp bits (_power), which keep their relative
+    precision at any size, so a reduction costs O(log |m|) products."""
     if table is None:
         return product(x, p, cfg)
     prec, wp, abs_p, p_parts, real, (qr, qi), f0, coeffs = table
@@ -92,16 +91,16 @@ def series(x, p, cfg: ThetaEvalConfig, table):
     m = round(math.log(abs_x) / log_p)
     one = 1 << wp
     if m:
-        e = wp + int(abs(m) * -log_p / math.log(2)) + 1
-        pr, pi = (to_fixed(part, e) for part in p_parts)
-        sr, si = pr, pi  # p^|m| at e fraction bits
-        for _ in range(abs(m) - 1):
-            sr, si = (sr * pr - si * pi) >> e, (sr * pi + si * pr) >> e
+        n = abs(m)
+        e = wp + int(n * -log_p / math.log(2)) + 1
+        pe = tuple(to_fixed(part, e) for part in p_parts)
+        sr, si = _fixed(_power((*pe, e), n, wp), e)  # p^n at e fraction bits
         if m > 0:
+            # 1 - y = (p^m - x) p^-m, from e to wp fraction bits
             dr, di = sr - to_fixed(parts[0], e), si - to_fixed(parts[1], e)
-            for _ in range(m):  # 1 - y = (p^m - x) p^-m
-                dr, di = (dr * qr - di * qi) >> wp, (dr * qi + di * qr) >> wp
-            dr, di = dr >> (e - wp), di >> (e - wp)
+            hr, hi, hbits = _power((qr, qi, wp), n, wp)
+            shift = e + hbits - wp
+            dr, di = (dr * hr - di * hi) >> shift, (dr * hi + di * hr) >> shift
             yr, yi = one - dr, -di
         else:
             xr, xi = to_fixed(parts[0], wp), to_fixed(parts[1], wp)
@@ -123,26 +122,56 @@ def series(x, p, cfg: ThetaEvalConfig, table):
     vr, vi = dr * tr - di * ti, dr * ti + di * tr
     bits = 2 * wp
     if m:
-        # the scale, the product of the factors p^-j / y or p^-j y
-        hr, hi = (wr, wi) if m > 0 else (yr, yi)
-        if m < 0:
-            hr, hi = (hr * qr - hi * qi) >> wp, (hr * qi + hi * qr) >> wp
-        sr, si = hr, hi
-        for _ in range(abs(m) - 1):
-            hr, hi = (hr * qr - hi * qi) >> wp, (hr * qi + hi * qr) >> wp
-            sr, si = (sr * hr - si * hi) >> wp, (sr * hi + si * hr) >> wp
-            # block-floating: |p|^{-m(m-1)/2} would take m^2 log2(1/|p|) / 2 bits
-            excess = max(sr.bit_length(), si.bit_length()) - 2 * wp
-            if excess > 0:
-                sr, si, bits = sr >> excess, si >> excess, bits - excess
+        # the scale is the product of the n factors q^j b, j = lo, ..., lo + n - 1,
+        # with b = w, lo = 0 for m > 0 and b = y, lo = 1 for m < 0: c^(n/g) for
+        # c = b^g q^middle, the product of its g middle factors (g = 2 for even n)
+        g, lo = 2 - n % 2, 0 if m > 0 else 1
+        c = _power((wr, wi, wp) if m > 0 else (yr, yi, wp), g, wp)
+        middle = g * lo + g * (n - 1) // 2
+        if middle:
+            c = _mul(c, _power((qr, qi, wp), middle, wp), wp)
+        sr, si, sbits = _power(c, n // g, wp)
         if m & 1:
             sr, si = -sr, -si
         vr, vi = vr * sr - vi * si, vr * si + vi * sr
-        bits += wp
+        bits += sbits
     re = from_man_exp(vr, -bits, prec, "n")
     if real:
         return mp.make_mpf(re)
     return mp.make_mpc((re, from_man_exp(vi, -bits, prec, "n")))
+
+
+def _mul(a, b, cap: int):
+    """The product of two block-floating values, cut to cap bits."""
+    ar, ai, abits = a
+    br, bi, bbits = b
+    re, im = ar * br - ai * bi, ar * bi + ai * br
+    excess = (abs(re) | abs(im)).bit_length() - cap
+    if excess > 0:
+        return re >> excess, im >> excess, abits + bbits - excess
+    return re, im, abits + bbits
+
+
+def _power(a, n: int, cap: int):
+    """a^n, n >= 1, by binary powering of block-floating values of cap bits."""
+    if n == 1:
+        return a
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else _mul(out, a, cap)
+        n >>= 1
+        if not n:
+            return out
+        a = _mul(a, a, cap)
+
+
+def _fixed(a, bits: int):
+    """The (re, im) ints of a block-floating value at bits fraction bits."""
+    re, im, shift = a[0], a[1], bits - a[2]
+    if shift >= 0:
+        return re << shift, im << shift
+    return re >> -shift, im >> -shift
 
 
 def product(x, p, cfg: ThetaEvalConfig):

@@ -177,6 +177,7 @@ def test_cli_bad_board_is_an_error():
         ("closed-form-lah-r-aq", "n=3,r=5"),
         ("closed-form-abel-r", "n=3,r=5"),
         ("closed-form-abel-general", "n=3,m=2,r=5"),
+        ("bijection-abel", "n=4,r=0"),  # an Abel board, but no forest bijection
     ):
         result = _cli("check", identity, "--board", board)
         assert result.returncode == 2, (identity, board, result.stdout, result.stderr)
@@ -209,6 +210,7 @@ def test_cli_demo_tubes():
         ("partition", "n=3|(2,1),(3,1)"),  # two rooks in one row
         ("cycles", "n=4|(3,1),(3,2)"),  # two rooks in one column
         ("forest", "n=3,m=4|(2,5)"),  # above the height m
+        ("forest", "n=3,r=0|(1,2),(2,1)"),  # r = 0: its image would be a cycle
     ],
 )
 def test_cli_demo_bad_input_is_an_error(bijection, text):

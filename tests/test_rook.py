@@ -1,11 +1,17 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import sample_elliptic
 from ellrook.boards import SkylineBoard
+from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_transfer, file_row
+from ellrook.jattack import b_board
 from ellrook.numeric import relative_error
 from ellrook.rook import (
+    _j_rook_transfer,
+    j_rook_row,
     max_identity_check,
     product_formula_check,
     q_rook_number,
@@ -13,6 +19,7 @@ from ellrook.rook import (
     rectangle,
     rook_number,
     rook_number_via_recursion,
+    rook_row,
     rook_row_via_recursion,
 )
 from ellrook.weights import Aq, PlainQ, q_factorial, random_generic_point, random_z
@@ -152,3 +159,57 @@ def test_single_placement_weight_example(rng):
         weight *= fam.small_weight(i - j - nw)
     expected = fam.small_weight(0) ** 2 * fam.small_weight(-1)
     assert relative_error(weight, expected) < 1e-13
+
+
+# the exact q of the packed path, a PlainQ over an int or a Fraction; the
+# reference is the kernel run on weight q itself, in int or Fraction arithmetic
+EXACT_QS = [Fraction(7, 5), Fraction(-3, 4), 0, 1, 2, Fraction(10**400, 3)]
+EXACT_IDS = ["7/5", "-3/4", "0", "1", "2", "1e400/3"]
+
+
+def _only(row: dict, k) -> dict:
+    """The kernel's output for k, from its output for k = None."""
+    return row if k is None else {k: row[k]} if k in row else {}
+
+
+@pytest.mark.parametrize("q", EXACT_QS, ids=EXACT_IDS)
+def test_packed_exact_q_equals_unpacked_kernels_on_skylines(q):
+    fam = PlainQ(q)
+    for columns in range(5):
+        for heights in product(range(5), repeat=columns):
+            board = SkylineBoard(heights)
+            rook = _j_rook_transfer(heights, 1, 0, None, lambda ell: q)
+            file = {
+                w: _file_transfer(heights, w, None, lambda ell: q) for w in (ROW_ONLY, ABOVE_ROOK)
+            }
+            for k in (None, *range(columns + 2)):
+                assert rook_row(board, fam, k=k) == _only(rook, k), (heights, k)
+                for w, want in file.items():
+                    assert file_row(board, fam, w, k) == _only(want, k), (heights, w, k)
+
+
+def test_packed_exact_q_equals_unpacked_kernel_on_jump_boards():
+    # the unpacking, the only step that depends on q, is checked at every q
+    # above; here the packing on depth-extended jump boards, at q = 2
+    fam = PlainQ(2)
+    for offset, jump, n in product(range(3), range(4), range(1, 5)):
+        board = b_board(offset, jump, n)
+        for depth in sorted({0, jump * n, jump * n + 1}):
+            want = _j_rook_transfer(board.heights, jump, depth, None, lambda ell: 2)
+            for k in (None, *range(n + 2)):
+                got = j_rook_row(board, jump, fam, depth, k)
+                assert got == _only(want, k), (board, depth, k)
+
+
+def test_packed_exact_q_value_types():
+    board = SkylineBoard((0, 2, 3, 5, 5))
+    assert all(type(v) is int for v in rook_row(board, PlainQ(2)).values())
+    assert all(type(v) is int for v in rook_row(board, PlainQ(Fraction(3))).values())
+    assert all(type(v) is Fraction for v in rook_row(board, PlainQ(Fraction(7, 5))).values())
+
+
+def test_packed_fields_do_not_carry_on_the_8x8_square():
+    # at q = 1 each sum is the sum of its fields, which a carry between
+    # fields would change
+    row = rook_row(rectangle(8, 8), PlainQ(1))
+    assert row == {k: math.comb(8, k) ** 2 * math.factorial(k) for k in range(9)}

@@ -318,6 +318,33 @@ def test_fixed_point_reduction_far_from_the_unit_circle():
             assert abs(theta_module._theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
 
 
+
+@pytest.mark.parametrize("m", [-1000, -300, 300, 1000])
+def test_fixed_point_reduction_by_binary_powering_matches_qp(rng, m):
+    from mpmath import mp, mpf
+
+    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
+    with mp.workdps(35):
+        # |p|^|m| within the double range: |p| > 0.4917 at |m| = 1000
+        low = math.log(0.4925 if abs(m) == 1000 else 0.12)
+        for i in range(4):
+            log_p = mpf(rng.uniform(low, math.log(0.499)))
+            p = mp.exp(log_p)
+            if i % 2:
+                p *= mp.expj(rng.uniform(0.0, 2 * math.pi))
+            y = mp.exp(log_p * rng.uniform(-0.45, 0.45)) * mp.expj(rng.uniform(0.0, 2 * math.pi))
+            x = p**m * y
+            assert round(float(mp.log(abs(x)) / log_p)) == m
+            with mp.workdps(55):
+                want = _qp_theta(x, p)
+            got = theta_module._theta_fixed(x, p, cfg)
+            assert abs(got - want) < 1e-30 * abs(want), (x, p)
+        if abs(m) == 300:
+            # the zero at x = p^m stays exact where p's powers are
+            for p in (mpf(0.25), mpf(-0.125), mp.mpc(0, 0.5), mp.mpc(0.25, -0.25)):
+                assert theta_module._theta_fixed(p**m, p, cfg) == 0
+
+
 def test_fixed_point_kernel_zero_and_out_of_range_arguments():
     from mpmath import inf, mp, mpc
 

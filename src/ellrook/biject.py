@@ -235,25 +235,18 @@ def _decode_row(row: int, n: int) -> tuple[int, int]:
     return row - (color - 1) * n, color
 
 
-def _swap_labels(x: int, a: int, b: int) -> int:
-    if x == a:
-        return b
-    if x == b:
-        return a
-    return x
-
-
 def file_to_forest(cells, n: int, m: int | None = None, r: int = 1) -> RootedForest:
     """File placement on an Abel board to a rooted forest on [n].
 
     Board: r empty columns then n - r columns of height m.  A rook in
     (i, (c-1)n + j) is the edge j -> i with color c on vertex i.  Cycles of
     the resulting partial map are cut open, concatenated in decreasing
-    order of minima, and planted above vertex 1; the colors of the cut
-    edges move to the replacement edges with the same parent.  For r >= 2
-    the labels 1 and r are exchanged at the end.  At r = 0 column 1 is not
-    empty, so vertex 1 may lie on a cycle, and planting above it would close
-    one again: the map is defined for r >= 1 only.
+    order of minima, and planted above vertex r; the colors of the cut
+    edges move to the replacement edges with the same parent.  Columns
+    1..r are empty, so no cycle passes through vertices 1..r, which stay in
+    distinct trees.  At r = 0 column 1 is not empty, so vertex 1 may lie on
+    a cycle, and planting above it would close one again: the map is
+    defined for r >= 1 only.
     """
     if r < 1:
         raise BadBoardSpec(f"the forest bijection needs r >= 1, got r = {r}")
@@ -274,23 +267,17 @@ def file_to_forest(cells, n: int, m: int | None = None, r: int = 1) -> RootedFor
             dropped_colors.append(color[mu])
             del parent[mu]
             del color[mu]
-        # concatenate gamma_l .. gamma_1 and plant above vertex 1
+        # concatenate gamma_l .. gamma_1 and plant above vertex r
         order = list(reversed(range(len(cycles))))
         for pos, idx in enumerate(order):
             tail = cycles[idx][-1]
             if pos + 1 < len(order):
                 receiver = cycles[order[pos + 1]][0]
             else:
-                receiver = 1
+                receiver = r
             parent[receiver] = tail
             color[receiver] = dropped_colors[idx]
     roots = frozenset(v for v in range(1, n + 1) if v not in parent)
-    if r >= 2:
-        parent = {
-            _swap_labels(ch, 1, r): _swap_labels(pa, 1, r) for ch, pa in parent.items()
-        }
-        color = {_swap_labels(v, 1, r): c for v, c in color.items()}
-        roots = frozenset(_swap_labels(v, 1, r) for v in roots)
     return RootedForest(
         n,
         tuple(sorted(parent.items())),
@@ -305,16 +292,11 @@ def forest_to_file(forest: RootedForest, n: int, m: int | None = None, r: int = 
         m = n
     parent = forest.parent_map()
     color = forest.color_map() if forest.colors else {v: 1 for v in parent}
-    if r >= 2:
-        parent = {
-            _swap_labels(ch, 1, r): _swap_labels(pa, 1, r) for ch, pa in parent.items()
-        }
-        color = {_swap_labels(v, 1, r): c for v, c in color.items()}
     cuts: list[tuple[int, int, int]] = []  # (mu, tail, color) per restored cycle
-    if 1 in parent:
-        # walk up from 1 to the root to recover the planted chain
+    if r in parent:
+        # walk up from r to the root to recover the planted chain
         chain = []
-        x = parent[1]
+        x = parent[r]
         guard = 0
         while x in parent:
             chain.append(x)
@@ -324,7 +306,7 @@ def forest_to_file(forest: RootedForest, n: int, m: int | None = None, r: int = 
                 raise ValueError("parent map contains a cycle")
         chain.append(x)
         chain.reverse()  # root .. tail_1
-        receiver = 1
+        receiver = r
         rest = chain
         while rest:
             pos = min(range(len(rest)), key=lambda idx: rest[idx])

@@ -22,10 +22,12 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .boards import SkylineBoard
-from .numeric import CheckEntry, factor_sum, guard_condition
+from .numeric import CheckEntry, factor_sum
 from .rook import signature_row, transfer_row, triangle
-# rook's evaluators under this module's own names, where bench/tracing.py
-# looks them up to trace each layer apart
+# rook's evaluators and numeric.guard_condition under this module's own
+# names, where bench/tracing.py looks them up to trace each layer apart;
+# the checks here return their term scale, and harness._judge guards them
+from .numeric import guard_condition  # noqa: F401
 from .rook import Signature, evaluate_signature as _evaluate  # noqa: F401
 from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude  # noqa: F401
 from .weights import PlainQ, WeightFamily
@@ -127,29 +129,25 @@ def file_number_via_recursion(board: SkylineBoard, k: int, fam: WeightFamily):
     return file_row_via_recursion(board, fam).get(k, 0)
 
 
-def file_product_check(
-    board: SkylineBoard, fam: WeightFamily, z, max_condition: float | None = None
-) -> CheckEntry:
-    """Both sides of the row-only file factorization at argument z."""
+def file_product_check(board: SkylineBoard, fam: WeightFamily, z) -> CheckEntry:
+    """Both sides of the row-only file factorization at argument z, with the
+    term scale of the sum side, unguarded: the harness judges them."""
     lhs = 1
     for c in board.heights:
         lhs = lhs * fam.shifted(-c).number(z + c)
     zn = fam.number(z)
     values, magnitudes = file_row(board, fam, ROW_ONLY, magnitude=True)
     rhs, term_scale = factor_sum(values, magnitudes, board.n, lambda k: zn)
-    guard_condition(term_scale, lhs, rhs, max_condition)
-    return CheckEntry(lhs, rhs)
+    return CheckEntry(lhs, rhs, term_scale)
 
 
-def file_above_product_check(
-    board: SkylineBoard, fam: WeightFamily, z, max_condition: float | None = None
-) -> CheckEntry:
-    """Both sides of the above-rook file factorization at argument z."""
+def file_above_product_check(board: SkylineBoard, fam: WeightFamily, z) -> CheckEntry:
+    """Both sides of the above-rook file factorization at argument z, with the
+    term scale of the sum side, unguarded: the harness judges them."""
     zn = fam.number(z)
     lhs = 1
     for i, c in enumerate(board.heights, 1):
         lhs = lhs * (zn + fam.shifted(i - 1 - c).number(c))
     values, magnitudes = file_row(board, fam, ABOVE_ROOK, magnitude=True)
     rhs, term_scale = factor_sum(values, magnitudes, board.n, lambda k: zn)
-    guard_condition(term_scale, lhs, rhs, max_condition)
-    return CheckEntry(lhs, rhs)
+    return CheckEntry(lhs, rhs, term_scale)

@@ -9,20 +9,18 @@ trials).
 
 Each identity is one registry entry: a runner, its default trial count and
 its tolerance.  A runner reads its board and parameters once and returns
-one trial: a callable that run_check's one trial loop calls `trials` times,
-keeping the worst error.  The checks judged over a whole run at once (the
-bijection counts and degeneration-q) return that error instead.  Runner
-factories serve whole groups: _product the product formulas, _recursion
-each recursion declared in special.RECURSIONS, _closed_form the closed
-forms of the Lah and Abel numbers, whose entries name only the row, the
-closed form, the weight variant and the parameter defaults, and _bijection
-the five counting bijections, whose entries name the placements, the two
-maps, the block count, the codomain and a count oracle.  Parameters that
-leave no value to compare are a BadBoardSpec, never a PASS.
-
-Counting identities (bijection-*) are exact: max_rel_err holds the number
-of mismatches and the tolerance is 0.5, so passed still means
-max_rel_err < tolerance.
+one trial, which run_check's one trial loop calls `trials` times, keeping
+the worst error.  Results come in three kinds.  Sides: most trials yield
+the two sides of their identity (CheckEntry values or (lhs, rhs) pairs) to
+the one judge, _judge, which guards each side that gives a term scale and
+keeps the worst relative error.  Residuals: the trials of addition-formula
+and matrix-inverse return their own residual over the largest term.
+Counts: the exact counting checks (bijection-*, degeneration-q) return
+their mismatches over the whole run instead of a trial; with tolerance 0.5,
+passed still means max_rel_err < tolerance.  Runner factories serve whole
+groups: _product, _recursion (special.RECURSIONS), _closed_form (the Lah
+and Abel closed forms) and _bijection (the five counting bijections).
+Parameters that leave no value to compare are a BadBoardSpec, never a PASS.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .errors import (
     UnknownIdentity,
     ZeroArgument,
 )
-from .numeric import relative_error, worst_error
+from .numeric import CheckEntry, guard_condition, relative_error, worst_error
 from .theta import Nome, ThetaEvalConfig, theta
 from .weights import (
     ABq,
@@ -184,35 +182,39 @@ def _worst_trial(ctx: _Context, trial) -> float:
     return worst_error(*(trial() for _ in range(ctx.trials)))
 
 
-def _grid_error(pairs) -> float:
-    errors = [relative_error(lhs, rhs) for lhs, rhs in pairs]
+def _judge(sides) -> float:
+    """The worst relative error over sides, each judged as it is yielded,
+    after guard_condition if it gives a scale.  No sides is a BadBoardSpec."""
+    errors = []
+    for lhs, rhs, scale in (CheckEntry(*side) for side in sides):
+        if scale is not None:
+            guard_condition(scale, lhs, rhs, MAX_CONDITION)
+        errors.append(float(relative_error(lhs, rhs)))
     if not errors:
         raise BadBoardSpec("these parameters leave no value to compare")
     return worst_error(*errors)
 
 
-def _grid(ctx: _Context, pairs, tag: str | None = None):
-    """One trial: the worst error over the (lhs, rhs) pairs that pairs(fam)
-    yields, at a family (of variant tag, if given) redrawn until no pole.
-    Parameters under which pairs yields nothing are a BadBoardSpec."""
-    return partial(ctx.with_retry, lambda fam: _grid_error(pairs(fam)), tag)
+def _grid(ctx: _Context, sides, tag: str | None = None):
+    """One trial: the judged sides that sides(fam) yields, at a family (of
+    variant tag, if given) redrawn until every side can be judged."""
+    return partial(ctx.with_retry, lambda fam: _judge(sides(fam)), tag)
 
 
 # --- product formulas -------------------------------------------------------
 
 
 def _product(check):
-    """Runner for a factorization judged by check(board, fam, z, max_condition)."""
+    """Runner for a factorization whose sides check(board, fam, z) returns."""
 
     def run(ctx: _Context):
         board = ctx.require_board()
         z_given = ctx.params.get("z")
 
-        def attempt(fam):
-            z = z_given if z_given is not None else ctx.draw_z()
-            return check(board, fam, z, MAX_CONDITION).rel_err
+        def sides(fam):
+            yield check(board, fam, z_given if z_given is not None else ctx.draw_z())
 
-        return partial(ctx.with_retry, attempt)
+        return _grid(ctx, sides)
 
     return run
 
@@ -242,34 +244,31 @@ def _run_product_jump(ctx: _Context):
     jump = ctx.param("J", 1)
     z_given = ctx.params.get("z")
 
-    def attempt(fam):
+    def sides(fam):
         z = z_given if z_given is not None else ctx.draw_z()
-        entry = jattack.jump_product_check(board, jump, fam, z, MAX_CONDITION)
-        err = entry.rel_err
+        yield jattack.jump_product_check(board, jump, fam, z)
         if isinstance(z, int) and z >= jump * board.n:
+            # the enumeration cross-check; _judge runs while this generator
+            # is suspended in the block, so it judges these sides at 35 digits
             with mp.workdps(35):
                 precise = mp_family(fam)
-                exact_entry = jattack.jump_product_check(board, jump, precise, z)
+                entry = jattack.jump_product_check(board, jump, precise, z)
                 total = jattack.jump_enumeration_total(board, jump, z, precise)
-                err = worst_error(
-                    err,
-                    float(relative_error(total, exact_entry.lhs)),
-                    float(relative_error(total, exact_entry.rhs)),
-                )
-        return err
+                yield total, entry.lhs
+                yield total, entry.rhs
 
-    return partial(ctx.with_retry, attempt)
+    return _grid(ctx, sides)
 
 
 def _run_max_identity(ctx: _Context):
     board = ctx.require_board()
     depth = ctx.params.get("z")
 
-    def attempt(fam):
+    def sides(fam):
         k = depth if depth is not None else ctx.rng.randrange(0, 3)
-        return rook.max_identity_check(board, fam, int(k), MAX_CONDITION).rel_err
+        yield rook.max_identity_check(board, fam, int(k))
 
-    return partial(ctx.with_retry, attempt)
+    return _grid(ctx, sides)
 
 
 # --- recursions --------------------------------------------------------------
@@ -282,13 +281,13 @@ def _board_recursion(row_via_recursion, enumerated_row):
     def run(ctx: _Context):
         board = ctx.require_board()
 
-        def pairs(fam):
+        def sides(fam):
             row = row_via_recursion(board, fam)
             enumerated = enumerated_row(board, fam)
             for k in range(board.n + 1):
                 yield row.get(k, 0), enumerated.get(k, 0)
 
-        return _grid(ctx, pairs)
+        return _grid(ctx, sides)
 
     return run
 
@@ -296,7 +295,7 @@ def _board_recursion(row_via_recursion, enumerated_row):
 def _run_recursion_binomial(ctx: _Context):
     n_max = ctx.params.get("n", 5)
 
-    def pairs(fam):
+    def sides(fam):
         for n in range(n_max + 1):
             for k in range(n + 2):
                 lhs = fam.binomial(n + 1, k)
@@ -306,7 +305,7 @@ def _run_recursion_binomial(ctx: _Context):
                     rhs = rhs + fam.binomial(n, k - 1) * w
                 yield lhs, rhs
 
-    return _grid(ctx, pairs)
+    return _grid(ctx, sides)
 
 
 def _recursion(name: str):
@@ -321,7 +320,7 @@ def _recursion(name: str):
         params = {key: ctx.param(key, default) for key, default in spec.params.items()}
         first_k = spec.first_k(**params)
 
-        def pairs(fam):
+        def sides(fam):
             row = cache(partial(spec.row, fam, **params))
             for n in range(spec.seed(**params), n_max):
                 for k in range(first_k, n + 2):
@@ -331,7 +330,7 @@ def _recursion(name: str):
                         rhs = rhs + spec.below(fam, n, k, **params) * row(n).get(k - 1, 0)
                     yield lhs, rhs
 
-        return _grid(ctx, pairs)
+        return _grid(ctx, sides)
 
     return run
 
@@ -347,12 +346,12 @@ def _run_closed_form_rect_aq(ctx: _Context):
     m = heights.pop()
     ell = board.n
 
-    def pairs(fam):
+    def sides(fam):
         row = rook.rook_row(board, fam)
         for k in range(min(ell, m) + 1):
             yield row.get(k, 0), rook.rect_rook_number_aq(ell, m, k, fam.a, fam.q)
 
-    return _grid(ctx, pairs, "aq")
+    return _grid(ctx, sides, "aq")
 
 
 def _closed_form(row, closed, tag: str | None = None, **defaults):
@@ -366,13 +365,13 @@ def _closed_form(row, closed, tag: str | None = None, **defaults):
         n_max = params.pop("n")
         r = params.get("r", 1)
 
-        def pairs(fam):
+        def sides(fam):
             for n in range(max(r, 1), n_max + 1):
                 values = row(n, fam, **params)
                 for k in range(r, n + 1):
                     yield values.get(k, 0), closed(n, k, fam, **params)
 
-        return _grid(ctx, pairs, tag)
+        return _grid(ctx, sides, tag)
 
     return run
 
@@ -393,20 +392,20 @@ def _lah_r_q(n, k, fam, r):
 def _run_closed_form_stirling2_small_k(ctx: _Context):
     n_max = ctx.param("n", 5)
 
-    def pairs(fam):
+    def sides(fam):
         for n in range(1, n_max + 1):
             row = special.stirling2_row(n, fam)
             for k in range(min(n, 3) + 1):
                 yield row.get(k, 0), special.stirling2_small_k(n, k, fam)
 
-    return _grid(ctx, pairs)
+    return _grid(ctx, sides)
 
 
 # --- degenerations ------------------------------------------------------------
 
 
 def _run_degeneration_chain(ctx: _Context):
-    def pairs(flat):
+    def sides(flat):
         a, b, q = flat.a, flat.b, flat.q
         k = ctx.rng.randrange(-4, 5)
         full = FullElliptic(a, b, q, 0)
@@ -423,7 +422,7 @@ def _run_degeneration_chain(ctx: _Context):
         yield plain.small_weight(k), q
         yield plain.big_weight(k), q**k
 
-    return _grid(ctx, pairs, "abq")
+    return _grid(ctx, sides, "abq")
 
 
 def _run_degeneration_q(ctx: _Context) -> float:
@@ -472,7 +471,7 @@ def _run_degeneration_pq(ctx: _Context):
             f"(elliptic, abq or pq), not {ctx.family_tag!r}"
         )
 
-    def pairs(fam):
+    def sides(fam):
         if not isinstance(fam, FrakPQ):
             fam = FrakPQ(fam.a, fam.b, 1.1 + 0.2j, fam.q)
         delegate = ABq(fam.a, fam.b, fam.q / fam.fp)
@@ -482,11 +481,11 @@ def _run_degeneration_pq(ctx: _Context):
         yield fam.number(z), delegate.number(z)
         yield fam.big_weight(k), delegate.big_weight(k)
 
-    return _grid(ctx, pairs)
+    return _grid(ctx, sides)
 
 
 def _run_ellipticity(ctx: _Context):
-    def pairs(fam):
+    def sides(fam):
         if not isinstance(fam, FullElliptic):
             raise BadBoardSpec("ellipticity is a full-elliptic statement")
         k = ctx.rng.randrange(-4, 5)
@@ -496,29 +495,30 @@ def _run_ellipticity(ctx: _Context):
         yield base, shifted_a.small_weight(k)
         yield base, shifted_b.small_weight(k)
 
-    return _grid(ctx, pairs)
+    return _grid(ctx, sides)
 
 
 # --- theta substrate ----------------------------------------------------------
 
 
-# one side is the product (a Nome nome): the series satisfies these two term by term
+# one side is the product (a Nome nome): the series satisfies these two term
+# by term; a trial draws x and p, no family, so nothing is resampled
 def _run_theta_inversion(ctx: _Context):
-    def trial():
+    def sides():
         x = _polar(ctx.rng, 0.5, 2.0)
         p = _polar(ctx.rng, *ctx.config.p_modulus)
-        return relative_error(theta(x, p), -x * theta(1 / x, Nome(p)))
+        yield theta(x, p), -x * theta(1 / x, Nome(p))
 
-    return trial
+    return lambda: _judge(sides())
 
 
 def _run_theta_quasiperiod(ctx: _Context):
-    def trial():
+    def sides():
         x = _polar(ctx.rng, 0.5, 2.0)
         p = _polar(ctx.rng, *ctx.config.p_modulus)
-        return relative_error(theta(p * x, Nome(p)), -theta(x, p) / x)
+        yield theta(p * x, Nome(p)), -theta(x, p) / x
 
-    return trial
+    return lambda: _judge(sides())
 
 
 def _run_addition_formula(ctx: _Context):
@@ -576,12 +576,12 @@ def _run_bijection_rg_weight(ctx: _Context):
     offset = ctx.param("I", 1)
     jump = ctx.param("J", 2)
 
-    def pairs(fam):
+    def sides(fam):
         for k in range(n + 1):
             for gamma in jattack.enumerate_rg_words(offset, jump, n, k):
                 yield jattack.rg_word_weight_identity(gamma, fam)
 
-    return _grid(ctx, pairs)
+    return _grid(ctx, sides)
 
 
 def _run_matrix_inverse(ctx: _Context):

@@ -24,9 +24,11 @@ from functools import lru_cache, partial
 from .boards import SkylineBoard, _rook_attack_rows, j_attack_rows, j_uncancelled
 from .errors import BadBoardSpec, NotJAttackingBoard
 from .files import ABOVE_ROOK, file_row
-from .numeric import CheckEntry, factor_sum, guard_condition
-# rook's evaluators under this module's own names, where bench/tracing.py
-# looks them up to trace each layer apart
+from .numeric import CheckEntry, factor_sum
+# rook's evaluators and numeric.guard_condition under this module's own
+# names, where bench/tracing.py looks them up to trace each layer apart;
+# the checks here return their term scale, and harness._judge guards them
+from .numeric import guard_condition  # noqa: F401
 from .rook import Signature, evaluate_signature as _evaluate  # noqa: F401
 from .rook import evaluate_signature_with_magnitude as _evaluate_with_magnitude  # noqa: F401
 from .rook import _j_rook_transfer, j_rook_row, signature_row
@@ -67,10 +69,9 @@ def j_placement_weight(board: SkylineBoard, cells, jump: int, fam: WeightFamily)
     return prod
 
 
-def jump_product_check(
-    board: SkylineBoard, jump: int, fam: WeightFamily, z, max_condition: float | None = None
-) -> CheckEntry:
-    """Formula sides of the jump product identity at argument z."""
+def jump_product_check(board: SkylineBoard, jump: int, fam: WeightFamily, z) -> CheckEntry:
+    """Formula sides of the jump product identity at argument z, with the
+    term scale of the sum side, unguarded: the harness judges them."""
     _require_j_attacking(board, jump)
     lhs = 1
     for i, b in enumerate(board.heights, 1):
@@ -83,8 +84,7 @@ def jump_product_check(
         board.n,
         lambda k: fam.shifted(jump * (k - 1)).number(z - jump * (k - 1)),
     )
-    guard_condition(term_scale, lhs, rhs, max_condition)
-    return CheckEntry(lhs, rhs)
+    return CheckEntry(lhs, rhs, term_scale)
 
 
 def jump_enumeration_total(board: SkylineBoard, jump: int, z: int, fam: WeightFamily):

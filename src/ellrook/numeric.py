@@ -90,8 +90,6 @@ def guard_condition(term_scale, lhs, rhs, max_condition) -> None:
     relative error, so points beyond max_condition are rejected, as are
     points where either side or the term scale is NaN or infinite.
     """
-    if max_condition is None:
-        return
     lhs_scale, rhs_scale = abs(lhs), abs(rhs)
     # a NaN compares False with everything, so "below inf" excludes it too
     if not (term_scale < math.inf and lhs_scale < math.inf and rhs_scale < math.inf):
@@ -106,10 +104,15 @@ def guard_condition(term_scale, lhs, rhs, max_condition) -> None:
 
 
 class CheckEntry(NamedTuple):
-    """Both sides of one identity evaluation."""
+    """Both sides of one identity evaluation.  scale, when given, is the
+    pre-cancellation magnitude, the largest term summed into either side;
+    the harness rejects a point whose scale is too large for the sides it
+    cancelled to (guard_condition).  With None the sides are judged as
+    they are."""
 
     lhs: complex
     rhs: complex
+    scale: float | None = None
 
     @property
     def rel_err(self) -> float:

@@ -257,13 +257,6 @@ def _theta_series(x, p, cfg: ThetaEvalConfig, table):
     return value
 
 
-def _theta_fixed(x, p, cfg: ThetaEvalConfig):
-    """theta(x; p) over mpmath numbers, unmemoized, rounded to mp.prec."""
-    from . import theta_fixed
-
-    return theta_fixed.series(x, p, cfg, theta_fixed.nome_table(p, cfg))
-
-
 def theta_multi(xs, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
     """Product of theta over a list of arguments; empty list gives 1."""
     out = 1

@@ -85,7 +85,7 @@ def test_criterion_01_rook_factorization_all_small_ferrers():
         for fam, z in base_points:
             while True:
                 try:
-                    err = product_formula_check(board, fam, z, MAX_CONDITION).rel_err
+                    err = _guarded_error(*product_formula_check(board, fam, z))
                     worst = worst_error(worst, err)
                     break
                 except (IllConditioned, PoleEncountered):
@@ -450,9 +450,7 @@ def test_criterion_07_jump_product_formula():
                 # 25 random complex z on the formula sides
                 for _ in range(25):
                     def attempt(fam2, z):
-                        return jump_product_check(
-                            board, jump, fam2, z, MAX_CONDITION
-                        ).rel_err
+                        return _guarded_error(*jump_product_check(board, jump, fam2, z))
                     worst_formula = worst_error(worst_formula, _retry(rng, attempt))
     ok = worst_enum < 1e-8 and worst_formula < 1e-8
     _report(

@@ -120,25 +120,26 @@ def test_colored_forest_counts():
 
 
 def test_restricted_forest_roundtrip():
-    board = special.abel_board(4, 2)
-    images = set()
-    for k in range(2, 5):
-        for cells in file_placements(board.heights, 4 - k):
-            forest = biject.file_to_forest(cells, 4, None, 2)
-            assert biject.forest_to_file(forest, 4, None, 2) == tuple(sorted(cells))
-            images.add(forest)
-    assert images == biject.rooted_forests(4, None, 2)
-    for forest in images:
-        roots = forest.roots
-        assert 1 in roots  # labels 1..r-1 are all roots after the swap
-        parent = forest.parent_map()
+    # (n, m, r): one plain board, then colored boards (m > n) at r = 2 and 3
+    for n, m, r in ((4, None, 2), (3, 4, 2), (4, 5, 2), (4, 6, 3)):
+        board = special.abel_board(n, r, m)
+        images = set()
+        for k in range(r, n + 1):
+            for cells in file_placements(board.heights, n - k):
+                forest = biject.file_to_forest(cells, n, m, r)
+                assert biject.forest_to_file(forest, n, m, r) == tuple(sorted(cells))
+                images.add(forest)
+        assert images == biject.rooted_forests(n, m, r), (n, m, r)
+        for forest in images:
+            assert set(range(1, r)) <= forest.roots  # 1..r-1 are all roots
+            parent = forest.parent_map()
 
-        def tree_of(x):
-            while x in parent:
-                x = parent[x]
-            return x
+            def tree_of(x):
+                while x in parent:
+                    x = parent[x]
+                return x
 
-        assert tree_of(1) != tree_of(2)
+            assert len({tree_of(x) for x in range(1, r + 1)}) == r
 
 
 def test_tubes_figure():

@@ -385,6 +385,57 @@ def test_theta_checks_draw_p_from_the_sampler_config(monkeypatch):
     assert all(0.2 - 1e-12 <= modulus <= 0.201 + 1e-12 for modulus in seen)
 
 
+# the runners that return their own error rather than sides to judge: the
+# counts and the two residuals that the harness docstring names
+OWN_ERROR = {"degeneration-q", "addition-formula", "matrix-inverse", *harness._BIJECTIONS}
+
+
+def test_every_sides_runner_goes_through_the_judge(monkeypatch):
+    from mpmath import mp
+    from test_golden_reports import BOARDS  # the README sizes
+
+    judge = harness._judge
+    judged = {}  # identity -> the precision (mp.dps) of each side judged
+
+    def recorder(sides):
+        seen = judged.setdefault(name, [])
+
+        def recorded():
+            for side in sides:
+                seen.append(mp.dps)
+                yield side
+
+        return judge(recorded())
+
+    monkeypatch.setattr(harness, "_judge", recorder)
+    for name in identity_names():
+        extra = {"jump": 3, "z": 9} if name == "product-jump" else {}
+        run_check(name, BOARDS.get(name), trials=1, **extra)
+    assert set(judged) == set(identity_names()) - OWN_ERROR
+    assert all(judged.values())
+    # the double side, then the two 35-digit cross-check sides, each judged
+    # while its precision holds
+    assert judged["product-jump"] == [15, 35, 35]
+
+
+def test_an_ill_conditioned_side_is_resampled(monkeypatch):
+    check = rook.product_formula_check
+    calls = []
+
+    def first_side_is_ill_conditioned(board, fam, z):
+        entry = check(board, fam, z)
+        calls.append(z)
+        if len(calls) == 1:
+            cancelled = max(abs(entry.lhs), abs(entry.rhs))
+            return entry._replace(scale=2 * harness.MAX_CONDITION * cancelled)
+        return entry
+
+    runner = harness._product(first_side_is_ill_conditioned)
+    monkeypatch.setitem(harness._IDENTITIES, "product-rook", (runner, 25, 1e-8))
+    report = run_check("product-rook", "0,2,3,5,5", trials=3)
+    assert report.resamples == 1 and report.passed and len(calls) == 4
+
+
 def test_degeneration_chain_pole_is_resampled(monkeypatch):
     small_weight = harness.ABq.small_weight
     calls = []

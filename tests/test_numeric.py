@@ -32,7 +32,6 @@ def test_guard_condition_rejects_non_finite_sides_and_scales():
     ):
         with pytest.raises(IllConditioned, match="non-finite"):
             guard_condition(scale, lhs, rhs, 1e6)
-        guard_condition(scale, lhs, rhs, None)  # no cap, no guard
 
 
 def test_guard_condition_judges_finite_points():

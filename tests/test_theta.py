@@ -117,6 +117,11 @@ def _bits(value: complex) -> tuple[str, str]:
     return value.real.hex(), value.imag.hex()
 
 
+def _theta_fixed(x, p, cfg):
+    """theta(x; p) over mpmath numbers, unmemoized, rounded to mp.prec."""
+    return theta_fixed.series(x, p, cfg, theta_fixed.nome_table(p, cfg))
+
+
 def _unmemoized(x, p, cfg=DEFAULT_CONFIG):
     """The double-path kernel of theta(x, p) with a table built afresh."""
     return theta_module._theta_series(x, p, cfg, theta_module._series_table(p, cfg))
@@ -244,7 +249,7 @@ def test_mp_memo_under_two_threads_alternating_nomes(rng):
     from mpmath import mp, mpc
 
     def unmemoized(x, p):
-        return theta_module._theta_fixed(x, p, DEFAULT_CONFIG)
+        return _theta_fixed(x, p, DEFAULT_CONFIG)
 
     with mp.workdps(35):
         xs = [mpc(_random_nonzero(rng)) for _ in range(30)]
@@ -276,7 +281,7 @@ def test_fixed_point_kernel_matches_qp(rng, dps, tolerance, bound):
             if i % 2:
                 p *= mp.expj(rng.uniform(0.0, 2 * math.pi))
             want = _qp_theta(x, p)
-            got = theta_module._theta_fixed(x, p, cfg)
+            got = _theta_fixed(x, p, cfg)
             assert abs(got - want) < bound * abs(want), (x, p)
 
 
@@ -299,11 +304,11 @@ def test_fixed_point_reduction_matches_qp(rng, dps, tolerance, bound, m):
             x = p**m * y  # real when p and y are
             assert round(float(mp.log(abs(x)) / log_p)) == m
             want = _qp_theta(x, p)
-            got = theta_module._theta_fixed(x, p, cfg)
+            got = _theta_fixed(x, p, cfg)
             assert abs(got - want) < bound * abs(want), (x, p)
         # the zero at x = p^m is exact where p's powers are
         for p in (mpf(0.25), mpf(-0.125), mpc(0, 0.5), mpc(0.25, -0.25)):
-            assert theta_module._theta_fixed(p**m, p, cfg) == 0
+            assert _theta_fixed(p**m, p, cfg) == 0
 
 
 def test_fixed_point_reduction_far_from_the_unit_circle():
@@ -315,7 +320,7 @@ def test_fixed_point_reduction_far_from_the_unit_circle():
         for m in (-200, 200):
             x = p**m * mpc(0.9, 0.2)
             want = theta_fixed.product(x, p, cfg)
-            assert abs(theta_module._theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
+            assert abs(_theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
 
 
 
@@ -337,12 +342,12 @@ def test_fixed_point_reduction_by_binary_powering_matches_qp(rng, m):
             assert round(float(mp.log(abs(x)) / log_p)) == m
             with mp.workdps(55):
                 want = _qp_theta(x, p)
-            got = theta_module._theta_fixed(x, p, cfg)
+            got = _theta_fixed(x, p, cfg)
             assert abs(got - want) < 1e-30 * abs(want), (x, p)
         if abs(m) == 300:
             # the zero at x = p^m stays exact where p's powers are
             for p in (mpf(0.25), mpf(-0.125), mp.mpc(0, 0.5), mp.mpc(0.25, -0.25)):
-                assert theta_module._theta_fixed(p**m, p, cfg) == 0
+                assert _theta_fixed(p**m, p, cfg) == 0
 
 
 def test_fixed_point_kernel_zero_and_out_of_range_arguments():
@@ -489,7 +494,7 @@ def test_fixed_point_product_above_one_half_matches_qp(rng):
             x = mpc(_random_nonzero(rng))
             p = mpc(rng.uniform(0.51, 0.8) * cmath.exp(1j * rng.uniform(0, 6.3)))
             want = _qp_theta(x, p)
-            assert abs(theta_module._theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
+            assert abs(_theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
 
 
 def test_series_terms_are_capped_by_max_terms():

@@ -1,14 +1,17 @@
 """Command-line interface.
 
     ellrook check <identity> --board <heights|key=val,...> --family <tag>
-                  --trials N --tol T --seed S [--z re[,im]] [--J j] [--I i]
-                  [--r r] [--m m] [--json]
+                  --trials N --tol T --seed S [--z re[,im]] [--J j] [--json]
     ellrook table <family> --nmax N --family <tag> --out PATH --format csv|json
                   [--r r] [--m m] [--seed S]
     ellrook demo <bijection> --input "<board part>|<cells part>"
 
+A check's sizes go in --board: a heights board, or the identity's
+parameters such as n=5,r=2 (n, r, m, I and J); --z and --J set z and J.
 Exit status is 0 when the check passed, 1 when it failed (a non-finite
-error fails), and 2 on an ellrook error such as a bad board spec.
+error fails), and 2 on an ellrook error such as a bad board spec: a key
+the identity does not take, a key given twice, a negative size or
+fewer than one trial.
 """
 
 from __future__ import annotations
@@ -82,9 +85,6 @@ def _cmd_check(args) -> int:
         seed=args.seed,
         z=_parse_z(args.z) if args.z is not None else None,
         jump=args.J,
-        offset=args.I,
-        restriction=args.r,
-        general_m=args.m,
     )
     if args.json:
         print(report.to_json())
@@ -152,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--z", help="evaluation argument: re or re,im")
     check.add_argument("--J", type=int, help="jump parameter")
-    check.add_argument("--I", type=int, help="offset parameter")
-    check.add_argument("--r", type=int, help="restriction parameter")
-    check.add_argument("--m", type=int, help="tall-board height parameter")
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=_cmd_check)
 

@@ -7,8 +7,13 @@ theta argument), and aggregating the worst relative error into a
 CheckReport.  Reports are bit-reproducible given (seed, identity, board,
 trials).
 
-Each identity is one registry entry: a runner, its default trial count and
-its tolerance.  A runner reads its board and parameters once and returns
+Each identity is one registry entry: a runner, its default trial count,
+its tolerance and its parameters with their defaults (a heights board is
+the parameter `board`, which has no default).  run_check resolves them
+once: the spec, a heights board or key=value pairs, and its z and jump
+arguments override the defaults; a key the identity does not take, a key
+given twice, a negative size, a missing board and trials < 1 are each a
+BadBoardSpec.  A runner reads the complete parameters once and returns
 one trial, which run_check's one trial loop calls `trials` times, keeping
 the worst error.  Results come in three kinds.  Sides: most trials yield
 the two sides of their identity (CheckEntry values or (lhs, rhs) pairs) to
@@ -63,25 +68,22 @@ from .weights import (
 MAX_CONDITION = 1e6
 
 
+# the fresh points a trial may draw before run_check gives up
+MAX_RESAMPLES = 50
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Modulus ranges for the generic-point sampler plus the retry cap."""
+    """Modulus ranges of q and p for the generic-point sampler."""
 
-    a_modulus: tuple = weights_defaults.A_MODULUS
-    b_modulus: tuple = weights_defaults.B_MODULUS
     q_modulus: tuple = weights_defaults.Q_MODULUS
     p_modulus: tuple = weights_defaults.P_MODULUS
-    z_real: tuple = weights_defaults.Z_REAL
-    z_imag: tuple = weights_defaults.Z_IMAG
-    max_resamples: int = 50
 
     def __post_init__(self):
         if not 0 < self.q_modulus[0] <= self.q_modulus[1] < 1:
             raise ValueError("q modulus range must stay inside (0, 1)")
         if not 0 <= self.p_modulus[0] <= self.p_modulus[1] < 1:
             raise ValueError("p modulus range must stay inside [0, 1)")
-        if self.max_resamples < 0:
-            raise ValueError("max_resamples must be nonnegative")
 
 
 @dataclass(slots=True)
@@ -107,13 +109,13 @@ def parse_board_spec(text: str | None):
     if text is None or text == "" or text == "-":
         return None
     if "=" in text:
-        params = {}
+        pairs = [part.split("=") for part in text.split(",")]
         try:
-            for part in text.split(","):
-                key, value = part.split("=")
-                params[key.strip()] = int(value)
+            params = {key.strip(): int(value) for key, value in pairs}
         except ValueError as exc:
             raise BadBoardSpec(f"bad board spec {text!r}") from exc
+        if len(params) < len(pairs):
+            raise BadBoardSpec(f"board spec {text!r} gives a key twice")
         return params
     return SkylineBoard.parse(text)
 
@@ -127,59 +129,28 @@ _RESAMPLED = (PoleEncountered, IllConditioned, OverflowError, ZeroArgument)
 class _Context:
     rng: random.Random
     family_tag: str
-    board: SkylineBoard | None
     params: dict
     trials: int
     config: SamplerConfig
     resamples: int = 0
 
-    def require_board(self) -> SkylineBoard:
-        if not isinstance(self.board, SkylineBoard):
-            raise BadBoardSpec("this identity needs a heights board spec")
-        return self.board
-
-    def param(self, name: str, default=None):
-        value = self.params.get(name, default)
-        if value is None:
-            raise BadBoardSpec(f"this identity needs parameter {name!r}")
-        return value
-
-    def draw_family(self, tag: str | None = None):
-        """A family of the requested variant, or of `tag` for an identity
-        that holds only in one variant."""
-        cfg = self.config
-        return random_family(
-            self.rng,
-            self.family_tag if tag is None else tag,
-            cfg.a_modulus,
-            cfg.b_modulus,
-            cfg.q_modulus,
-            cfg.p_modulus,
-        )
-
-    def draw_z(self):
-        return random_z(self.rng, self.config.z_real, self.config.z_imag)
-
     def with_retry(self, attempt, tag: str | None = None):
-        """Evaluate attempt(fam) at fresh random families (of variant tag,
-        if given) until one is usable; each numeric failure of _RESAMPLED
-        counts as a resample."""
-        for _ in range(self.config.max_resamples + 1):
-            fam = self.draw_family(tag)
+        """Evaluate attempt(fam) at fresh random families of the requested
+        variant (or of variant tag, for an identity that holds only in one)
+        until one is usable; each numeric failure of _RESAMPLED counts as a
+        resample."""
+        cfg = self.config
+        for _ in range(MAX_RESAMPLES + 1):
+            fam = random_family(self.rng, tag or self.family_tag, cfg.q_modulus, cfg.p_modulus)
             try:
                 return attempt(fam)
             except _RESAMPLED as exc:
                 self.resamples += 1
                 failure = f"{type(exc).__name__}: {exc}"
         raise ResamplesExhausted(
-            f"no usable parameter point after {self.config.max_resamples} resamples; "
+            f"no usable parameter point after {MAX_RESAMPLES} resamples; "
             f"the last failed with {failure}"
         )
-
-
-def _worst_trial(ctx: _Context, trial) -> float:
-    """The trial loop: call trial() ctx.trials times, keep the worst error."""
-    return worst_error(*(trial() for _ in range(ctx.trials)))
 
 
 def _judge(sides) -> float:
@@ -208,11 +179,10 @@ def _product(check):
     """Runner for a factorization whose sides check(board, fam, z) returns."""
 
     def run(ctx: _Context):
-        board = ctx.require_board()
-        z_given = ctx.params.get("z")
+        board, z_given = ctx.params["board"], ctx.params["z"]
 
         def sides(fam):
-            yield check(board, fam, z_given if z_given is not None else ctx.draw_z())
+            yield check(board, fam, z_given if z_given is not None else random_z(ctx.rng))
 
         return _grid(ctx, sides)
 
@@ -240,12 +210,10 @@ def mp_family(fam, precision: float = 1e-30):
 def _run_product_jump(ctx: _Context):
     from mpmath import mp
 
-    board = ctx.require_board()
-    jump = ctx.param("J", 1)
-    z_given = ctx.params.get("z")
+    board, jump, z_given = ctx.params["board"], ctx.params["J"], ctx.params["z"]
 
     def sides(fam):
-        z = z_given if z_given is not None else ctx.draw_z()
+        z = z_given if z_given is not None else random_z(ctx.rng)
         yield jattack.jump_product_check(board, jump, fam, z)
         if isinstance(z, int) and z >= jump * board.n:
             # the enumeration cross-check; _judge runs while this generator
@@ -261,8 +229,7 @@ def _run_product_jump(ctx: _Context):
 
 
 def _run_max_identity(ctx: _Context):
-    board = ctx.require_board()
-    depth = ctx.params.get("z")
+    board, depth = ctx.params["board"], ctx.params["z"]
 
     def sides(fam):
         k = depth if depth is not None else ctx.rng.randrange(0, 3)
@@ -279,7 +246,7 @@ def _board_recursion(row_via_recursion, enumerated_row):
     enumerated row at each k, both built once per trial."""
 
     def run(ctx: _Context):
-        board = ctx.require_board()
+        board = ctx.params["board"]
 
         def sides(fam):
             row = row_via_recursion(board, fam)
@@ -293,7 +260,7 @@ def _board_recursion(row_via_recursion, enumerated_row):
 
 
 def _run_recursion_binomial(ctx: _Context):
-    n_max = ctx.params.get("n", 5)
+    n_max = ctx.params["n"]
 
     def sides(fam):
         for n in range(n_max + 1):
@@ -316,8 +283,8 @@ def _recursion(name: str):
     spec = special.RECURSIONS[name]
 
     def run(ctx: _Context):
-        n_max = ctx.params.get("n", 5)
-        params = {key: ctx.param(key, default) for key, default in spec.params.items()}
+        params = dict(ctx.params)
+        n_max = params.pop("n")
         first_k = spec.first_k(**params)
 
         def sides(fam):
@@ -339,7 +306,7 @@ def _recursion(name: str):
 
 
 def _run_closed_form_rect_aq(ctx: _Context):
-    board = ctx.require_board()
+    board = ctx.params["board"]
     heights = set(board.heights)
     if len(heights) != 1:
         raise BadBoardSpec("closed-form-rect-aq needs a rectangular board")
@@ -354,14 +321,14 @@ def _run_closed_form_rect_aq(ctx: _Context):
     return _grid(ctx, sides, "aq")
 
 
-def _closed_form(row, closed, tag: str | None = None, **defaults):
+def _closed_form(row, closed, tag: str | None = None):
     """Runner comparing row(n, fam, **params).get(k) with closed(n, k, fam,
     **params) for n = max(r, 1), ..., `n` and k = r, ..., n, at a family of
-    variant tag.  defaults gives `n` and every parameter of row and closed
-    with its default; r is 1 if it is not one of them."""
+    variant tag.  params are the identity's parameters but `n`; the plain
+    forms, which take no r, are the r = 1 cases."""
 
     def run(ctx: _Context):
-        params = {key: ctx.param(key, default) for key, default in defaults.items()}
+        params = dict(ctx.params)
         n_max = params.pop("n")
         r = params.get("r", 1)
 
@@ -389,8 +356,12 @@ def _lah_r_q(n, k, fam, r):
     return special.lah_r_q_closed(n, k, r, fam.q)
 
 
+_lah_closed_form = partial(_closed_form, special.lah_row)
+_abel_closed_form = _closed_form(special.abel_row, special.abel_closed)
+
+
 def _run_closed_form_stirling2_small_k(ctx: _Context):
-    n_max = ctx.param("n", 5)
+    n_max = ctx.params["n"]
 
     def sides(fam):
         for n in range(1, n_max + 1):
@@ -426,7 +397,7 @@ def _run_degeneration_chain(ctx: _Context):
 
 
 def _run_degeneration_q(ctx: _Context) -> float:
-    board = ctx.require_board()
+    board = ctx.params["board"]
     n = board.n
     mismatches = 0
     degree = board.area + n + 1
@@ -476,7 +447,7 @@ def _run_degeneration_pq(ctx: _Context):
             fam = FrakPQ(fam.a, fam.b, 1.1 + 0.2j, fam.q)
         delegate = ABq(fam.a, fam.b, fam.q / fam.fp)
         k = ctx.rng.randrange(-3, 4)
-        z = ctx.draw_z()
+        z = random_z(ctx.rng)
         yield fam.small_weight(k), delegate.small_weight(k)
         yield fam.number(z), delegate.number(z)
         yield fam.big_weight(k), delegate.big_weight(k)
@@ -537,19 +508,18 @@ def _run_addition_formula(ctx: _Context):
 # --- bijections (exact counting) ---------------------------------------------
 
 
-def _bijection(domain, forward, inverse, blocks, codomain, count=None, **defaults):
+def _bijection(domain, forward, inverse, blocks, codomain, count=None):
     """Runner for a bijection from placements onto a set of objects,
     judged over the whole run.  For k = 0, ..., n each placement of
     domain(n - k), a tuple of cells in column order, is mapped to
     forward(cells); the image must have blocks(image) == k and map back to
     the same tuple under inverse, the images must be distinct and make up
     codomain(), and if count is given there must be count(k) of them.
-    Every callable but blocks takes the parameters as keywords, `defaults`
-    giving `n` and each parameter with its default.  The result is the
-    number of mismatches."""
+    Every callable but blocks takes the identity's parameters as keywords.
+    The result is the number of mismatches."""
 
     def run(ctx: _Context) -> float:
-        params = {key: ctx.params.get(key, default) for key, default in defaults.items()}
+        params = ctx.params
         mismatches = 0
         images = set()
         total = 0
@@ -572,9 +542,7 @@ def _bijection(domain, forward, inverse, blocks, codomain, count=None, **default
 
 
 def _run_bijection_rg_weight(ctx: _Context):
-    n = ctx.param("n", 4)
-    offset = ctx.param("I", 1)
-    jump = ctx.param("J", 2)
+    n, offset, jump = ctx.params["n"], ctx.params["I"], ctx.params["J"]
 
     def sides(fam):
         for k in range(n + 1):
@@ -585,7 +553,7 @@ def _run_bijection_rg_weight(ctx: _Context):
 
 
 def _run_matrix_inverse(ctx: _Context):
-    n_max = ctx.params.get("n", 6)
+    n_max = ctx.params["n"]
 
     def attempt(fam):
         big_s = {}
@@ -612,93 +580,107 @@ def _run_matrix_inverse(ctx: _Context):
 
 # --- registry -----------------------------------------------------------------
 
-# the counting bijections; each map is looked up on its module at the call
+# the counting bijections, each with its parameters; each map is looked up on
+# its module at the call
 _BIJECTIONS = {
-    "bijection-partition": _bijection(
-        lambda rooks, n: rook_placements(special.staircase(n).heights, rooks),
-        lambda cells, n: biject.rooks_to_partition(cells, n),
-        lambda part, n: biject.partition_to_rooks(part),
-        len,
-        lambda n: biject.set_partitions(n),
-        n=5,
-    ),
-    "bijection-cycles": _bijection(
-        lambda rooks, n, r: file_placements(special.staircase(n, r).heights, rooks),
-        lambda cells, n, r: biject.file_to_cycles(cells, n),
-        lambda perm, n, r: biject.cycles_to_file(perm),
-        lambda perm: len(perm.cycles),
-        lambda n, r: biject.restricted_cycle_structures(n, r),
-        n=5,
-        r=1,
-    ),
-    "bijection-tubes": _bijection(
-        lambda rooks, n, r: rook_placements(special.lah_board(n, r).heights, rooks),
-        lambda cells, n, r: biject.rooks_to_tubes(cells, n, r),
-        lambda tubes, n, r: biject.tubes_to_rooks(tubes, n, r),
-        lambda tubes: len(tubes.tubes),
-        lambda n, r: set().union(*(biject.tube_placements(n, k, r) for k in range(r, n + 1))),
-        lambda k, n, r: special.classical_lah_r(n, k, r),
-        n=4,
-        r=2,
-    ),
-    "bijection-abel": _bijection(
-        lambda rooks, n, r, m: file_placements(special.abel_board(n, r, m).heights, rooks),
-        lambda cells, n, r, m: biject.file_to_forest(cells, n, m, r),
-        lambda forest, n, r, m: biject.forest_to_file(forest, n, m, r),
-        lambda forest: len(forest.roots),
-        lambda n, r, m: biject.rooted_forests(n, m, r),
-        lambda k, n, r, m: biject.abel_count_general(n if m is None else m, n, k, r),
-        n=5,
-        r=1,
-        m=None,
-    ),
-    "bijection-rg": _bijection(
-        lambda rooks, n, I, J: j_rook_placements(jattack.b_board(I, J, n).heights, J, rooks),
-        lambda cells, n, I, J: jattack.phi_inverse(I, J, n, cells),
-        lambda gamma, n, I, J: jattack.phi(gamma),
-        lambda gamma: gamma.k,
-        lambda n, I, J: (
-            w for k in range(n + 1) for w in jattack.enumerate_rg_words(I, J, n, k)
+    "bijection-partition": (
+        _bijection(
+            lambda rooks, n: rook_placements(special.staircase(n).heights, rooks),
+            lambda cells, n: biject.rooks_to_partition(cells, n),
+            lambda part, n: biject.partition_to_rooks(part),
+            len,
+            lambda n: biject.set_partitions(n),
         ),
-        n=4,
-        I=1,
-        J=2,
+        {"n": 5},
+    ),
+    "bijection-cycles": (
+        _bijection(
+            lambda rooks, n, r: file_placements(special.staircase(n, r).heights, rooks),
+            lambda cells, n, r: biject.file_to_cycles(cells, n),
+            lambda perm, n, r: biject.cycles_to_file(perm),
+            lambda perm: len(perm.cycles),
+            lambda n, r: biject.restricted_cycle_structures(n, r),
+        ),
+        {"n": 5, "r": 1},
+    ),
+    "bijection-tubes": (
+        _bijection(
+            lambda rooks, n, r: rook_placements(special.lah_board(n, r).heights, rooks),
+            lambda cells, n, r: biject.rooks_to_tubes(cells, n, r),
+            lambda tubes, n, r: biject.tubes_to_rooks(tubes, n, r),
+            lambda tubes: len(tubes.tubes),
+            lambda n, r: set().union(*(biject.tube_placements(n, k, r) for k in range(r, n + 1))),
+            lambda k, n, r: special.classical_lah_r(n, k, r),
+        ),
+        {"n": 4, "r": 2},
+    ),
+    "bijection-abel": (
+        _bijection(
+            lambda rooks, n, r, m: file_placements(special.abel_board(n, r, m).heights, rooks),
+            lambda cells, n, r, m: biject.file_to_forest(cells, n, m, r),
+            lambda forest, n, r, m: biject.forest_to_file(forest, n, m, r),
+            lambda forest: len(forest.roots),
+            lambda n, r, m: biject.rooted_forests(n, m, r),
+            lambda k, n, r, m: biject.abel_count_general(n if m is None else m, n, k, r),
+        ),
+        {"n": 5, "r": 1, "m": None},  # m = None is the height n
+    ),
+    "bijection-rg": (
+        _bijection(
+            lambda rooks, n, I, J: j_rook_placements(jattack.b_board(I, J, n).heights, J, rooks),
+            lambda cells, n, I, J: jattack.phi_inverse(I, J, n, cells),
+            lambda gamma, n, I, J: jattack.phi(gamma),
+            lambda gamma: gamma.k,
+            lambda n, I, J: (
+                w for k in range(n + 1) for w in jattack.enumerate_rg_words(I, J, n, k)
+            ),
+        ),
+        {"n": 4, "I": 1, "J": 2},
     ),
 }
 
-# name -> (runner, default trials, default tolerance)
+# the parameters of an identity on a heights board; None: the board is
+# required, z is drawn at each trial
+_BOARD = {"board": None}
+_BOARD_Z = {"board": None, "z": None}
+
+# name -> (runner, default trials, default tolerance, parameters with their
+# defaults)
 _IDENTITIES = {
-    "product-rook": (_product(rook.product_formula_check), 25, 1e-8),
-    "product-file": (_product(files.file_product_check), 25, 1e-8),
-    "product-file-above": (_product(files.file_above_product_check), 25, 1e-8),
-    "product-jump": (_run_product_jump, 25, 1e-8),
-    "max-identity": (_run_max_identity, 10, 1e-9),
-    "recursion-rook": (_board_recursion(rook.rook_row_via_recursion, rook.rook_row), 5, 1e-9),
-    "recursion-file": (_board_recursion(files.file_row_via_recursion, files.file_row), 5, 1e-9),
-    "recursion-binomial": (_run_recursion_binomial, 5, 1e-9),
-    **{f"recursion-{name}": (_recursion(name), 5, 1e-9) for name in special.RECURSIONS},
-    "closed-form-rect-aq": (_run_closed_form_rect_aq, 10, 1e-9),
-    "closed-form-lah-aq": (_closed_form(special.lah_row, _lah_aq, "aq", n=5), 10, 1e-9),
-    "closed-form-lah-r-aq": (_closed_form(special.lah_row, _lah_r_aq, "aq", n=5, r=2), 10, 1e-9),
-    "closed-form-lah-r-q": (_closed_form(special.lah_row, _lah_r_q, "q", n=5, r=2), 10, 1e-9),
-    "closed-form-abel": (_closed_form(special.abel_row, special.abel_closed, n=5), 10, 1e-9),
-    "closed-form-abel-r": (
-        _closed_form(special.abel_row, special.abel_closed, n=5, r=2), 10, 1e-9
+    "product-rook": (_product(rook.product_formula_check), 25, 1e-8, _BOARD_Z),
+    "product-file": (_product(files.file_product_check), 25, 1e-8, _BOARD_Z),
+    "product-file-above": (_product(files.file_above_product_check), 25, 1e-8, _BOARD_Z),
+    "product-jump": (_run_product_jump, 25, 1e-8, {**_BOARD_Z, "J": 1}),
+    "max-identity": (_run_max_identity, 10, 1e-9, _BOARD_Z),  # z: the depth, drawn in 0..2
+    "recursion-rook": (
+        _board_recursion(rook.rook_row_via_recursion, rook.rook_row), 5, 1e-9, _BOARD
     ),
-    "closed-form-abel-general": (
-        _closed_form(special.abel_row, special.abel_closed, n=4, m=8, r=1), 10, 1e-9
+    "recursion-file": (
+        _board_recursion(files.file_row_via_recursion, files.file_row), 5, 1e-9, _BOARD
     ),
-    "closed-form-stirling2-small-k": (_run_closed_form_stirling2_small_k, 10, 1e-9),
-    "degeneration-chain": (_run_degeneration_chain, 50, 1e-12),
-    "degeneration-q": (_run_degeneration_q, 10, 0.5),
-    "degeneration-pq": (_run_degeneration_pq, 50, 1e-10),
-    "ellipticity": (_run_ellipticity, 200, 1e-9),
-    "theta-inversion": (_run_theta_inversion, 200, 1e-10),
-    "theta-quasiperiodicity": (_run_theta_quasiperiod, 200, 1e-10),
-    "addition-formula": (_run_addition_formula, 200, 1e-10),
-    **{name: (runner, 1, 0.5) for name, runner in _BIJECTIONS.items()},
-    "bijection-rg-weight": (_run_bijection_rg_weight, 3, 1e-10),
-    "matrix-inverse": (_run_matrix_inverse, 3, 1e-9),
+    "recursion-binomial": (_run_recursion_binomial, 5, 1e-9, {"n": 5}),
+    **{
+        f"recursion-{name}": (_recursion(name), 5, 1e-9, {"n": 5, **spec.params})
+        for name, spec in special.RECURSIONS.items()
+    },
+    "closed-form-rect-aq": (_run_closed_form_rect_aq, 10, 1e-9, _BOARD),
+    "closed-form-lah-aq": (_lah_closed_form(_lah_aq, "aq"), 10, 1e-9, {"n": 5}),
+    "closed-form-lah-r-aq": (_lah_closed_form(_lah_r_aq, "aq"), 10, 1e-9, {"n": 5, "r": 2}),
+    "closed-form-lah-r-q": (_lah_closed_form(_lah_r_q, "q"), 10, 1e-9, {"n": 5, "r": 2}),
+    "closed-form-abel": (_abel_closed_form, 10, 1e-9, {"n": 5}),
+    "closed-form-abel-r": (_abel_closed_form, 10, 1e-9, {"n": 5, "r": 2}),
+    "closed-form-abel-general": (_abel_closed_form, 10, 1e-9, {"n": 4, "m": 8, "r": 1}),
+    "closed-form-stirling2-small-k": (_run_closed_form_stirling2_small_k, 10, 1e-9, {"n": 5}),
+    "degeneration-chain": (_run_degeneration_chain, 50, 1e-12, {}),
+    "degeneration-q": (_run_degeneration_q, 10, 0.5, _BOARD),
+    "degeneration-pq": (_run_degeneration_pq, 50, 1e-10, {}),
+    "ellipticity": (_run_ellipticity, 200, 1e-9, {}),
+    "theta-inversion": (_run_theta_inversion, 200, 1e-10, {}),
+    "theta-quasiperiodicity": (_run_theta_quasiperiod, 200, 1e-10, {}),
+    "addition-formula": (_run_addition_formula, 200, 1e-10, {}),
+    **{name: (runner, 1, 0.5, params) for name, (runner, params) in _BIJECTIONS.items()},
+    "bijection-rg-weight": (_run_bijection_rg_weight, 3, 1e-10, {"n": 4, "I": 1, "J": 2}),
+    "matrix-inverse": (_run_matrix_inverse, 3, 1e-9, {"n": 6}),
 }
 
 
@@ -716,32 +698,38 @@ def run_check(
     *,
     z=None,
     jump: int | None = None,
-    offset: int | None = None,
-    restriction: int | None = None,
-    general_m: int | None = None,
     config: SamplerConfig = SamplerConfig(),
 ) -> CheckReport:
-    """Run one identity check and return its report."""
+    """Run one identity check and return its report.  board is a heights
+    board or key=value parameters; z and jump set z and J.  Each is checked
+    against the parameters the identity takes, which default the rest."""
     if identity not in _IDENTITIES:
         raise UnknownIdentity(f"unknown identity {identity!r}")
-    runner, default_trials, default_tol = _IDENTITIES[identity]
+    runner, default_trials, default_tol, declared = _IDENTITIES[identity]
     trials = default_trials if trials is None else trials
     tol = default_tol if tol is None else tol
-    parsed = parse_board_spec(board)
-    sized = isinstance(parsed, dict)
-    params = dict(parsed) if sized else {}
-    named = {"z": z, "J": jump, "I": offset, "r": restriction, "m": general_m}
-    params.update((key, value) for key, value in named.items() if value is not None)
-    ctx = _Context(
-        rng=random.Random(seed),
-        family_tag=family,
-        board=None if sized else parsed,
-        params=params,
-        trials=trials,
-        config=config,
-    )
-    outcome = runner(ctx)
-    max_rel_err = _worst_trial(ctx, outcome) if callable(outcome) else outcome
+    if trials < 1:
+        raise BadBoardSpec(f"trials must be at least 1, not {trials}")
+    spec = parse_board_spec(board)
+    given = {"board": spec} if isinstance(spec, SkylineBoard) else dict(spec or {})
+    for key, value in (("z", z), ("J", jump)):
+        if value is not None:
+            if key in given:
+                raise BadBoardSpec(f"parameter {key!r} is given twice")
+            given[key] = value
+    for key, value in given.items():
+        if key not in declared:
+            takes = ", ".join(declared) or "no parameters"
+            raise BadBoardSpec(f"{identity} does not take {key!r}; it takes {takes}")
+        if key not in ("board", "z") and value < 0:
+            raise BadBoardSpec(f"{identity} needs {key} >= 0, not {value}")
+    params = {**declared, **given}
+    if "board" in params and not isinstance(params["board"], SkylineBoard):
+        raise BadBoardSpec(f"{identity} needs a heights board spec")
+    ctx = _Context(random.Random(seed), family, params, trials, config)
+    max_rel_err = runner(ctx)
+    if callable(max_rel_err):  # the trial loop: run the trial `trials` times, keep the worst
+        max_rel_err = worst_error(*(max_rel_err() for _ in range(trials)))
     return CheckReport(
         identity_name=identity,
         board="" if board is None else str(board),

@@ -419,40 +419,29 @@ Z_REAL = (0.4, 3.2)
 Z_IMAG = (-0.6, 0.6)
 
 
-def random_generic_point(
-    rng: random.Random,
-    a_modulus=A_MODULUS,
-    b_modulus=B_MODULUS,
-    q_modulus=Q_MODULUS,
-    p_modulus=P_MODULUS,
-):
+def random_generic_point(rng: random.Random, q_modulus=Q_MODULUS, p_modulus=P_MODULUS):
     """Sample (a, b, q, p) in the well-conditioned generic region."""
-    a = _polar(rng, *a_modulus)
-    b = _polar(rng, *b_modulus)
+    a = _polar(rng, *A_MODULUS)
+    b = _polar(rng, *B_MODULUS)
     q = rng.uniform(*q_modulus) * cmath.exp(1j * _nonreal_phase(rng))
     p = _polar(rng, *p_modulus)
     return a, b, q, p
 
 
-def random_z(rng: random.Random, real=Z_REAL, imag=Z_IMAG) -> complex:
+def random_z(rng: random.Random) -> complex:
     """A complex evaluation argument for the product formulas.
 
     The imaginary part stays small so that |q^z| cannot blow up when the
     phase of q is large; wilder arguments only degrade conditioning.
     """
-    return complex(rng.uniform(*real), rng.uniform(*imag))
+    return complex(rng.uniform(*Z_REAL), rng.uniform(*Z_IMAG))
 
 
 def random_family(
-    rng: random.Random,
-    tag: str,
-    a_modulus=A_MODULUS,
-    b_modulus=B_MODULUS,
-    q_modulus=Q_MODULUS,
-    p_modulus=P_MODULUS,
+    rng: random.Random, tag: str, q_modulus=Q_MODULUS, p_modulus=P_MODULUS
 ) -> WeightFamily:
     """Draw a random family of the requested variant at a generic point."""
-    a, b, q, p = random_generic_point(rng, a_modulus, b_modulus, q_modulus, p_modulus)
+    a, b, q, p = random_generic_point(rng, q_modulus, p_modulus)
     if tag == "elliptic":
         return FullElliptic(a, b, q, p)
     if tag == "abq":

@@ -63,6 +63,41 @@ def test_bad_board_spec():
         run_check("product-rook", board=None, trials=1)
 
 
+# requests that leave no evidence for their verdict: a board or key the
+# identity does not take, a key given twice, a negative size, no trials
+MISUSES = [
+    ("closed-form-abel", dict(board="0,2,3")),
+    ("closed-form-abel", dict(board="n=4,r=3")),
+    ("matrix-inverse", dict(board="n=3,q=7")),
+    ("closed-form-abel", dict(z=3)),
+    ("theta-inversion", dict(jump=2)),
+    ("degeneration-chain", dict(board="1,2")),
+    ("product-rook", dict(board="0,2,3,5,5", trials=0)),
+    ("product-rook", dict(board="0,2,3,5,5", trials=-3)),
+    ("product-rook", dict(board="board=3")),
+    ("bijection-partition", dict(board="n=-1")),
+    ("bijection-partition", dict(board="n=5,n=0")),
+    ("bijection-rg-weight", dict(board="n=3,I=1,J=2", jump=2)),
+    ("closed-form-abel-general", dict(board="n=3,m=-1")),
+    ("bijection-rg", dict(board="n=3,I=-1,J=2")),
+    ("product-jump", dict(board="1,3", jump=-1)),
+]
+
+
+@pytest.mark.parametrize(
+    "identity, request_",
+    MISUSES,
+    ids=[" ".join([name, *(f"{k}={v}" for k, v in request.items())]) for name, request in MISUSES],
+)
+def test_a_request_without_evidence_is_a_bad_board_spec(identity, request_):
+    with pytest.raises(BadBoardSpec):
+        run_check(identity, **request_)
+
+
+def test_a_negative_z_is_taken():
+    assert run_check("product-rook", "0,1,2", z=-0.5, trials=2).passed
+
+
 def test_every_identity_is_runnable():
     # one cheap pass over the whole registry at small sizes
     kwargs = {
@@ -182,6 +217,25 @@ def test_cli_bad_board_is_an_error():
         result = _cli("check", identity, "--board", board)
         assert result.returncode == 2, (identity, board, result.stdout, result.stderr)
         assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("closed-form-abel", "--board", "0,2,3"),
+        ("product-rook", "--board", "0,2,3,5,5", "--trials", "0"),
+    ],
+)
+def test_cli_request_without_evidence_is_an_error(args):
+    result = _cli("check", *args)
+    assert result.returncode == 2 and not result.stdout
+    assert result.stderr.startswith("error:")
+
+
+def test_cli_check_takes_sizes_only_in_the_spec():
+    result = _cli("check", "--help")
+    assert result.returncode == 0
+    assert not {"--I", "--r", "--m"} & set(re.findall(r"--\w+", result.stdout))
 
 
 def test_cli_demo_cycles():
@@ -431,7 +485,7 @@ def test_an_ill_conditioned_side_is_resampled(monkeypatch):
         return entry
 
     runner = harness._product(first_side_is_ill_conditioned)
-    monkeypatch.setitem(harness._IDENTITIES, "product-rook", (runner, 25, 1e-8))
+    monkeypatch.setitem(harness._IDENTITIES, "product-rook", (runner, 25, 1e-8, harness._BOARD_Z))
     report = run_check("product-rook", "0,2,3,5,5", trials=3)
     assert report.resamples == 1 and report.passed and len(calls) == 4
 

@@ -10,8 +10,8 @@ A check's sizes go in --board: a heights board, or the identity's
 parameters such as n=5,r=2 (n, r, m, I and J); --z and --J set z and J.
 Exit status is 0 when the check passed, 1 when it failed (a non-finite
 error fails), and 2 on an ellrook error such as a bad board spec: a key
-the identity does not take, a key given twice, a negative size or
-fewer than one trial.
+the identity does not take, a key given twice, a negative size, a
+non-finite --z or fewer than one trial.
 """
 
 from __future__ import annotations

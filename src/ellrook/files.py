@@ -7,8 +7,10 @@ column's cells depend only on its own rook, so at a parameter point the
 weighted sums of all k are the coefficients of a product of one linear
 polynomial E_c + R_c t per column: E_c weighs the empty column and R_c
 sums its rook positions, each with the cells above the rook.  file_row
-multiplies them out.  The placement-level definitions are
-`boards.file_uncancelled` and `boards.file_above_cells`.
+multiplies them out, through rook.transfer_row, which records the product
+once per (board, weighting, k) and replays it at each point.  The
+placement-level definitions are `boards.file_uncancelled` and
+`boards.file_above_cells`.
 
 _file_signatures is the family-free form of the same sums, both
 weightings per (board, k): the multisets of small-weight arguments, one
@@ -71,7 +73,7 @@ def file_row(
     if weighting not in (ROW_ONLY, ABOVE_ROOK):
         raise ValueError(f"unknown file weighting {weighting!r}")
     return transfer_row(
-        partial(_file_transfer, board.heights, weighting, k), fam, magnitude, board.heights
+        _file_transfer, (board.heights, weighting, k), fam, magnitude, board.heights
     )
 
 

@@ -12,14 +12,15 @@ its tolerance and its parameters with their defaults (a heights board is
 the parameter `board`, which has no default).  run_check resolves them
 once: the spec, a heights board or key=value pairs, and its z and jump
 arguments override the defaults; a key the identity does not take, a key
-given twice, a negative size, a missing board and trials < 1 are each a
-BadBoardSpec.  A runner reads the complete parameters once and returns
-one trial, which run_check's one trial loop calls `trials` times, keeping
-the worst error.  Results come in three kinds.  Sides: most trials yield
-the two sides of their identity (CheckEntry values or (lhs, rhs) pairs) to
-the one judge, _judge, which guards each side that gives a term scale and
-keeps the worst relative error.  Residuals: the trials of addition-formula
-and matrix-inverse return their own residual over the largest term.
+given twice, a negative size, a non-finite z, a missing board and
+trials < 1 are each a BadBoardSpec.  A runner reads the complete
+parameters once and returns one trial, which run_check's one trial loop
+calls `trials` times, keeping the worst error.  Results come in three
+kinds.  Sides: most trials yield the two sides of their identity
+(CheckEntry values or (lhs, rhs) pairs) to the one judge, _judge, which
+guards each side that gives a term scale and keeps the worst relative
+error.  Residuals: the trials of addition-formula and matrix-inverse
+return their own residual over the largest term.
 Counts: the exact counting checks (bijection-*, degeneration-q) return
 their mismatches over the whole run instead of a trial; with tolerance 0.5,
 passed still means max_rel_err < tolerance.  Runner factories serve whole
@@ -30,6 +31,7 @@ Parameters that leave no value to compare are a BadBoardSpec, never a PASS.
 
 from __future__ import annotations
 
+import cmath
 import json
 import random
 from dataclasses import asdict, dataclass, fields, replace
@@ -723,6 +725,8 @@ def run_check(
             raise BadBoardSpec(f"{identity} does not take {key!r}; it takes {takes}")
         if key not in ("board", "z") and value < 0:
             raise BadBoardSpec(f"{identity} needs {key} >= 0, not {value}")
+        if key == "z" and not cmath.isfinite(value):
+            raise BadBoardSpec(f"{identity} needs a finite z, not {value}")
     params = {**declared, **given}
     if "board" in params and not isinstance(params["board"], SkylineBoard):
         raise BadBoardSpec(f"{identity} needs a heights board spec")

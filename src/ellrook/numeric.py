@@ -42,7 +42,11 @@ def cpow(z, w):
         return cpow_int(z, int(w))
     if isinstance(w, complex) and w.imag == 0 and w.real.is_integer():
         return cpow_int(z, int(w.real))
-    return cmath.exp(w * cmath.log(z))
+    exponent = w * cmath.log(z)
+    if not cmath.isfinite(exponent):
+        # cmath.exp would raise ValueError at an infinite imaginary part
+        raise OverflowError(f"{z} ** {w} out of range")
+    return cmath.exp(exponent)
 
 
 def guard_denominator(value):

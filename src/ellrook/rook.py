@@ -11,10 +11,22 @@ for the jump-attacking model, whose jump 1 is the rook model: rook_row is
 j_rook_row at jump 1, and jattack uses it at every jump.  The
 placement-level definition is `boards.rook_uncancelled`.
 
+The kernel's operations depend on the board, never on the point, so
+transfer_row records them once per (kernel, heights, jump or weighting,
+depth, k) as a straight-line program (Kaltofen, JACM 35 (1988)): the
+distinct weight arguments, the kernel's constants, and add and multiply
+instructions over registers, kept in int arrays in a bounded LRU
+(_plan).  Each point replays it at its weights, the same operations on
+the same operands in the same order, so the sums are bit-identical to
+the kernel's; on request the same walk fills a second register file from
+|w|, each sum's pre-cancellation magnitude.  The recording values keep
+their program in themselves, so threads may record at once.
+
 At an exact q (a PlainQ over an int or a Fraction, Garsia and Remmel's
 classical point) each sum is an integer polynomial in q: transfer_row runs
-the kernel once over ints, q being a power of two wide enough to hold each
-coefficient in its own bit field, and reads the sums at q off them.
+the kernel once over ints, unrecorded, q being a power of two wide enough
+to hold each coefficient in its own bit field, and reads the sums at q
+off them.
 
 rook_signature is the family-free form of the same sum per (board, k,
 depth): the multiset of small-weight arguments, one entry per placement,
@@ -29,8 +41,10 @@ tests and the benchmark.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .boards import SkylineBoard, _rook_attack_rows
 from .numeric import CheckEntry, factor_sum
@@ -142,40 +156,163 @@ def j_rook_row(
     same sums over |w| in doubles, each sum's pre-cancellation scale.
     """
     return transfer_row(
-        partial(_j_rook_transfer, board.heights, jump, depth, k),
+        _j_rook_transfer,
+        (board.heights, jump, depth, k),
         fam,
         magnitude,
         [h + depth for h in board.heights],
     )
 
 
-def transfer_row(transfer, fam: WeightFamily, magnitude: bool, rows):
-    """transfer(weight) at the small weights of fam; with magnitude, the
-    pair of it and transfer(|weight|) in doubles.
+def transfer_row(kernel, args: tuple, fam: WeightFamily, magnitude: bool, rows):
+    """kernel(*args, weight) at the small weights of fam; with magnitude,
+    the pair of it and the same sums over |weight| in doubles.
+
+    The kernel's operations depend on args alone, never on the weights, so
+    _plan records them once per args as a straight-line program, and each
+    call replays it at fam's weights; with magnitude the same walk fills a
+    second register file from |weight|.
 
     rows holds each column's row count.  At an exact q (a PlainQ whose q
     is an int or a Fraction) every small weight is q, so each sum is
-    sum_i c_i q^i with c_i counting placements.  transfer then runs once
-    on ints, every weight being 2^S with S = prod(r + 1).bit_length():
-    each coefficient of a sum, or of a partial sum in the kernel, counts
-    placements on some of the columns, at most prod(r + 1) < 2^S, so the
-    S-bit fields of a packed sum never carry (Kronecker substitution), and
-    _unpack reads the c_i off it.
+    sum_i c_i q^i with c_i counting placements.  The kernel then runs once
+    on ints, unrecorded, every weight being 2^S with S =
+    prod(r + 1).bit_length(): each coefficient of a sum, or of a partial
+    sum in the kernel, counts placements on some of the columns, at most
+    prod(r + 1) < 2^S, so the S-bit fields of a packed sum never carry
+    (Kronecker substitution), and _unpack reads the c_i off it.
     """
-    weight = WeightTable(fam).__getitem__
-    if isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction)):
+    exact = isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction))
+    if exact:
         shift = math.prod(r + 1 for r in rows).bit_length()
         packed = 1 << shift
         q = fam.q
         values = {
             k: _unpack(value, shift, q.numerator, q.denominator)
-            for k, value in transfer(lambda ell: packed).items()
+            for k, value in kernel(*args, lambda ell: packed).items()
         }
-    else:
-        values = transfer(weight)
+        if not magnitude:
+            return values
+    plan = _plan(kernel, args)
+    weight = WeightTable(fam).__getitem__
+    weights = [weight(ell) for ell in plan.args]
+    if exact:
+        return values, _replay(plan, [abs(complex(w)) for w in weights])
     if not magnitude:
-        return values
-    return values, transfer(cache(lambda ell: abs(complex(weight(ell)))))
+        return _replay(plan, weights)
+    return _replay_with_magnitudes(plan, weights, [abs(complex(w)) for w in weights])
+
+
+class _Plan(NamedTuple):
+    """A kernel run as a straight-line program.  Its registers are the
+    weights at args, then consts, then one per instruction i: register
+    lefts[i] plus register rights[i] if adds[i], else their product.
+    outputs pairs each k with the register of its sum."""
+
+    args: tuple
+    consts: tuple
+    adds: bytes
+    lefts: array
+    rights: array
+    outputs: tuple
+
+
+@lru_cache(maxsize=256)
+def _plan(kernel, args: tuple) -> _Plan:
+    """kernel(*args, weight) recorded over _Recorded values."""
+    recording = _Recording()
+    return recording.plan(kernel(*args, recording.weight))
+
+
+def _replay(plan: _Plan, weights: list) -> dict:
+    """The sums of plan with weights in the registers of its args."""
+    regs = weights + list(plan.consts)
+    append = regs.append
+    for add, a, b in zip(plan.adds, plan.lefts, plan.rights):
+        append(regs[a] + regs[b] if add else regs[a] * regs[b])
+    return {k: regs[r] for k, r in plan.outputs}
+
+
+def _replay_with_magnitudes(plan: _Plan, weights: list, magnitudes: list):
+    """_replay at weights and at magnitudes in one walk."""
+    consts = list(plan.consts)
+    regs, mags = weights + consts, magnitudes + consts
+    for add, a, b in zip(plan.adds, plan.lefts, plan.rights):
+        if add:
+            regs.append(regs[a] + regs[b])
+            mags.append(mags[a] + mags[b])
+        else:
+            regs.append(regs[a] * regs[b])
+            mags.append(mags[a] * mags[b])
+    return {k: regs[r] for k, r in plan.outputs}, {k: mags[r] for k, r in plan.outputs}
+
+
+class _Recording:
+    """The instructions of one kernel run, which weight() and the
+    _Recorded values it returns append to.  Until plan() renumbers them,
+    input j (a weight or a constant) is register ~j and instruction i is
+    register i."""
+
+    def __init__(self):
+        self.inputs: dict = {}  # (is a weight, argument or constant) -> j
+        self.ops: list = []  # (add, left register, right register)
+
+    def weight(self, ell) -> _Recorded:
+        return _Recorded(self, self._input(True, ell))
+
+    def _input(self, is_weight: bool, key) -> int:
+        return ~self.inputs.setdefault((is_weight, key), len(self.inputs))
+
+    def _register(self, value) -> int:
+        if isinstance(value, _Recorded):
+            return value.reg
+        return self._input(False, value)  # a constant of the kernel's own
+
+    def emit(self, add: bool, left, right) -> _Recorded:
+        self.ops.append((add, self._register(left), self._register(right)))
+        return _Recorded(self, len(self.ops) - 1)
+
+    def plan(self, sums: dict) -> _Plan:
+        outputs = [(k, self._register(value)) for k, value in sums.items()]
+        # the final registers: the weights, the constants, the instructions
+        inputs = sorted(self.inputs, key=lambda key: not key[0])
+        final = {~self.inputs[key]: reg for reg, key in enumerate(inputs)}
+        base = len(inputs)
+
+        def renumber(reg):
+            return final[reg] if reg < 0 else base + reg
+
+        adds, lefts, rights = zip(*self.ops) if self.ops else ((), (), ())
+        return _Plan(
+            tuple(arg for is_weight, arg in inputs if is_weight),
+            tuple(const for is_weight, const in inputs if not is_weight),
+            bytes(adds),
+            array("i", map(renumber, lefts)),
+            array("i", map(renumber, rights)),
+            tuple((k, renumber(reg)) for k, reg in outputs),
+        )
+
+
+class _Recorded:
+    """A value in a recorded kernel run: register reg of recording.  Each
+    sum or product appends one instruction, operands in the kernel's order."""
+
+    __slots__ = ("recording", "reg")
+
+    def __init__(self, recording: _Recording, reg: int):
+        self.recording, self.reg = recording, reg
+
+    def __add__(self, other):
+        return self.recording.emit(True, self, other)
+
+    def __radd__(self, other):
+        return self.recording.emit(True, other, self)
+
+    def __mul__(self, other):
+        return self.recording.emit(False, self, other)
+
+    def __rmul__(self, other):
+        return self.recording.emit(False, other, self)
 
 
 def _unpack(value: int, shift: int, u: int, v: int):

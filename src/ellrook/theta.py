@@ -23,18 +23,20 @@ above |p| = 1/2 it costs more, and the product converges fast enough.
 theta memoizes values per nome, next to the nome's table: every weight at
 a parameter point is a quotient of theta values at the same p, most
 arguments repeat, and the product checks evaluate many boards at the same
-few points.  Complex calls keep the memos of the last 32 nomes, in a dict
-keyed by p (by identity, then ==) in the order they were built; a call
-with a new p, or with another cfg object (by is) than its nome's memo was
-built for, builds a new table, validating the nome, starts an empty memo
-and drops the oldest nome past 32.  Calls on mpmath numbers keep one
-nome's memo, keyed also by mp.prec, since each extended-precision check
-draws its own nome.  The two never share a memo: mpmath numbers compare
-(and mostly hash) equal to the doubles they were built from, so a shared
-memo would answer a 35-digit call with a double, or a 60-digit call with a
-35-digit value.  Calls on mpmath numbers run in fixed-point Python ints at
-mp.prec plus guard bits, in ellrook.theta_fixed, which theta imports, with
-mpmath, only on that path.
+few points.  theta_multi, which every weight calls, reads the memo once
+per call (_memo_of, the helper theta uses), not once per argument, and
+calls theta only for an argument the memo lacks.  Complex calls keep the
+memos of the last 32 nomes, in a dict keyed by p (by identity, then ==) in
+the order they were built; a call with a new p, or with another cfg object
+(by is) than its nome's memo was built for, builds a new table, validating
+the nome, starts an empty memo and drops the oldest nome past 32.  Calls
+on mpmath numbers keep one nome's memo, keyed also by mp.prec, since each
+extended-precision check draws its own nome.  The two never share a memo:
+mpmath numbers compare (and mostly hash) equal to the doubles they were
+built from, so a shared memo would answer a 35-digit call with a double,
+or a 60-digit call with a 35-digit value.  Calls on mpmath numbers run in
+fixed-point Python ints at mp.prec plus guard bits, in
+ellrook.theta_fixed, which theta imports, with mpmath, only on that path.
 
 All functions here are pure and safe for concurrent use: the memos are
 replaced, never cleared or evicted in place (a new complex nome copies the
@@ -101,27 +103,35 @@ _mp_memo: tuple = (None, None, None, None, {})
 
 def theta(x, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
     """Modified Jacobi theta function theta(x; p), memoized per nome."""
+    memo = _memo_of(x, p, cfg)
+    if memo is None:
+        return _theta_product(x, p, cfg)
+    series, table, values = memo
+    value = values.get(x)
+    if value is None:
+        value = values[x] = series(x, p, cfg, table)
+    return value
+
+
+def _memo_of(x, p, cfg: ThetaEvalConfig):
+    """(series, table, {x: theta(x; p)}) of the memo that serves theta(x, p,
+    cfg), built if missing, with series(x, p, cfg, table) its kernel; None
+    where theta keeps no memo."""
     global _memo, _mp_memo
     if type(x) is complex and type(p) is complex:
         memo = _memo
         entry = memo.get(p)
         if entry is not None and entry[0] is cfg:
-            _, table, values = entry
-            value = values.get(x)
-            if value is not None:
-                return value
-        else:
-            table = _series_table(p, cfg)
-            values = {}
-            # a new dict, so that a racing reader never sees one mutated
-            kept = [item for item in memo.items() if item[0] != p]
-            memo = dict(kept[max(0, len(kept) - _MEMO_NOMES + 1) :])
-            memo[p] = (cfg, table, values)
-            _memo = memo
-        value = values[x] = _theta_series(x, p, cfg, table)
-        return value
+            return _theta_series, entry[1], entry[2]
+        table, values = _series_table(p, cfg), {}
+        # a new dict, so that a racing reader never sees one mutated
+        kept = [item for item in memo.items() if item[0] != p]
+        memo = dict(kept[max(0, len(kept) - _MEMO_NOMES + 1) :])
+        memo[p] = (cfg, table, values)
+        _memo = memo
+        return _theta_series, table, values
     if not (_is_mp(x) or _is_mp(p.p if isinstance(p, Nome) else p)):
-        return _theta_product(x, p, cfg)
+        return None
     from mpmath import mp
 
     from . import theta_fixed
@@ -129,15 +139,9 @@ def theta(x, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
     prec = mp.prec
     memo_p, memo_prec, memo_cfg, table, values = _mp_memo
     if memo_cfg is not cfg or memo_prec != prec or not (memo_p is p or memo_p == p):
-        table = theta_fixed.nome_table(p, cfg)
-        values = {}
+        table, values = theta_fixed.nome_table(p, cfg), {}
         _mp_memo = (p, prec, cfg, table, values)
-    else:
-        value = values.get(x)
-        if value is not None:
-            return value
-    value = values[x] = theta_fixed.series(x, p, cfg, table)
-    return value
+    return theta_fixed.series, table, values
 
 
 def _is_mp(value) -> bool:
@@ -258,10 +262,16 @@ def _theta_series(x, p, cfg: ThetaEvalConfig, table):
 
 
 def theta_multi(xs, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
-    """Product of theta over a list of arguments; empty list gives 1."""
+    """Product of theta over a list of arguments; empty list gives 1.  The
+    memo is read once for each run of arguments of one type, and theta
+    runs only on a miss or where there is no memo."""
     out = 1
+    kind = memo = None
     for x in xs:
-        out *= theta(x, p, cfg)
+        if type(x) is not kind:
+            kind, memo = type(x), _memo_of(x, p, cfg)
+        value = None if memo is None else memo[2].get(x)
+        out *= theta(x, p, cfg) if value is None else value
     return out
 
 

@@ -13,3 +13,16 @@ def rng():
 def sample_elliptic(rng) -> FullElliptic:
     a, b, q, p = random_generic_point(rng)
     return FullElliptic(a, b, q, p)
+
+
+def exact_bits(value):
+    """value down to its bits, for comparisons that a rounding difference
+    or a zero's sign must fail: an mpmath number's mantissa tuples, a
+    double's hex digits, or the exact value itself."""
+    if hasattr(value, "_mpc_"):
+        return value._mpc_
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    return value

@@ -15,6 +15,7 @@ from ellrook.harness import (
     parse_board_spec,
     run_check,
 )
+from ellrook.numeric import cpow
 from ellrook.weights import FrakPQ
 
 
@@ -352,6 +353,37 @@ def test_cli_spent_resample_budget_is_an_error(z, failure):
     assert "Traceback" not in result.stderr
     assert result.returncode == 2
     assert result.stderr.startswith("error: no usable parameter point") and failure in result.stderr
+
+
+PRODUCTS = ["product-rook", "product-file", "product-file-above", "product-jump"]
+
+
+@pytest.mark.parametrize("identity", PRODUCTS + ["max-identity"])
+@pytest.mark.parametrize(
+    "z", [math.nan, math.inf, -math.inf, complex(math.nan, 1), complex(2, math.inf)]
+)
+def test_non_finite_z_is_a_bad_board_spec(identity, z):
+    with pytest.raises(BadBoardSpec, match="needs a finite z"):
+        run_check(identity, "0,2,3", z=z)
+
+
+def test_an_exponent_beyond_the_doubles_is_an_overflow():
+    # w log(z) overflows to an infinite imaginary part, where cmath.exp
+    # raises ValueError, which the harness would not resample
+    for w in (complex(1e308, 1e308), complex(-1e308, 1e308), complex(math.nan, 0)):
+        with pytest.raises(OverflowError):
+            cpow(complex(3.0, 2.0), w)
+    assert cpow(complex(0.3, 0.2), complex(1e308, 1e308)) == 0
+
+
+@pytest.mark.parametrize("identity", PRODUCTS)
+def test_cli_huge_or_non_finite_z_exits_2(identity):
+    # at 1e308,1e308 every draw over- or underflows; nan is no z at all
+    for z, message in (("1e308,1e308", "no usable parameter point"), ("nan", "a finite z")):
+        result = _cli("check", identity, "--board", "0,2,3", "--z", z)
+        assert "Traceback" not in result.stderr, (z, result.stderr)
+        assert result.returncode == 2 and not result.stdout, z
+        assert result.stderr.startswith("error: ") and message in result.stderr, z
 
 
 @pytest.mark.parametrize("family", ["q", "aq", "0bq", "trivial"])

@@ -8,12 +8,17 @@ must equal those multisets evaluated.  Also the enumerators against a
 brute force over cell subsets."""
 
 import itertools
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 
 import pytest
+from conftest import exact_bits
+from mpmath import mp
 
+from ellrook import rook as rook_module
 from ellrook.boards import (
     SkylineBoard,
     file_above_cells,
@@ -25,6 +30,7 @@ from ellrook.boards import (
     rook_placements,
     rook_uncancelled,
 )
+from ellrook.errors import PoleEncountered
 from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_signatures, _file_transfer, file_row
 from ellrook.jattack import b_board, j_rook_row, j_rook_signature
 from ellrook.rook import (
@@ -33,8 +39,10 @@ from ellrook.rook import (
     rook_row,
     rook_signature,
     signature_row,
+    transfer_row,
 )
-from ellrook.weights import ABq, WeightTable
+from ellrook.harness import mp_family
+from ellrook.weights import ABq, FullElliptic, PlainQ, WeightTable
 
 
 def _ferrers(n):
@@ -296,3 +304,154 @@ def test_j_rook_row_too_shallow_raises():
     # no rook, no attack: the empty column weighs its rows 1 and 0
     table = WeightTable(EXACT)
     assert j_rook_row(board, 2, EXACT, 1, 0) == {0: table[0] * table[1]}
+
+
+# ---------------------------------------------------------------------------
+# the recorded programs replayed against the kernels run at the same weights
+# ---------------------------------------------------------------------------
+
+
+def _elliptic():
+    return FullElliptic(0.61 + 0.23j, 0.38 - 0.52j, 0.41 + 0.33j, 0.12 - 0.07j)
+
+
+def _mp_elliptic():
+    return mp_family(_elliptic())
+
+
+REPLAY_FAMILIES = {"elliptic": _elliptic, "mp-35-digits": _mp_elliptic, "exact-abq": lambda: EXACT}
+
+
+def _row_bits(row: dict):
+    return [(k, type(value), exact_bits(value)) for k, value in row.items()]
+
+
+class _WeightsOnce:
+    """A family's small weights, each evaluated once for all the calls."""
+
+    def __init__(self, fam):
+        self.small_weight = cache(fam.small_weight)
+
+
+def _check_replay(kernel, args, fam, rows, unpaired=True):
+    """transfer_row, which replays the recorded program, against the kernel
+    run at fam's weights and at their moduli, as the second pass of the
+    magnitudes did: the same values, bit for bit and in the same order."""
+    weight = fam.small_weight
+    values = kernel(*args, weight)
+    magnitudes = kernel(*args, cache(lambda ell: abs(complex(weight(ell)))))
+    got_values, got_magnitudes = transfer_row(kernel, args, fam, True, rows)
+    assert _row_bits(got_values) == _row_bits(values), args
+    assert _row_bits(got_magnitudes) == _row_bits(magnitudes), args
+    if unpaired:
+        assert _row_bits(transfer_row(kernel, args, fam, False, rows)) == _row_bits(values), args
+
+
+def _replay_cases(thin):
+    """(kernel, args, rows) of every board the kernel tests take, at every
+    k; with thin, only every third board of each of BOARD_SETS."""
+    for boards in BOARD_SETS.values():
+        for heights in boards[:: 3 if thin else 1]:
+            for k in (None, *_ks(heights)):
+                yield _j_rook_transfer, (heights, 1, 0, k), heights
+                for weighting in (ROW_ONLY, ABOVE_ROOK):
+                    yield _file_transfer, (heights, weighting, k), heights
+    jump_cases = [(heights, jump, 0) for heights, jump in JUMP_BOARDS] + EXTENDED_JUMP_BOARDS
+    jump_cases += [(heights, jump, 0) for heights in NON_FERRERS for jump in (0, 2)]
+    for heights, jump, depth in jump_cases:
+        for k in (None, *_ks(heights)):
+            yield _j_rook_transfer, (heights, jump, depth, k), [h + depth for h in heights]
+
+
+# the 35-digit and exact arithmetic is slow, so those families take every
+# third Ferrers and non-Ferrers board, and check the replay without
+# magnitudes only at doubles
+@pytest.mark.parametrize("family", REPLAY_FAMILIES)
+def test_replay_matches_the_kernel_bit_for_bit(family):
+    doubles = family == "elliptic"
+    with mp.workdps(35):
+        fam = _WeightsOnce(REPLAY_FAMILIES[family]())
+        for kernel, args, rows in _replay_cases(thin=not doubles):
+            _check_replay(kernel, args, fam, rows, unpaired=doubles)
+
+
+def test_replay_at_exact_q_keeps_the_packed_values():
+    # at PlainQ over an int or a Fraction the values come from the packed
+    # kernel and only the magnitudes from the program
+    for fam in (PlainQ(1), PlainQ(Fraction(2, 3)), PlainQ(-3)):
+        for heights in BOARD_SETS["ferrers-3-columns"] + NON_FERRERS:
+            board = SkylineBoard(heights)
+            values, magnitudes = rook_row(board, fam, magnitude=True)
+            assert values == rook_row(board, fam)
+            weight = WeightTable(fam).__getitem__
+            want = _j_rook_transfer(heights, 1, 0, None, lambda ell: abs(complex(weight(ell))))
+            assert _row_bits(magnitudes) == _row_bits(want)
+
+
+def test_recording_too_shallow_raises_and_caches_nothing():
+    rook_module._plan.cache_clear()
+    board = SkylineBoard((1,))
+    for magnitude in (False, True):
+        for fam in (EXACT, _elliptic(), PlainQ(Fraction(1, 2))):
+            with pytest.raises(ValueError, match="too shallow"):
+                j_rook_row(board, 2, fam, 1, None, magnitude)
+    assert rook_module._plan.cache_info().currsize == 0
+    assert rook_module._plan.cache_info().maxsize == 256
+
+
+class _PoleAt:
+    """A family whose small weight has a pole at one argument."""
+
+    def __init__(self, ell):
+        self.ell = ell
+
+    def small_weight(self, ell):
+        if ell == self.ell:
+            raise PoleEncountered(f"pole at {ell}")
+        return EXACT.small_weight(ell)
+
+
+def test_pole_of_a_weight_propagates():
+    board = SkylineBoard((2, 3, 3))
+    for magnitude in (False, True):
+        with pytest.raises(PoleEncountered, match="pole at -1"):
+            rook_row(board, _PoleAt(-1), magnitude=magnitude)
+        with pytest.raises(PoleEncountered, match="pole at 0"):
+            file_row(board, _PoleAt(0), ABOVE_ROOK, magnitude=magnitude)
+    # a weight no placement uses is never evaluated
+    assert rook_row(board, _PoleAt(99)) == rook_row(board, EXACT)
+
+
+def test_two_threads_record_and_replay_at_once():
+    fam = _elliptic()
+    boards = [BOARD_SETS["ferrers-4-columns"][::3], BOARD_SETS["ferrers-4-columns"][1::3]]
+    weight = WeightTable(fam).__getitem__
+    wrong = []
+
+    def record_and_replay(heights_list):
+        try:
+            for _ in range(3):
+                for heights in heights_list:
+                    args = (heights, 1, 0, None)
+                    # record afresh, past the cache, so both threads record at once
+                    plan = rook_module._plan.__wrapped__(_j_rook_transfer, args)
+                    got = rook_module._replay(plan, [weight(ell) for ell in plan.args])
+                    if _row_bits(got) != _row_bits(_j_rook_transfer(*args, weight)):
+                        wrong.append(heights)
+                    if rook_row(SkylineBoard(heights), fam) != _j_rook_transfer(*args, weight):
+                        wrong.append(heights)
+        except Exception as exc:
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=record_and_replay, args=(part,)) for part in boards]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong

@@ -5,8 +5,10 @@ import random
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from conftest import exact_bits
 
 from ellrook.errors import NoConvergence, ZeroArgument
 from ellrook.harness import run_check
@@ -83,6 +85,64 @@ def test_theta_multi_trivia():
     assert theta_multi([x], 0.2) == theta(x, 0.2)
     lhs = theta_multi([2, 0.5j], 0.1)
     assert relative_error(lhs, theta(2, 0.1) * theta(0.5j, 0.1)) < 1e-14
+
+
+def _theta_product_of(xs, p, cfg=DEFAULT_CONFIG):
+    """The product theta_multi stands for, one theta call per argument."""
+    return _product_of(theta(x, p, cfg) for x in xs)
+
+
+def _product_of(values):
+    out = 1
+    for value in values:
+        out *= value
+    return out
+
+
+def test_theta_multi_is_the_product_of_theta_calls(rng, monkeypatch):
+    monkeypatch.setattr(theta_module, "_memo", {})
+    xs = [_random_nonzero(rng) for _ in range(6)]
+    more = [_random_nonzero(rng) for _ in range(3)]
+    p, other = _random_nome(rng), _random_nome(rng)
+    twin = ThetaEvalConfig()
+    cases = [
+        (xs, p, DEFAULT_CONFIG),  # every argument a miss, on a new nome
+        (xs, p, DEFAULT_CONFIG),  # every argument a hit
+        (xs[:3] + more, p, DEFAULT_CONFIG),  # hits and misses, one repeated below
+        (more + more, p, DEFAULT_CONFIG),
+        (xs, other, DEFAULT_CONFIG),  # another nome
+        (xs, p, DEFAULT_CONFIG),  # back to the first, whose memo is kept
+        (xs, p, twin),  # an equal cfg object of its own rebuilds the memo
+        ([0.7, -1.3, 2.0], p, DEFAULT_CONFIG),  # floats skip the memo
+        ([0.7, xs[0], Fraction(3, 2)], p, DEFAULT_CONFIG),
+        ([Fraction(3, 2), Fraction(-1, 3)], Fraction(1, 5), DEFAULT_CONFIG),
+        ([0.4, 1.5 + 0.5j], 0.3, DEFAULT_CONFIG),  # a float nome skips the memo
+    ]
+    for args, nome, cfg in cases:
+        got = theta_multi(args, nome, cfg)
+        assert exact_bits(got) == exact_bits(_theta_product_of(args, nome, cfg)), (args, nome)
+    assert list(theta_module._memo[other][2]) == xs
+    theta_multi(xs, p, twin)
+    assert theta_module._memo[p][0] is twin and list(theta_module._memo[p][2]) == xs
+
+
+def test_theta_multi_over_mpmath_numbers(rng):
+    from mpmath import mp, mpc, mpf
+
+    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
+    with mp.workdps(35):
+        xs = [mpc(_random_nonzero(rng)) for _ in range(4)]
+        for p in (mpc(_random_nome(rng)), mpf(0.3)):
+            for args in (xs, xs[:2] + [mpf(1.5)], [mpf(0.5), mpc(2, 1)]):
+                got = theta_multi(args, p, cfg)
+                assert exact_bits(got) == exact_bits(_theta_product_of(args, p, cfg))
+        # complex arguments at an mpmath nome, and the reverse
+        assert exact_bits(theta_multi([0.5 + 0.1j], xs[0] / 4, cfg)) == exact_bits(
+            theta(0.5 + 0.1j, xs[0] / 4, cfg)
+        )
+        assert exact_bits(theta_multi(xs, 0.2 + 0.1j, cfg)) == exact_bits(
+            _theta_product_of(xs, 0.2 + 0.1j, cfg)
+        )
 
 
 def test_shifted_factorial_branches():
@@ -169,17 +229,22 @@ def test_memo_never_answers_extended_precision_calls():
 
 
 def _memo_races(xs, nomes, reference, rounds):
-    """The (x, p) at which theta differed from reference(x, p), and any
-    exception raised, while two threads called it alternating the nomes in
-    opposite orders."""
+    """The (x, p) at which theta differed from reference(x, p), the (xs, p)
+    at which theta_multi differed from the product of those, and any
+    exception raised, while two threads called both alternating the nomes
+    in opposite orders."""
     want = {(x, p): reference(x, p) for x in xs for p in nomes}
     wrong = []
+
+    products = {p: _product_of(want[(x, p)] for x in xs) for p in nomes}
 
     def alternate(order):
         try:
             for _ in range(rounds):
                 for p in order:
                     wrong.extend((x, p) for x in xs if theta(x, p) != want[(x, p)])
+                    if theta_multi(xs, p) != products[p]:
+                        wrong.append((tuple(xs), p))
         except Exception as exc:
             wrong.append(exc)
 

@@ -14,7 +14,7 @@ from .errors import (
     ZeroArgument,
 )
 from .harness import CheckReport, SamplerConfig, run_check
-from .theta import Nome, ThetaEvalConfig, qp_shifted_factorial, theta, theta_multi
+from .theta import qp_shifted_factorial, theta, theta_multi
 from .weights import (
     ABq,
     Aq,
@@ -38,14 +38,12 @@ __all__ = [
     "FrakPQ",
     "FullElliptic",
     "NoConvergence",
-    "Nome",
     "NotJAttackingBoard",
     "PlainQ",
     "PoleEncountered",
     "ResamplesExhausted",
     "SamplerConfig",
     "SkylineBoard",
-    "ThetaEvalConfig",
     "UnknownIdentity",
     "ZeroArgument",
     "ZeroBq",

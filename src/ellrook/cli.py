@@ -8,10 +8,12 @@
 
 A check's sizes go in --board: a heights board, or the identity's
 parameters such as n=5,r=2 (n, r, m, I and J); --z and --J set z and J.
-Exit status is 0 when the check passed, 1 when it failed (a non-finite
-error fails), and 2 on an ellrook error such as a bad board spec: a key
-the identity does not take, a key given twice, a negative size, a
-non-finite --z or fewer than one trial.
+--z takes the word after it whatever its sign, so --z -2,1 is z = -2 + i;
+for max-identity z is the depth, an integer >= 0.  Exit status is 0 when
+the check passed, 1 when it failed (a non-finite error fails), and 2 on an
+ellrook error such as a bad board spec: a key the identity does not take,
+a key given twice, a negative size, a non-finite --z or fewer than one
+trial; or a table family given an --r or --m it does not take.
 """
 
 from __future__ import annotations
@@ -104,13 +106,7 @@ def _cmd_table(args) -> int:
         fam = PlainQ(1)
     else:
         fam = random_family(random.Random(args.seed), args.family)
-    table = special.SpecialNumberTable.build(
-        args.table_family,
-        args.nmax,
-        fam,
-        r=1 if args.r is None else args.r,
-        m=1 if args.m is None else args.m,
-    )
+    table = special.SpecialNumberTable.build(args.table_family, args.nmax, fam, r=args.r, m=args.m)
     if args.format == "csv":
         table.write_csv(args.out)
     else:
@@ -173,9 +169,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_z(argv) -> list[str]:
+    """argv with each '--z value' as '--z=value', since argparse reads a
+    value such as -2,1 or -1e3 as an option."""
+    out, words = [], iter(argv)
+    for word in words:
+        out.append(f"--z={next(words, '')}" if word == "--z" else word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_z(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except EllrookError as exc:

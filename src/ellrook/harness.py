@@ -50,7 +50,7 @@ from .errors import (
     ZeroArgument,
 )
 from .numeric import CheckEntry, guard_condition, relative_error, worst_error
-from .theta import Nome, ThetaEvalConfig, theta
+from .theta import theta, theta_product
 from .weights import (
     ABq,
     Aq,
@@ -191,22 +191,19 @@ def _product(check):
     return run
 
 
-def mp_family(fam, precision: float = 1e-30):
+def mp_family(fam):
     """Rebuild a weight family over mpmath complex numbers.
 
     The weighted sums over deep board extensions cancel catastrophically in
     doubles, so enumeration cross-checks run at extended precision; the
-    generic family code evaluates unchanged over mpc values.  A PlainQ at an
-    exact q is returned as it is.
+    generic family code evaluates unchanged over mpc values, whose theta
+    truncates at mp.dps.  A PlainQ at an exact q is returned as it is.
     """
     from mpmath import mpc
 
     if isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction)):
         return fam
-    numbers = {f.name: mpc(getattr(fam, f.name)) for f in fields(fam) if f.name != "cfg"}
-    if isinstance(fam, FullElliptic):
-        numbers["cfg"] = ThetaEvalConfig(truncation_tolerance=precision)
-    return replace(fam, **numbers)
+    return replace(fam, **{f.name: mpc(getattr(fam, f.name)) for f in fields(fam)})
 
 
 def _run_product_jump(ctx: _Context):
@@ -232,10 +229,12 @@ def _run_product_jump(ctx: _Context):
 
 def _run_max_identity(ctx: _Context):
     board, depth = ctx.params["board"], ctx.params["z"]
+    if depth is not None and not (isinstance(depth, int) and depth >= 0):
+        raise BadBoardSpec(f"max-identity needs a depth z that is an integer >= 0, not {depth}")
 
     def sides(fam):
-        k = depth if depth is not None else ctx.rng.randrange(0, 3)
-        yield rook.max_identity_check(board, fam, int(k))
+        k = ctx.rng.randrange(0, 3) if depth is None else depth
+        yield rook.max_identity_check(board, fam, k)
 
     return _grid(ctx, sides)
 
@@ -474,13 +473,13 @@ def _run_ellipticity(ctx: _Context):
 # --- theta substrate ----------------------------------------------------------
 
 
-# one side is the product (a Nome nome): the series satisfies these two term
-# by term; a trial draws x and p, no family, so nothing is resampled
+# one side is theta_product, the product by name: the series satisfies these
+# two term by term; a trial draws x and p, no family, so nothing is resampled
 def _run_theta_inversion(ctx: _Context):
     def sides():
         x = _polar(ctx.rng, 0.5, 2.0)
         p = _polar(ctx.rng, *ctx.config.p_modulus)
-        yield theta(x, p), -x * theta(1 / x, Nome(p))
+        yield theta(x, p), -x * theta_product(1 / x, p)
 
     return lambda: _judge(sides())
 
@@ -489,7 +488,7 @@ def _run_theta_quasiperiod(ctx: _Context):
     def sides():
         x = _polar(ctx.rng, 0.5, 2.0)
         p = _polar(ctx.rng, *ctx.config.p_modulus)
-        yield theta(p * x, Nome(p)), -theta(x, p) / x
+        yield theta_product(p * x, p), -theta(x, p) / x
 
     return lambda: _judge(sides())
 

@@ -339,18 +339,19 @@ def via_recursion(name: str, n: int, k: int, fam: WeightFamily, **params):
 # tables
 # ---------------------------------------------------------------------------
 
-# table family -> row(n, fam, r, m), the dict k -> value
+# table family -> (row(n, fam, **params), the dict k -> value, and the
+# parameters it takes, each 1 unless given)
 _TABLE_ROWS = {
-    "stirling2": lambda n, fam, r, m: stirling2_row(n, fam),
-    "stirling2r": lambda n, fam, r, m: stirling2_row(n, fam, r=r),
-    "lah": lambda n, fam, r, m: lah_row(n, fam),
-    "lahr": lambda n, fam, r, m: lah_row(n, fam, r=r),
-    "stirling1": lambda n, fam, r, m: stirling1_row(n, fam),
-    "stirling1r": lambda n, fam, r, m: stirling1_row(n, fam, r=r),
-    "abel": lambda n, fam, r, m: abel_row(n, fam),
-    "abelr": lambda n, fam, r, m: abel_row(n, fam, r=r),
-    "abelgen": lambda n, fam, r, m: abel_row(n, fam, m=m),
-    "abelgenr": lambda n, fam, r, m: abel_row(n, fam, r=r, m=m),
+    "stirling2": (stirling2_row, ()),
+    "stirling2r": (stirling2_row, ("r",)),
+    "lah": (lah_row, ()),
+    "lahr": (lah_row, ("r",)),
+    "stirling1": (stirling1_row, ()),
+    "stirling1r": (stirling1_row, ("r",)),
+    "abel": (abel_row, ()),
+    "abelr": (abel_row, ("r",)),
+    "abelgen": (abel_row, ("m",)),
+    "abelgenr": (abel_row, ("r", "m")),
 }
 TABLE_FAMILIES = tuple(_TABLE_ROWS)
 
@@ -371,21 +372,30 @@ class SpecialNumberTable:
 
     @classmethod
     def build(
-        cls, family: str, n_max: int, fam: WeightFamily, r: int = 1, m: int = 1
+        cls, family: str, n_max: int, fam: WeightFamily, r: int | None = None, m: int | None = None
     ) -> "SpecialNumberTable":
+        """The table of family for n <= n_max; r and m, where the family
+        takes them, default to 1, and a family that does not take one given
+        is a BadBoardSpec."""
         if family not in TABLE_FAMILIES:
             raise ValueError(f"unknown table family {family!r}")
+        row_of, takes = _TABLE_ROWS[family]
+        given = {key: value for key, value in (("r", r), ("m", m)) if value is not None}
+        for key in given:
+            if key not in takes:
+                raise BadBoardSpec(f"table {family} does not take {key}")
+        params = {key: given.get(key, 1) for key in takes}
         table = cls(family, n_max, getattr(fam, "tag", "?"), _is_trivial(fam))
-        row_of = _TABLE_ROWS[family]
         for n in range(n_max + 1):
             try:
-                row = row_of(n, fam, r, m)
+                row = row_of(n, fam, **params)
             except BadBoardSpec:
                 continue  # no board of this family at n
             for k in range(n + 1):
                 table.values[(n, k)] = row.get(k, 0)
         if not table.values:
-            raise BadBoardSpec(f"no {family} board at r={r}, m={m} for any n <= {n_max}")
+            at = ",".join(f"{key}={value}" for key, value in params.items())
+            raise BadBoardSpec(f"no {family} board at {at} for any n <= {n_max}")
         return table
 
     def rows(self):

@@ -3,10 +3,18 @@
 theta(x; p) = prod_{j>=0} (1 - p^j x)(1 - p^{j+1}/x) for x != 0, |p| < 1.
 
 The truncated product is the definition: it stops at the first j where the
-factor pair is within the configured tolerance of 1, by the a-priori bound
-|p|^j * max(|x|, |p|/|x|).  It serves exact, float and Nome inputs and
-every nome with |p| > 1/2; p = 0 takes an exact path (theta = 1 - x), so
-that every q-degeneration is free of truncation error.
+factor pair is within the tolerance of 1, by the a-priori bound
+|p|^j * max(|x|, |p|/|x|).  It serves exact and float inputs, every nome
+with |p| > 1/2 and theta_product, the product by name; p = 0 takes an
+exact path (theta = 1 - x), so that every q-degeneration is free of
+truncation error.
+
+The numbers set the truncation.  Doubles, exact numbers and floats keep
+the product and the series within TOLERANCE, 1e-17; mpmath numbers within
+min(1e-17, 10^-(mp.dps - 5)), which is 1e-30 at 35 digits.  The product
+raises NoConvergence after MAX_TERMS factor pairs, which only a nome near
+the unit circle reaches; the series needs 19 terms at |p| = 1/2 and 60
+digits, and no cap.
 
 Complex and mpmath calls at 0 < |p| <= 1/2 sum the Jacobi triple product
 sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf instead (Gasper-Rahman, Basic
@@ -27,16 +35,16 @@ few points.  theta_multi, which every weight calls, reads the memo once
 per call (_memo_of, the helper theta uses), not once per argument, and
 calls theta only for an argument the memo lacks.  Complex calls keep the
 memos of the last 32 nomes, in a dict keyed by p (by identity, then ==) in
-the order they were built; a call with a new p, or with another cfg object
-(by is) than its nome's memo was built for, builds a new table, validating
-the nome, starts an empty memo and drops the oldest nome past 32.  Calls
-on mpmath numbers keep one nome's memo, keyed also by mp.prec, since each
-extended-precision check draws its own nome.  The two never share a memo:
-mpmath numbers compare (and mostly hash) equal to the doubles they were
-built from, so a shared memo would answer a 35-digit call with a double,
-or a 60-digit call with a 35-digit value.  Calls on mpmath numbers run in
-fixed-point Python ints at mp.prec plus guard bits, in
-ellrook.theta_fixed, which theta imports, with mpmath, only on that path.
+the order they were built; a call with a new p builds a new table,
+validating the nome, starts an empty memo and drops the oldest nome past
+32.  Calls on mpmath numbers keep one nome's memo, since each
+extended-precision check draws its own nome, keyed by p and by mp.prec,
+which sets their truncation.  The two never share a memo: mpmath numbers
+compare (and mostly hash) equal to the doubles they were built from, so a
+shared memo would answer a 35-digit call with a double, or a 60-digit
+call with a 35-digit value.  Calls on mpmath numbers run in fixed-point
+Python ints at mp.prec plus guard bits, in ellrook.theta_fixed, which
+theta imports, with mpmath, only on that path.
 
 All functions here are pure and safe for concurrent use: the memos are
 replaced, never cleared or evicted in place (a new complex nome copies the
@@ -49,42 +57,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import NoConvergence, ZeroArgument
 from .numeric import POLE_EPS, cpow_int, guard_denominator
 
 
-@dataclass(frozen=True)
-class Nome:
-    """The nome p of a theta function; requires |p| < 1 strictly."""
-
-    p: complex
-
-    def __post_init__(self):
-        if abs(self.p) >= 1:
-            raise ValueError(f"nome must satisfy |p| < 1, got |p| = {abs(self.p)}")
+# the truncation of the product and the series over doubles, exact numbers
+# and floats; mpmath numbers derive theirs from mp.dps (theta_fixed.tolerance)
+TOLERANCE = 1e-17
+# the factor pairs the product may take before it raises NoConvergence
+MAX_TERMS = 10000
 
 
-@dataclass(frozen=True)
-class ThetaEvalConfig:
-    truncation_tolerance: float = 1e-17
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if self.truncation_tolerance <= 0:
-            raise ValueError("truncation_tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_CONFIG = ThetaEvalConfig()
-
-
-def _nome_value(p) -> complex:
-    if isinstance(p, Nome):
-        return p.p
+def _valid_nome(p):
     if abs(p) >= 1:
         raise ValueError(f"nome must satisfy |p| < 1, got |p| = {abs(p)}")
     return p
@@ -92,55 +78,55 @@ def _nome_value(p) -> complex:
 
 # the complex nomes whose memo theta keeps
 _MEMO_NOMES = 32
-# {p: (cfg, series table, {x: theta(x; p)})} for the last _MEMO_NOMES complex
+# {p: (series table, {x: theta(x; p)})} for the last _MEMO_NOMES complex
 # nomes theta was called with, oldest first; the table is None where the
 # product runs
 _memo: dict = {}
-# (p, mp.prec, cfg, series table, {x: theta(x; p)}) for the last nome of a
-# call on mpmath numbers
-_mp_memo: tuple = (None, None, None, None, {})
+# (p, mp.prec, series table, {x: theta(x; p)}) for the last nome of a call
+# on mpmath numbers
+_mp_memo: tuple = (None, None, None, {})
 
 
-def theta(x, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
+def theta(x, p):
     """Modified Jacobi theta function theta(x; p), memoized per nome."""
-    memo = _memo_of(x, p, cfg)
+    memo = _memo_of(x, p)
     if memo is None:
-        return _theta_product(x, p, cfg)
+        return theta_product(x, p)
     series, table, values = memo
     value = values.get(x)
     if value is None:
-        value = values[x] = series(x, p, cfg, table)
+        value = values[x] = series(x, p, table)
     return value
 
 
-def _memo_of(x, p, cfg: ThetaEvalConfig):
-    """(series, table, {x: theta(x; p)}) of the memo that serves theta(x, p,
-    cfg), built if missing, with series(x, p, cfg, table) its kernel; None
-    where theta keeps no memo."""
+def _memo_of(x, p):
+    """(series, table, {x: theta(x; p)}) of the memo that serves theta(x,
+    p), built if missing, with series(x, p, table) its kernel; None where
+    theta keeps no memo."""
     global _memo, _mp_memo
     if type(x) is complex and type(p) is complex:
         memo = _memo
         entry = memo.get(p)
-        if entry is not None and entry[0] is cfg:
-            return _theta_series, entry[1], entry[2]
-        table, values = _series_table(p, cfg), {}
+        if entry is not None:
+            return _theta_series, entry[0], entry[1]
+        table, values = _series_table(p), {}
         # a new dict, so that a racing reader never sees one mutated
         kept = [item for item in memo.items() if item[0] != p]
         memo = dict(kept[max(0, len(kept) - _MEMO_NOMES + 1) :])
-        memo[p] = (cfg, table, values)
+        memo[p] = (table, values)
         _memo = memo
         return _theta_series, table, values
-    if not (_is_mp(x) or _is_mp(p.p if isinstance(p, Nome) else p)):
+    if not (_is_mp(x) or _is_mp(p)):
         return None
     from mpmath import mp
 
     from . import theta_fixed
 
     prec = mp.prec
-    memo_p, memo_prec, memo_cfg, table, values = _mp_memo
-    if memo_cfg is not cfg or memo_prec != prec or not (memo_p is p or memo_p == p):
-        table, values = theta_fixed.nome_table(p, cfg), {}
-        _mp_memo = (p, prec, cfg, table, values)
+    memo_p, memo_prec, table, values = _mp_memo
+    if memo_prec != prec or not (memo_p is p or memo_p == p):
+        table, values = theta_fixed.nome_table(p), {}
+        _mp_memo = (p, prec, table, values)
     return theta_fixed.series, table, values
 
 
@@ -149,28 +135,30 @@ def _is_mp(value) -> bool:
     return hasattr(value, "_mpc_") or hasattr(value, "_mpf_")
 
 
-def _theta_product(x, p, cfg: ThetaEvalConfig):
-    """theta(x; p) as its truncated product, unmemoized."""
+def theta_product(x, p):
+    """theta(x; p) as its truncated product, unmemoized; over mpmath
+    numbers, theta_fixed.product."""
+    if _is_mp(x) or _is_mp(p):
+        from . import theta_fixed
+
+        return theta_fixed.product(x, p)
     if x == 0:
         raise ZeroArgument("theta argument must be nonzero")
-    pv = _nome_value(p)
-    if pv == 0:
+    if _valid_nome(p) == 0:
         return 1 - x
-    abs_p = abs(pv)
+    abs_p = abs(p)
     bound = max(abs(x), abs_p / abs(x))
     if bound == math.inf:
         raise OverflowError(f"theta argument {x} out of range")
     out = 1
     pj = 1
-    for _ in range(cfg.max_terms):
-        if bound < cfg.truncation_tolerance:
+    for _ in range(MAX_TERMS):
+        if bound < TOLERANCE:
             return out
-        out *= (1 - pj * x) * (1 - pj * pv / x)
-        pj *= pv
+        out *= (1 - pj * x) * (1 - pj * p / x)
+        pj *= p
         bound *= abs_p
-    raise NoConvergence(
-        f"theta product not converged after {cfg.max_terms} terms (|p| = {abs_p})"
-    )
+    raise NoConvergence(f"theta product not converged after {MAX_TERMS} terms (|p| = {abs_p})")
 
 
 # the series serves nomes with 0 < |p| <= 1/2
@@ -180,16 +168,13 @@ _LOG_HALF = math.log(0.5)
 _MAX_REDUCTION_LOG = 600.0
 
 
-def _series_size(log_p: float, cfg: ThetaEvalConfig) -> tuple[int, int]:
+def _series_size(log_p: float, tolerance: float) -> tuple[int, int]:
     """(N, K) for the series at a nome of modulus e^log_p <= 1/2.  Its k-th
     term is below 7 |p|^{k^2/2}, so the terms past N sum to less than
     32 |p|^{(N+1)^2/2}, kept below tolerance; Euler's series for (p; p)_inf
     is cut past its K-th term, |p|^{K(3K-1)/2}, on the same rule."""
-    ratio = max(2 * math.log(cfg.truncation_tolerance / 32) / log_p, 0.0)
-    n = max(1, int(math.sqrt(ratio)))
-    if n > cfg.max_terms:
-        raise NoConvergence(f"theta series needs {n} terms, over {cfg.max_terms}")
-    return n, int((1 + math.sqrt(1 + 12 * ratio)) / 6)
+    ratio = max(2 * math.log(tolerance / 32) / log_p, 0.0)
+    return max(1, int(math.sqrt(ratio))), int((1 + math.sqrt(1 + 12 * ratio)) / 6)
 
 
 def _series_coefficients(p, size, one, mul, add, neg, reciprocal) -> list:
@@ -215,30 +200,29 @@ def _series_coefficients(p, size, one, mul, add, neg, reciprocal) -> list:
     return [mul(d, scale) for d in tails[:0:-1]]
 
 
-def _series_table(p, cfg: ThetaEvalConfig):
+def _series_table(p):
     """(log|p|, f_0, [f_N, ..., f_1]) for a complex nome p, or None where
     the product runs."""
-    pv = _nome_value(p)
-    log_p = math.log(abs(pv)) if pv else -math.inf
+    log_p = math.log(abs(p)) if _valid_nome(p) else -math.inf
     if not -math.inf < log_p <= _LOG_HALF:
         return None
-    size = _series_size(log_p, cfg)
+    size = _series_size(log_p, TOLERANCE)
     coeffs = _series_coefficients(
-        pv, size, 1, operator.mul, operator.add, operator.neg, lambda z: 1 / z
+        p, size, 1, operator.mul, operator.add, operator.neg, lambda z: 1 / z
     )
     return log_p, coeffs[0], coeffs[:0:-1]
 
 
-def _theta_series(x, p, cfg: ThetaEvalConfig, table):
+def _theta_series(x, p, table):
     """theta(x; p) for a complex x and nome p by the series of table, or by
     the product where there is no table or the reduction leaves doubles."""
     ax = abs(x)
     if table is None or not 0 < ax < math.inf:
-        return _theta_product(x, p, cfg)
+        return theta_product(x, p)
     log_p, f0, coeffs = table
     m = round(math.log(ax) / log_p)
     if m * m * log_p < -_MAX_REDUCTION_LOG:
-        return _theta_product(x, p, cfg)
+        return theta_product(x, p)
     y, factor = x, 1 - x
     if m > 0:
         # p^m - x is exact near a zero x = p^m that the double p^m represents
@@ -261,7 +245,7 @@ def _theta_series(x, p, cfg: ThetaEvalConfig, table):
     return value
 
 
-def theta_multi(xs, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
+def theta_multi(xs, p):
     """Product of theta over a list of arguments; empty list gives 1.  The
     memo is read once for each run of arguments of one type, and theta
     runs only on a miss or where there is no memo."""
@@ -269,32 +253,32 @@ def theta_multi(xs, p, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
     kind = memo = None
     for x in xs:
         if type(x) is not kind:
-            kind, memo = type(x), _memo_of(x, p, cfg)
+            kind, memo = type(x), _memo_of(x, p)
         value = None if memo is None else memo[2].get(x)
-        out *= theta(x, p, cfg) if value is None else value
+        out *= theta(x, p) if value is None else value
     return out
 
 
-def qp_shifted_factorial(a, q, p, n: int, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
+def qp_shifted_factorial(a, q, p, n: int):
     """Theta shifted factorial (a; q, p)_n, with the usual three branches."""
     if n == 0:
         return 1
     if n > 0:
         out = 1
         for k in range(n):
-            out *= theta(a * cpow_int(q, k), p, cfg)
+            out *= theta(a * cpow_int(q, k), p)
         return out
     den = 1
     for k in range(-n):
-        den *= theta(a * cpow_int(q, n + k), p, cfg)
+        den *= theta(a * cpow_int(q, n + k), p)
     return 1 / guard_denominator(den)
 
 
-def qp_shifted_multi(xs, q, p, n: int, cfg: ThetaEvalConfig = DEFAULT_CONFIG):
+def qp_shifted_multi(xs, q, p, n: int):
     """Product of (x; q, p)_n over a list of leading arguments."""
     out = 1
     for x in xs:
-        out *= qp_shifted_factorial(x, q, p, n, cfg)
+        out *= qp_shifted_factorial(x, q, p, n)
     return out
 
 

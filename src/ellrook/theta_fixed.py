@@ -5,9 +5,10 @@ guard bits, as in mpmath's own libmp series; each kernel returns an mpc (an
 mpf for real inputs) rounded to mp.prec.  nome_table builds the series
 coefficients of ellrook.theta for one nome in that arithmetic, series sums
 the series at one argument, and product runs the truncated product, for
-nomes with |p| > 1/2.  ellrook.theta imports this module, and with it
-mpmath, on its first call on mpmath numbers, so that neither is compiled
-or loaded by a process that never makes one.
+nomes with |p| > 1/2; both truncate at tolerance(), which mp.dps sets.
+ellrook.theta imports this module, and with it mpmath, on its first call
+on mpmath numbers, so that neither is compiled or loaded by a process
+that never makes one.
 """
 
 from __future__ import annotations
@@ -19,27 +20,33 @@ from mpmath.libmp import fzero, from_man_exp, mpc_div
 from mpmath.libmp import to_fixed, to_float
 
 from .errors import NoConvergence, ZeroArgument
-from .theta import _LOG_HALF, Nome, ThetaEvalConfig, _nome_value
-from .theta import _series_coefficients, _series_size
+from .theta import _LOG_HALF, MAX_TERMS, TOLERANCE, _series_coefficients, _series_size
+from .theta import _valid_nome
 
 # guard bits over mp.prec: the rounding of a few hundred fixed-point
 # operations costs at most about 10 of them
 GUARD_BITS = 20
 
 
-def nome_table(p, cfg: ThetaEvalConfig):
+def tolerance() -> float:
+    """The truncation at mp.dps digits, 10^-(mp.dps - 5), and never looser
+    than the doubles' TOLERANCE."""
+    return min(TOLERANCE, float(f"1e{5 - mp.dps}"))
+
+
+def nome_table(p):
     """(prec, wp, |p|, p as an mpc value tuple, whether p is real, 1/p,
     f_0, [f_N, ..., f_1]) with 1/p and f_k as (re, im) ints of wp fraction
     bits, for an mpmath nome p at mp.prec, or None where the product runs,
     which also validates the nome."""
-    pv = mp.convert(p.p if isinstance(p, Nome) else p)
+    pv = mp.convert(p)
     real = type(pv) is mp.mpf
     parts = (pv._mpf_, fzero) if real else pv._mpc_
     abs_p = abs(complex(*map(to_float, parts)))
     log_p = math.log(abs_p) if abs_p else -math.inf
     if not -math.inf < log_p <= _LOG_HALF:
         return None
-    size = _series_size(log_p, cfg)
+    size = _series_size(log_p, tolerance())
     # an error in f_k is multiplied by |y|^k <= |p|^{-k/2} in the Horner pass
     wp = mp.prec + GUARD_BITS + int(size[0] * -log_p / (2 * math.log(2)))
     one = 1 << wp
@@ -63,7 +70,7 @@ def nome_table(p, cfg: ThetaEvalConfig):
     return mp.prec, wp, abs_p, parts, real, reciprocal(fixed_p), coeffs[0], coeffs[:0:-1]
 
 
-def series(x, p, cfg: ThetaEvalConfig, table):
+def series(x, p, table):
     """theta(x; p) over mpmath numbers by the series of table, in wp-bit
     fixed point, or by product where there is no table.
 
@@ -76,7 +83,7 @@ def series(x, p, cfg: ThetaEvalConfig, table):
     block-floating values of wp bits (_power), which keep their relative
     precision at any size, so a reduction costs O(log |m|) products."""
     if table is None:
-        return product(x, p, cfg)
+        return product(x, p)
     prec, wp, abs_p, p_parts, real, (qr, qi), f0, coeffs = table
     if type(x) is not mp.mpc:
         x = mp.convert(x)
@@ -86,7 +93,7 @@ def series(x, p, cfg: ThetaEvalConfig, table):
     if not (0 < abs_x < math.inf and abs_p / abs_x < math.inf):
         # zero, infinite, NaN, or |x| or |p|/|x| beyond the double range,
         # where the product raises as on the double path
-        return product(x, p, cfg)
+        return product(x, p)
     log_p = math.log(abs_p)
     m = round(math.log(abs_x) / log_p)
     one = 1 << wp
@@ -174,19 +181,21 @@ def _fixed(a, bits: int):
     return re >> -shift, im >> -shift
 
 
-def product(x, p, cfg: ThetaEvalConfig):
-    """The truncated product of _theta_product over mpmath numbers, in
+def product(x, p):
+    """The truncated product of theta_product over mpmath numbers, in
     (re, im) int pairs of wp fraction bits, where wp adds guard bits and
     log2 max(|x|, 1/|x|) to mp.prec.  With u = p^j x and v = p^{j+1}/x each
     factor is 1 - s + w for s = u + v, stepped by p, and w = p^{2j+1},
     stepped by p^2; the accumulator is block-floating, (re + i im) * 2^exp,
-    so a small product keeps its relative precision."""
+    so a small product keeps its relative precision.  The factors past the
+    cut multiply the product by 1 + d with |d| below 2 bound / (1 - |p|),
+    so the cut is tolerance() (1 - |p|) / 2, and the relative error of the
+    truncation stays within tolerance() at any nome."""
     if x == 0:
         raise ZeroArgument("theta argument must be nonzero")
-    pv = _nome_value(p)
-    if pv == 0:
+    if _valid_nome(p) == 0:
         return 1 - x
-    x, pv = mp.convert(x), mp.convert(pv)
+    x, pv = mp.convert(x), mp.convert(p)
     real = type(x) is mp.mpf and type(pv) is mp.mpf
     x, pv = mp.mpc(x), mp.mpc(pv)
     abs_x, abs_p = abs(x), abs(pv)
@@ -207,9 +216,9 @@ def product(x, p, cfg: ThetaEvalConfig):
     wr, wi = pr, pi
     p2r, p2i = (pr * pr - pi * pi) >> wp, (2 * pr * pi) >> wp
     ar, ai, exp = 1, 0, 0
-    tolerance = cfg.truncation_tolerance
-    for _ in range(cfg.max_terms):
-        if bound < tolerance:
+    cut = tolerance() * (1 - abs_p) / 2
+    for _ in range(MAX_TERMS):
+        if bound < cut:
             re = from_man_exp(ar, exp, prec, "n")
             if real:
                 return mp.make_mpf(re)
@@ -225,6 +234,4 @@ def product(x, p, cfg: ThetaEvalConfig):
         sr, si = (sr * pr - si * pi) >> wp, (sr * pi + si * pr) >> wp
         wr, wi = (wr * p2r - wi * p2i) >> wp, (wr * p2i + wi * p2r) >> wp
         bound *= abs_p
-    raise NoConvergence(
-        f"theta product not converged after {cfg.max_terms} terms (|p| = {abs_p})"
-    )
+    raise NoConvergence(f"theta product not converged after {MAX_TERMS} terms (|p| = {abs_p})")

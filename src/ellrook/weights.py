@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import ClassVar, Union
 
 from .numeric import cpow, cpow_int, guard_denominator
-from .theta import DEFAULT_CONFIG, ThetaEvalConfig, q_pochhammer, qp_shifted_multi, theta_multi
+from .theta import q_pochhammer, qp_shifted_multi, theta_multi
 
 
 def shift_params(a, b, q, k: int):
@@ -44,7 +44,6 @@ class FullElliptic:
     b: complex
     q: complex
     p: complex
-    cfg: ThetaEvalConfig = DEFAULT_CONFIG
 
     tag: ClassVar[str] = "elliptic"
 
@@ -54,7 +53,6 @@ class FullElliptic:
             self.b * cpow_int(self.q, b_pow),
             self.q,
             self.p,
-            self.cfg,
         )
 
     def shifted(self, k: int) -> "FullElliptic":
@@ -64,25 +62,23 @@ class FullElliptic:
         a, b, q, p = self.a, self.b, self.q, self.p
         qk = cpow(q, k)
         q2k = qk * qk
-        num = theta_multi([a * q2k * q, b * qk, a * qk / (q * q * b)], p, self.cfg)
-        den = theta_multi([a * q2k / q, b * qk * q * q, a * qk / b], p, self.cfg)
+        num = theta_multi([a * q2k * q, b * qk, a * qk / (q * q * b)], p)
+        den = theta_multi([a * q2k / q, b * qk * q * q, a * qk / b], p)
         return q * num / guard_denominator(den)
 
     def big_weight(self, k):
         a, b, q, p = self.a, self.b, self.q, self.p
         qk = cpow(q, k)
         q2k = qk * qk
-        num = theta_multi([a * q * q2k, b * q, b * q * q, a / (q * b), a / b], p, self.cfg)
-        den = theta_multi(
-            [a * q, b * qk * q, b * qk * q * q, a * qk / (q * b), a * qk / b], p, self.cfg
-        )
+        num = theta_multi([a * q * q2k, b * q, b * q * q, a / (q * b), a / b], p)
+        den = theta_multi([a * q, b * qk * q, b * qk * q * q, a * qk / (q * b), a * qk / b], p)
         return qk * num / guard_denominator(den)
 
     def number(self, z):
         a, b, q, p = self.a, self.b, self.q, self.p
         qz = cpow(q, z)
-        num = theta_multi([qz, a * qz, b * q * q, a / b], p, self.cfg)
-        den = theta_multi([q, a * q, b * qz * q, a * qz / (q * b)], p, self.cfg)
+        num = theta_multi([qz, a * qz, b * q * q, a / b], p)
+        den = theta_multi([q, a * q, b * qz * q, a * qz / (q * b)], p)
         return num / guard_denominator(den)
 
     def binomial(self, n: int, k: int):
@@ -91,10 +87,8 @@ class FullElliptic:
         a, b, q, p = self.a, self.b, self.q, self.p
         qk = cpow_int(q, k)
         m = n - k
-        num = qp_shifted_multi(
-            [q * qk, a * q * qk, b * q * qk, a * q / (qk * b)], q, p, m, self.cfg
-        )
-        den = qp_shifted_multi([q, a * q, b * q * qk * qk, a * q / b], q, p, m, self.cfg)
+        num = qp_shifted_multi([q * qk, a * q * qk, b * q * qk, a * q / (qk * b)], q, p, m)
+        den = qp_shifted_multi([q, a * q, b * q * qk * qk, a * q / b], q, p, m)
         return num / guard_denominator(den)
 
 

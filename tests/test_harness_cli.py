@@ -386,6 +386,44 @@ def test_cli_huge_or_non_finite_z_exits_2(identity):
         assert result.stderr.startswith("error: ") and message in result.stderr, z
 
 
+@pytest.mark.parametrize("z", [-1, complex(1, 1), complex(-3, 0.5), 2.9, 2.5])
+def test_max_identity_depth_is_a_nonnegative_integer(z):
+    with pytest.raises(BadBoardSpec, match="depth z that is an integer >= 0"):
+        run_check("max-identity", "0,2,3", z=z, trials=3)
+
+
+def test_cli_max_identity_bad_depth_exits_2():
+    assert run_check("max-identity", "0,2,3", z=2, trials=3).passed
+    for z in ("-1", "1,1", "-3,0.5", "2.9"):
+        result = _cli("check", "max-identity", "--board", "0,2,3", f"--z={z}", "--trials", "3")
+        assert "Traceback" not in result.stderr, (z, result.stderr)
+        assert result.returncode == 2 and not result.stdout, z
+        assert result.stderr.startswith("error: max-identity needs a depth"), z
+
+
+def test_cli_z_with_a_negative_real_part_is_taken_after_a_space():
+    args = ("check", "product-rook", "--board", "0,2,3", "--trials", "3")
+    joined = _cli(*args, "--z=-2,1")
+    spaced = _cli(*args, "--z", "-2,1")
+    assert spaced.returncode == 0 and spaced.stdout.startswith("PASS")
+    assert spaced.stdout == joined.stdout
+    # -1e3 reaches the check, which finds no usable point, not argparse
+    result = _cli(*args, "--z", "-1e3")
+    assert result.returncode == 2 and "expected one argument" not in result.stderr
+    assert result.stderr.startswith("error: no usable parameter point")
+
+
+@pytest.mark.parametrize(
+    "family, option", [("stirling2", "--r"), ("stirling1", "--m"), ("abelr", "--m")]
+)
+def test_table_rejects_a_parameter_its_family_does_not_take(tmp_path, family, option):
+    out = tmp_path / "t.csv"
+    result = _cli("table", family, "--nmax", "3", option, "3", "--out", str(out))
+    assert result.returncode == 2 and "does not take" in result.stderr and not out.exists()
+    with pytest.raises(BadBoardSpec, match="does not take"):
+        special.SpecialNumberTable.build(family, 3, harness.PlainQ(1), **{option[2:]: 3})
+
+
 @pytest.mark.parametrize("family", ["q", "aq", "0bq", "trivial"])
 def test_degeneration_pq_rejects_families_without_a_and_b(family):
     with pytest.raises(BadBoardSpec, match="degeneration-pq needs"):
@@ -456,14 +494,18 @@ def test_closed_form_pole_is_resampled(monkeypatch, identity, board, module, nam
 
 
 def test_theta_checks_draw_p_from_the_sampler_config(monkeypatch):
-    theta = harness.theta
     seen = []
 
-    def spy(x, p):
-        seen.append(abs(getattr(p, "p", p)))  # one side of two checks takes a Nome
-        return theta(x, p)
+    def spy(function):
+        def spied(x, p):
+            seen.append(abs(p))
+            return function(x, p)
 
-    monkeypatch.setattr(harness, "theta", spy)
+        return spied
+
+    # one side of two checks is theta_product
+    for name in ("theta", "theta_product"):
+        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
     config = SamplerConfig(p_modulus=(0.2, 0.201))
     for identity in ("theta-inversion", "theta-quasiperiodicity", "addition-formula"):
         assert run_check(identity, trials=5, config=config).passed

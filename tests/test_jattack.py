@@ -116,12 +116,11 @@ def test_jump_product_with_enumeration_high_precision(rng):
     # doubles, so the three-way cross-check runs at extended precision
     from mpmath import mp, mpc
 
-    from ellrook.theta import ThetaEvalConfig
     from ellrook.weights import FullElliptic, random_generic_point
 
     a, b, q, p = random_generic_point(rng)
     with mp.workdps(35):
-        fam = FullElliptic(mpc(a), mpc(b), mpc(q), mpc(p), ThetaEvalConfig(1e-30))
+        fam = FullElliptic(mpc(a), mpc(b), mpc(q), mpc(p))
         board = b_board(2, 3, 3)
         entry = jump_product_check(board, 3, fam, 9)
         total = jump_enumeration_total(board, 3, 9, fam)

@@ -13,14 +13,7 @@ from conftest import exact_bits
 from ellrook.errors import NoConvergence, ZeroArgument
 from ellrook.harness import run_check
 from ellrook.numeric import cpow_int, relative_error
-from ellrook.theta import (
-    DEFAULT_CONFIG,
-    Nome,
-    ThetaEvalConfig,
-    qp_shifted_factorial,
-    theta,
-    theta_multi,
-)
+from ellrook.theta import qp_shifted_factorial, theta, theta_multi, theta_product
 
 # the submodule; the package attribute ellrook.theta is the function
 theta_module = importlib.import_module("ellrook.theta")
@@ -37,8 +30,8 @@ def _random_nome(rng):
 
 def test_nome_validates_modulus():
     with pytest.raises(ValueError):
-        Nome(1.2)
-    assert Nome(0.3).p == 0.3
+        theta_product(0.5 + 0j, 1.2 + 0j)
+    assert theta_product(0.5, 0.3) == theta(0.5, 0.3)
 
 
 def test_zero_argument_rejected():
@@ -87,9 +80,9 @@ def test_theta_multi_trivia():
     assert relative_error(lhs, theta(2, 0.1) * theta(0.5j, 0.1)) < 1e-14
 
 
-def _theta_product_of(xs, p, cfg=DEFAULT_CONFIG):
+def _theta_product_of(xs, p):
     """The product theta_multi stands for, one theta call per argument."""
-    return _product_of(theta(x, p, cfg) for x in xs)
+    return _product_of(theta(x, p) for x in xs)
 
 
 def _product_of(values):
@@ -104,44 +97,40 @@ def test_theta_multi_is_the_product_of_theta_calls(rng, monkeypatch):
     xs = [_random_nonzero(rng) for _ in range(6)]
     more = [_random_nonzero(rng) for _ in range(3)]
     p, other = _random_nome(rng), _random_nome(rng)
-    twin = ThetaEvalConfig()
     cases = [
-        (xs, p, DEFAULT_CONFIG),  # every argument a miss, on a new nome
-        (xs, p, DEFAULT_CONFIG),  # every argument a hit
-        (xs[:3] + more, p, DEFAULT_CONFIG),  # hits and misses, one repeated below
-        (more + more, p, DEFAULT_CONFIG),
-        (xs, other, DEFAULT_CONFIG),  # another nome
-        (xs, p, DEFAULT_CONFIG),  # back to the first, whose memo is kept
-        (xs, p, twin),  # an equal cfg object of its own rebuilds the memo
-        ([0.7, -1.3, 2.0], p, DEFAULT_CONFIG),  # floats skip the memo
-        ([0.7, xs[0], Fraction(3, 2)], p, DEFAULT_CONFIG),
-        ([Fraction(3, 2), Fraction(-1, 3)], Fraction(1, 5), DEFAULT_CONFIG),
-        ([0.4, 1.5 + 0.5j], 0.3, DEFAULT_CONFIG),  # a float nome skips the memo
+        (xs, p),  # every argument a miss, on a new nome
+        (xs, p),  # every argument a hit
+        (xs[:3] + more, p),  # hits and misses, one repeated below
+        (more + more, p),
+        (xs, other),  # another nome
+        (xs, p),  # back to the first, whose memo is kept
+        ([0.7, -1.3, 2.0], p),  # floats skip the memo
+        ([0.7, xs[0], Fraction(3, 2)], p),
+        ([Fraction(3, 2), Fraction(-1, 3)], Fraction(1, 5)),
+        ([0.4, 1.5 + 0.5j], 0.3),  # a float nome skips the memo
     ]
-    for args, nome, cfg in cases:
-        got = theta_multi(args, nome, cfg)
-        assert exact_bits(got) == exact_bits(_theta_product_of(args, nome, cfg)), (args, nome)
-    assert list(theta_module._memo[other][2]) == xs
-    theta_multi(xs, p, twin)
-    assert theta_module._memo[p][0] is twin and list(theta_module._memo[p][2]) == xs
+    for args, nome in cases:
+        got = theta_multi(args, nome)
+        assert exact_bits(got) == exact_bits(_theta_product_of(args, nome)), (args, nome)
+    assert list(theta_module._memo[other][1]) == xs
+    assert list(theta_module._memo[p][1]) == xs + more
 
 
 def test_theta_multi_over_mpmath_numbers(rng):
     from mpmath import mp, mpc, mpf
 
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
     with mp.workdps(35):
         xs = [mpc(_random_nonzero(rng)) for _ in range(4)]
         for p in (mpc(_random_nome(rng)), mpf(0.3)):
             for args in (xs, xs[:2] + [mpf(1.5)], [mpf(0.5), mpc(2, 1)]):
-                got = theta_multi(args, p, cfg)
-                assert exact_bits(got) == exact_bits(_theta_product_of(args, p, cfg))
+                got = theta_multi(args, p)
+                assert exact_bits(got) == exact_bits(_theta_product_of(args, p))
         # complex arguments at an mpmath nome, and the reverse
-        assert exact_bits(theta_multi([0.5 + 0.1j], xs[0] / 4, cfg)) == exact_bits(
-            theta(0.5 + 0.1j, xs[0] / 4, cfg)
+        assert exact_bits(theta_multi([0.5 + 0.1j], xs[0] / 4)) == exact_bits(
+            theta(0.5 + 0.1j, xs[0] / 4)
         )
-        assert exact_bits(theta_multi(xs, 0.2 + 0.1j, cfg)) == exact_bits(
-            _theta_product_of(xs, 0.2 + 0.1j, cfg)
+        assert exact_bits(theta_multi(xs, 0.2 + 0.1j)) == exact_bits(
+            _theta_product_of(xs, 0.2 + 0.1j)
         )
 
 
@@ -155,15 +144,13 @@ def test_shifted_factorial_branches():
 
 
 def test_no_convergence_when_terms_exhausted():
+    from mpmath import mp, mpc
+
+    # |p|^j 1.5 falls below the truncation only past j = 390,000
     with pytest.raises(NoConvergence):
-        theta(1.5, 0.999, ThetaEvalConfig(truncation_tolerance=1e-17, max_terms=5))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ThetaEvalConfig(truncation_tolerance=0.0)
-    with pytest.raises(ValueError):
-        ThetaEvalConfig(max_terms=0)
+        theta(1.5, 0.9999)
+    with mp.workdps(35), pytest.raises(NoConvergence):
+        theta(mpc(1.5), mpc(0.9999))
 
 
 def test_non_finite_argument_is_an_overflow():
@@ -177,14 +164,14 @@ def _bits(value: complex) -> tuple[str, str]:
     return value.real.hex(), value.imag.hex()
 
 
-def _theta_fixed(x, p, cfg):
+def _theta_fixed(x, p):
     """theta(x; p) over mpmath numbers, unmemoized, rounded to mp.prec."""
-    return theta_fixed.series(x, p, cfg, theta_fixed.nome_table(p, cfg))
+    return theta_fixed.series(x, p, theta_fixed.nome_table(p))
 
 
-def _unmemoized(x, p, cfg=DEFAULT_CONFIG):
+def _unmemoized(x, p):
     """The double-path kernel of theta(x, p) with a table built afresh."""
-    return theta_module._theta_series(x, p, cfg, theta_module._series_table(p, cfg))
+    return theta_module._theta_series(x, p, theta_module._series_table(p))
 
 
 def test_memo_is_bit_identical_across_nomes(rng, monkeypatch):
@@ -195,37 +182,23 @@ def test_memo_is_bit_identical_across_nomes(rng, monkeypatch):
     for p in (first, second, first):
         for x in xs + xs:
             assert _bits(theta(x, p)) == _bits(_unmemoized(x, p))
-        memo_cfg, table, values = theta_module._memo[p]
-        assert memo_cfg is DEFAULT_CONFIG and table is not None and list(values) == xs
+        table, values = theta_module._memo[p]
+        assert table is not None and list(values) == xs
         # the return to the first nome finds its memo, not a rebuilt one
         assert kept.setdefault(p, values) is values
         assert list(theta_module._memo) == list(kept)
-
-
-def test_equal_config_gets_its_own_memo():
-    x, p = 0.8 - 0.3j, 0.25 + 0.1j
-    twin = ThetaEvalConfig()
-    assert twin == DEFAULT_CONFIG and twin is not DEFAULT_CONFIG
-    theta(x, p)
-    theta(1.1 + 0.2j, p, twin)
-    memo_cfg, _, values = theta_module._memo[p]
-    assert memo_cfg is twin and list(values) == [1.1 + 0.2j]
-    assert list(theta_module._memo)[-1] == p
-    coarse = ThetaEvalConfig(truncation_tolerance=1e-3)
-    assert theta(x, p, coarse) == _unmemoized(x, p, coarse) != theta(x, p)
 
 
 def test_memo_never_answers_extended_precision_calls():
     from mpmath import mp, mpc, qp
 
     x, p = 0.7 + 0.3j, 0.35 - 0.1j
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
-    theta(x, p, cfg)
+    theta(x, p)
     with mp.workdps(35):
         xm, pm = mpc(x), mpc(p)
         assert xm == x and pm == p and hash(xm) == hash(x)
         want = qp(xm, pm) * qp(pm / xm, pm)
-        assert abs(theta(xm, pm, cfg) - want) / abs(want) < 1e-30
+        assert abs(theta(xm, pm) - want) / abs(want) < 1e-30
 
 
 def _memo_races(xs, nomes, reference, rounds):
@@ -298,9 +271,9 @@ def test_memo_builds_one_table_per_nome_it_keeps(rng, monkeypatch):
     want = {(x, p): _bits(_unmemoized(x, p)) for x in xs for p in nomes}
     build, built = theta_module._series_table, []
 
-    def counted(p, cfg):
+    def counted(p):
         built.append(p)
-        return build(p, cfg)
+        return build(p)
 
     monkeypatch.setattr(theta_module, "_series_table", counted)
     for _ in range(100):
@@ -313,13 +286,10 @@ def test_memo_builds_one_table_per_nome_it_keeps(rng, monkeypatch):
 def test_mp_memo_under_two_threads_alternating_nomes(rng):
     from mpmath import mp, mpc
 
-    def unmemoized(x, p):
-        return _theta_fixed(x, p, DEFAULT_CONFIG)
-
     with mp.workdps(35):
         xs = [mpc(_random_nonzero(rng)) for _ in range(30)]
         nomes = [mpc(_random_nome(rng)), mpc(_random_nome(rng))]
-        assert not _memo_races(xs, nomes, unmemoized, 40)
+        assert not _memo_races(xs, nomes, _theta_fixed, 40)
 
 
 def _qp_theta(x, p):
@@ -328,12 +298,13 @@ def _qp_theta(x, p):
     return qp(x, p) * qp(p / x, p)
 
 
-@pytest.mark.parametrize("dps, tolerance, bound", [(35, 1e-33, 1e-30), (60, 1e-58, 1e-55)])
-def test_fixed_point_kernel_matches_qp(rng, dps, tolerance, bound):
+# the truncation that dps digits set lies between floor and the bound
+@pytest.mark.parametrize("dps, floor, bound", [(35, 1e-33, 1e-30), (60, 1e-58, 1e-55)])
+def test_fixed_point_kernel_matches_qp(rng, dps, floor, bound):
     from mpmath import mp, mpc, mpf
 
-    cfg = ThetaEvalConfig(truncation_tolerance=tolerance)
     with mp.workdps(dps):
+        assert floor < theta_fixed.tolerance() <= bound
         for i in range(120):
             modulus = mp.exp(mpf(rng.uniform(-6.0, 6.0))) * rng.choice((1, -1))
             if i % 3 == 0:
@@ -346,17 +317,17 @@ def test_fixed_point_kernel_matches_qp(rng, dps, tolerance, bound):
             if i % 2:
                 p *= mp.expj(rng.uniform(0.0, 2 * math.pi))
             want = _qp_theta(x, p)
-            got = _theta_fixed(x, p, cfg)
+            got = _theta_fixed(x, p)
             assert abs(got - want) < bound * abs(want), (x, p)
 
 
-@pytest.mark.parametrize("dps, tolerance, bound", [(35, 1e-33, 1e-30), (60, 1e-58, 1e-55)])
+@pytest.mark.parametrize("dps, floor, bound", [(35, 1e-33, 1e-30), (60, 1e-58, 1e-55)])
 @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
-def test_fixed_point_reduction_matches_qp(rng, dps, tolerance, bound, m):
+def test_fixed_point_reduction_matches_qp(rng, dps, floor, bound, m):
     from mpmath import mp, mpc, mpf
 
-    cfg = ThetaEvalConfig(truncation_tolerance=tolerance)
     with mp.workdps(dps):
+        assert floor < theta_fixed.tolerance() <= bound
         for i in range(20):
             # down to |p| = 1e-8, where x or p^-m is about 2^{-80 |m|}
             log_p = mpf(rng.uniform(math.log(1e-8), math.log(0.45)))
@@ -369,31 +340,28 @@ def test_fixed_point_reduction_matches_qp(rng, dps, tolerance, bound, m):
             x = p**m * y  # real when p and y are
             assert round(float(mp.log(abs(x)) / log_p)) == m
             want = _qp_theta(x, p)
-            got = _theta_fixed(x, p, cfg)
+            got = _theta_fixed(x, p)
             assert abs(got - want) < bound * abs(want), (x, p)
         # the zero at x = p^m is exact where p's powers are
         for p in (mpf(0.25), mpf(-0.125), mpc(0, 0.5), mpc(0.25, -0.25)):
-            assert _theta_fixed(p**m, p, cfg) == 0
+            assert _theta_fixed(p**m, p) == 0
 
 
 def test_fixed_point_reduction_far_from_the_unit_circle():
     from mpmath import mp, mpc
 
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
     with mp.workdps(35):
         p = mpc(0.3, 0.35)
         for m in (-200, 200):
             x = p**m * mpc(0.9, 0.2)
-            want = theta_fixed.product(x, p, cfg)
-            assert abs(_theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
-
+            want = theta_fixed.product(x, p)
+            assert abs(_theta_fixed(x, p) - want) < 1e-30 * abs(want)
 
 
 @pytest.mark.parametrize("m", [-1000, -300, 300, 1000])
 def test_fixed_point_reduction_by_binary_powering_matches_qp(rng, m):
     from mpmath import mp, mpf
 
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
     with mp.workdps(35):
         # |p|^|m| within the double range: |p| > 0.4917 at |m| = 1000
         low = math.log(0.4925 if abs(m) == 1000 else 0.12)
@@ -407,12 +375,12 @@ def test_fixed_point_reduction_by_binary_powering_matches_qp(rng, m):
             assert round(float(mp.log(abs(x)) / log_p)) == m
             with mp.workdps(55):
                 want = _qp_theta(x, p)
-            got = _theta_fixed(x, p, cfg)
+            got = _theta_fixed(x, p)
             assert abs(got - want) < 1e-30 * abs(want), (x, p)
         if abs(m) == 300:
             # the zero at x = p^m stays exact where p's powers are
             for p in (mpf(0.25), mpf(-0.125), mp.mpc(0, 0.5), mp.mpc(0.25, -0.25)):
-                assert _theta_fixed(p**m, p, cfg) == 0
+                assert _theta_fixed(p**m, p) == 0
 
 
 def test_fixed_point_kernel_zero_and_out_of_range_arguments():
@@ -431,54 +399,51 @@ def test_fixed_point_kernel_zero_and_out_of_range_arguments():
 def test_fixed_point_kernel_on_real_arguments():
     from mpmath import mp, mpf
 
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
     with mp.workdps(35):
         for x, p in ((mpf(0.5), mpf(0.3)), (mpf(-2.5), mpf(-0.2)), (3, mpf("0.1"))):
-            value = theta(x, p, cfg)
+            value = theta(x, p)
             assert isinstance(value, mp.mpf)
             assert abs(value - _qp_theta(mp.mpc(x), mp.mpc(p))) < 1e-30 * abs(value)
-        assert theta(mpf(0.3), mpf(0.3), cfg) == 0 == theta(mpf(1), mpf(0.3), cfg)
+        assert theta(mpf(0.3), mpf(0.3)) == 0 == theta(mpf(1), mpf(0.3))
 
 
 def test_extended_precision_memo_is_keyed_by_precision():
     from mpmath import mp, mpc
 
     x, p = 0.7 + 0.3j, 0.35 - 0.1j
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-58)
     with mp.workdps(35):
-        low = theta(mpc(x), mpc(p), cfg)
+        low = theta(mpc(x), mpc(p))
     with mp.workdps(60):
-        high = theta(mpc(x), mpc(p), cfg)
+        high = theta(mpc(x), mpc(p))
         want = _qp_theta(mpc(x), mpc(p))
         assert abs(high - want) < 1e-55 * abs(want)
         assert abs(low - want) > 1e-45 * abs(want)
-        memo_p, memo_prec, memo_cfg, _, values = theta_module._mp_memo
-        assert memo_prec == mp.prec and memo_cfg is cfg and list(values) == [x]
+        memo_p, memo_prec, _, values = theta_module._mp_memo
+        assert memo_prec == mp.prec and list(values) == [x]
 
 
 def test_memos_never_answer_each_other():
     from mpmath import mp, mpc
 
     x, p = 0.6 - 0.45j, 0.3 + 0.2j
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
     with mp.workdps(35):
-        precise = theta(mpc(x), mpc(p), cfg)
-        value = theta(x, p, cfg)
+        precise = theta(mpc(x), mpc(p))
+        value = theta(x, p)
         assert type(value) is complex
-        assert _bits(value) == _bits(_unmemoized(x, p, cfg))
-        assert list(theta_module._memo)[-1] == p and theta_module._memo[p][2][x] is value
-        assert list(theta_module._mp_memo[4].values()) == [precise]
-        assert theta(mpc(x), mpc(p), cfg) is precise
+        assert _bits(value) == _bits(_unmemoized(x, p))
+        assert list(theta_module._memo)[-1] == p and theta_module._memo[p][1][x] is value
+        assert list(theta_module._mp_memo[3].values()) == [precise]
+        assert theta(mpc(x), mpc(p)) is precise
 
 
 def test_mpmath_numbers_never_reach_the_double_product(monkeypatch):
-    product = theta_module._theta_product
+    product = theta_module.theta_product
 
-    def double_only(x, p, cfg):
+    def double_only(x, p):
         assert not theta_module._is_mp(x) and not theta_module._is_mp(p)
-        return product(x, p, cfg)
+        return product(x, p)
 
-    monkeypatch.setattr(theta_module, "_theta_product", double_only)
+    monkeypatch.setattr(theta_module, "theta_product", double_only)
     # integer z at or above J*n runs the 35-digit enumeration cross-check
     assert run_check("product-jump", "1,3", jump=2, z=4, trials=3).passed
 
@@ -541,36 +506,24 @@ def test_nomes_above_one_half_keep_the_product(rng):
     nomes = []
     for _ in range(20):
         x, p = _random_nonzero(rng), rng.uniform(0.51, 0.9) * cmath.exp(1j * rng.uniform(0, 6.3))
-        assert _bits(theta(x, p)) == _bits(theta_module._theta_product(x, p, DEFAULT_CONFIG))
+        assert _bits(theta(x, p)) == _bits(theta_product(x, p))
         with mp.workdps(35):
-            want = theta_fixed.product(mpc(x), mpc(p), DEFAULT_CONFIG)
-            assert theta(mpc(x), mpc(p)) == want
+            want = theta_fixed.product(mpc(x), mpc(p))
+            assert theta(mpc(x), mpc(p)) == want == theta_product(mpc(x), mpc(p))
         nomes.append(p)
-    assert all(theta_module._memo[p][1] is None for p in nomes)
-    assert theta_module._mp_memo[3] is None
+    assert all(theta_module._memo[p][0] is None for p in nomes)
+    assert theta_module._mp_memo[2] is None
 
 
 def test_fixed_point_product_above_one_half_matches_qp(rng):
     from mpmath import mp, mpc
 
-    cfg = ThetaEvalConfig(truncation_tolerance=1e-33)
     with mp.workdps(35):
         for _ in range(10):
             x = mpc(_random_nonzero(rng))
             p = mpc(rng.uniform(0.51, 0.8) * cmath.exp(1j * rng.uniform(0, 6.3)))
             want = _qp_theta(x, p)
-            assert abs(_theta_fixed(x, p, cfg) - want) < 1e-30 * abs(want)
-
-
-def test_series_terms_are_capped_by_max_terms():
-    from mpmath import mp, mpc
-
-    cfg = ThetaEvalConfig(max_terms=5)  # the series needs 10 at |p| = 0.45
-    with pytest.raises(NoConvergence):
-        theta(1.5 + 0j, 0.45 + 0j, cfg)
-    with mp.workdps(35), pytest.raises(NoConvergence):
-        theta(mpc(1.5), mpc(0.45), cfg)
-    assert theta(1.5 + 0j, 0.3 + 0j, ThetaEvalConfig(max_terms=9)) != 0
+            assert abs(_theta_fixed(x, p) - want) < 1e-30 * abs(want)
 
 
 def test_nome_is_validated_on_both_paths():
@@ -585,8 +538,8 @@ def test_nome_is_validated_on_both_paths():
 def test_planted_coefficient_defect_fails_every_theta_identity(monkeypatch):
     build = theta_module._series_table
 
-    def defective(p, cfg):
-        log_p, f0, coeffs = build(p, cfg)
+    def defective(p):
+        log_p, f0, coeffs = build(p)
         return log_p, f0, coeffs[:-2] + [coeffs[-2] * 1.001, coeffs[-1]]  # f_2
 
     monkeypatch.setattr(theta_module, "_series_table", defective)

@@ -1,10 +1,12 @@
 import cmath
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import sample_elliptic
+from ellrook import weights
 from ellrook.errors import PoleEncountered
 from ellrook.numeric import cpow, relative_error
 from ellrook.weights import (
@@ -23,6 +25,9 @@ from ellrook.weights import (
     random_z,
     shift_params,
 )
+
+# the submodule; the package attribute ellrook.theta is the function
+theta_module = importlib.import_module("ellrook.theta")
 
 
 def test_plain_q_small_weight_is_constant():
@@ -180,3 +185,31 @@ def test_noninteger_weight_arguments(rng):
     lhs = fam.small_weight(k + 2)
     rhs = fam.shifted(2).small_weight(k)
     assert relative_error(lhs, rhs) < 1e-11
+
+
+
+def test_full_elliptic_over_mpmath_numbers_truncates_at_their_precision(rng, monkeypatch):
+    # no mp_family: the numbers alone set theta's truncation; the reference
+    # evaluates the same weights at 60 digits with mpmath's own theta
+    from mpmath import mp, mpc, qp
+
+    def qp_theta(x, p):
+        return qp(x, p) * qp(p / x, p)
+
+    def qp_theta_multi(xs, p):
+        return mp.fprod(qp_theta(x, p) for x in xs)
+
+    def values(point):
+        fam = FullElliptic(*map(mpc, point))
+        return [fam.small_weight(3), fam.big_weight(2), fam.number(4), fam.binomial(5, 2)]
+
+    for _ in range(5):
+        point = random_generic_point(rng)
+        with mp.workdps(35):
+            got = values(point)
+        with mp.workdps(60), monkeypatch.context() as patch:
+            patch.setattr(weights, "theta_multi", qp_theta_multi)
+            patch.setattr(theta_module, "theta", qp_theta)
+            want = values(point)
+        for name, g, w in zip(("small_weight", "big_weight", "number", "binomial"), got, want):
+            assert abs(g - w) < 1e-30 * abs(w), (name, point)

@@ -12,15 +12,15 @@ its tolerance and its parameters with their defaults (a heights board is
 the parameter `board`, which has no default).  run_check resolves them
 once: the spec, a heights board or key=value pairs, and its z and jump
 arguments override the defaults; a key the identity does not take, a key
-given twice, a negative size, a non-finite z, a missing board and
-trials < 1 are each a BadBoardSpec.  A runner reads the complete
-parameters once and returns one trial, which run_check's one trial loop
-calls `trials` times, keeping the worst error.  Results come in three
-kinds.  Sides: most trials yield the two sides of their identity
-(CheckEntry values or (lhs, rhs) pairs) to the one judge, _judge, which
-guards each side that gives a term scale and keeps the worst relative
-error.  Residuals: the trials of addition-formula and matrix-inverse
-return their own residual over the largest term.
+given twice, a negative size, a non-finite z, a missing board,
+trials < 1 and a tolerance that is NaN or <= 0 are each a BadBoardSpec.
+A runner reads the complete parameters once and returns one trial, which
+run_check's one trial loop calls `trials` times, keeping the worst error.
+Results come in three kinds.  Sides: most trials yield the two sides of
+their identity (CheckEntry values or (lhs, rhs) pairs) to the one judge,
+_judge, which guards each side that gives a term scale and keeps the
+worst relative error.  Residuals: the trials of addition-formula and
+matrix-inverse return their own residual over the largest term.
 Counts: the exact counting checks (bijection-*, degeneration-q) return
 their mismatches over the whole run instead of a trial; with tolerance 0.5,
 passed still means max_rel_err < tolerance.  Runner factories serve whole
@@ -377,24 +377,33 @@ def _run_closed_form_stirling2_small_k(ctx: _Context):
 
 
 def _run_degeneration_chain(ctx: _Context):
-    def sides(flat):
-        a, b, q = flat.a, flat.b, flat.q
-        k = ctx.rng.randrange(-4, 5)
-        full = FullElliptic(a, b, q, 0)
-        yield full.small_weight(k), flat.small_weight(k)
-        yield full.big_weight(k), flat.big_weight(k)
-        yield full.number(k + 2), flat.number(k + 2)
-        yield full.binomial(4, 2), flat.binomial(4, 2)
-        # hand-derived b -> 0 and a -> 0 limits of the a,b;q weights
-        q2k = q ** (2 * k)
-        yield Aq(a, q).small_weight(k), (1 - a * q2k * q) / ((1 - a * q2k / q) * q)
-        qk = q**k
-        yield ZeroBq(b, q).small_weight(k), q * (1 - b * qk) / (1 - b * qk * q * q)
-        plain = PlainQ(q)
-        yield plain.small_weight(k), q
-        yield plain.big_weight(k), q**k
+    """Each rung of the degeneration ladder at a vanishing parameter t, the
+    drawn p times 1e-16, against the family it tends to: FullElliptic at
+    nome t against ABq, ABq at b = t against Aq and at a = t against
+    ZeroBq, and ZeroBq at b = t against PlainQ.  A trial compares one
+    weight method, drawn with its argument, on all four rungs."""
 
-    return _grid(ctx, sides, "abq")
+    def sides(fam):
+        a, b, q, t = fam.a, fam.b, fam.q, fam.p * 1e-16
+        k = ctx.rng.randrange(-4, 5)
+        method, args = ctx.rng.choice(
+            (
+                ("small_weight", (k,)),
+                ("big_weight", (k,)),
+                ("number", (k + 2,)),
+                ("binomial", (4, 2)),
+            )
+        )
+        rungs = (
+            (FullElliptic(a, b, q, t), ABq(a, b, q)),
+            (ABq(a, t, q), Aq(a, q)),
+            (ABq(t, b, q), ZeroBq(b, q)),
+            (ZeroBq(t, q), PlainQ(q)),
+        )
+        for near, limit in rungs:
+            yield getattr(near, method)(*args), getattr(limit, method)(*args)
+
+    return _grid(ctx, sides, "elliptic")
 
 
 def _run_degeneration_q(ctx: _Context) -> float:
@@ -711,6 +720,8 @@ def run_check(
     tol = default_tol if tol is None else tol
     if trials < 1:
         raise BadBoardSpec(f"trials must be at least 1, not {trials}")
+    if not tol > 0:  # NaN too: no error is below it, so every verdict would be FAIL
+        raise BadBoardSpec(f"the tolerance must be a number > 0, not {tol}")
     spec = parse_board_spec(board)
     given = {"board": spec} if isinstance(spec, SkylineBoard) else dict(spec or {})
     for key, value in (("z", z), ("J", jump)):

@@ -254,7 +254,7 @@ def phi(gamma: RGWord) -> tuple[tuple[int, int], ...]:
     for s in range(1, gamma.n + 1):
         target = gamma.offset + gamma.word[s] * gamma.jump - gamma.colors[s - 1]
         avail = [row for row in range(1, board.height(s) + 1) if row not in attacked]
-        if target <= len(avail):
+        if 1 <= target <= len(avail):
             row = avail[target - 1]
             for r in _rook_attack_rows(row, gamma.jump, attacked, 1):
                 attacked[r] = s

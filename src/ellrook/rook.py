@@ -47,6 +47,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .boards import SkylineBoard, _rook_attack_rows
+from .errors import BadBoardSpec
 from .numeric import CheckEntry, factor_sum
 # bench/tracing.py patches guard_condition under this name; the checks here
 # return their term scale, and harness._judge guards them
@@ -396,12 +397,18 @@ def _attack(attacked: int, row: int, jump: int, bottom: int) -> int:
     return attacked
 
 
+def _require_ferrers(board: SkylineBoard, statement: str) -> None:
+    """A BadBoardSpec unless board is a Ferrers board, the only boards
+    statement is made for."""
+    if not board.is_ferrers:
+        raise BadBoardSpec(f"{statement} needs a Ferrers board, got {board}")
+
+
 def rook_number(board: SkylineBoard, k: int, fam: WeightFamily, depth: int = 0):
     """The k-th elliptic rook number of a Ferrers board by enumeration."""
     if k < 0 or k > board.n:
         return 0
-    if not board.is_ferrers:
-        raise ValueError(f"rook numbers require a Ferrers board, got {board}")
+    _require_ferrers(board, "a rook number")
     return rook_row(board, fam, depth, k).get(k, 0)
 
 
@@ -437,8 +444,7 @@ def triangle(start: int, stop: int, same, below) -> dict:
 def rook_row_via_recursion(board: SkylineBoard, fam: WeightFamily) -> dict:
     """All rook numbers k -> r_k of a Ferrers board, column by column from
     the two-term recursion."""
-    if not board.is_ferrers:
-        raise ValueError(f"the rook recursion requires a Ferrers board, got {board}")
+    _require_ferrers(board, "the rook recursion")
     heights = board.heights
     shifted = [fam.shifted(cols_before - m) for cols_before, m in enumerate(heights)]
     return triangle(
@@ -457,8 +463,7 @@ def rook_number_via_recursion(board: SkylineBoard, k: int, fam: WeightFamily):
 def product_formula_check(board: SkylineBoard, fam: WeightFamily, z) -> CheckEntry:
     """Both sides of the rook factorization theorem at argument z, with the
     term scale of the sum side, unguarded: the harness judges them."""
-    if not board.is_ferrers:
-        raise ValueError(f"rook numbers require a Ferrers board, got {board}")
+    _require_ferrers(board, "the rook factorization")
     values, magnitudes = rook_row(board, fam, magnitude=True)
     lhs, term_scale = factor_sum(
         values, magnitudes, board.n, lambda k: fam.shifted(k - 1).number(z - k + 1)
@@ -473,6 +478,7 @@ def max_identity_check(board: SkylineBoard, fam: WeightFamily, k: int) -> CheckE
     """Full-placement weight sum on the depth-k extension vs its product
     form, with the sum's pre-cancellation magnitude, unguarded: the harness
     judges them."""
+    _require_ferrers(board, "the max identity")
     n = board.n
     values, magnitudes = rook_row(board, fam, depth=k, k=n, magnitude=True)
     lhs = values.get(n, 0)

@@ -33,7 +33,9 @@ a parameter point is a quotient of theta values at the same p, most
 arguments repeat, and the product checks evaluate many boards at the same
 few points.  theta_multi, which every weight calls, reads the memo once
 per call (_memo_of, the helper theta uses), not once per argument, and
-calls theta only for an argument the memo lacks.  Complex calls keep the
+calls theta only for an argument the memo lacks; where theta keeps no
+memo (exact numbers, and p = 0, where the a,b;q weights run) it calls
+theta_product, which takes p = 0 first.  Complex calls keep the
 memos of the last 32 nomes, in a dict keyed by p (by identity, then ==) in
 the order they were built; a call with a new p builds a new table,
 validating the nome, starts an empty memo and drops the oldest nome past
@@ -138,15 +140,15 @@ def _is_mp(value) -> bool:
 def theta_product(x, p):
     """theta(x; p) as its truncated product, unmemoized; over mpmath
     numbers, theta_fixed.product."""
+    if x == 0:
+        raise ZeroArgument("theta argument must be nonzero")
+    if p == 0:
+        return 1 - x
     if _is_mp(x) or _is_mp(p):
         from . import theta_fixed
 
         return theta_fixed.product(x, p)
-    if x == 0:
-        raise ZeroArgument("theta argument must be nonzero")
-    if _valid_nome(p) == 0:
-        return 1 - x
-    abs_p = abs(p)
+    abs_p = abs(_valid_nome(p))
     bound = max(abs(x), abs_p / abs(x))
     if bound == math.inf:
         raise OverflowError(f"theta argument {x} out of range")
@@ -247,15 +249,19 @@ def _theta_series(x, p, table):
 
 def theta_multi(xs, p):
     """Product of theta over a list of arguments; empty list gives 1.  The
-    memo is read once for each run of arguments of one type, and theta
-    runs only on a miss or where there is no memo."""
+    memo is read once for each run of arguments of one type; theta runs
+    only on a miss, and theta_product where there is no memo (exact
+    numbers, and p = 0, where it is 1 - x)."""
     out = 1
     kind = memo = None
     for x in xs:
         if type(x) is not kind:
             kind, memo = type(x), _memo_of(x, p)
-        value = None if memo is None else memo[2].get(x)
-        out *= theta(x, p) if value is None else value
+        if memo is None:
+            out *= theta_product(x, p)
+        else:
+            value = memo[2].get(x)
+            out *= theta(x, p) if value is None else value
     return out
 
 

@@ -11,8 +11,12 @@ Each family is an immutable value exposing the same surface:
     scaled(i, j)      the family with a -> a*q^i, b -> b*q^j
     shifted(k)        scaled(2k, k), the substitution used throughout
 
-The limits b -> 0 and a -> 0 are implemented as separate closed-form
-families, never as numeric limits of the elliptic formulas.  Whenever a
+The a,b;q family is FullElliptic at p = 0: it runs FullElliptic's own
+formulas, where theta(x; 0) = 1 - x exactly, so exact parameters give
+exact values.  The limits b -> 0 and a -> 0 and plain q are separate
+closed-form families, never numeric limits of the elliptic formulas, so
+each rung of the ladder has an independent side to be checked against
+(the degeneration-chain identity).  Whenever a
 denominator factor vanishes (modulus below 1e-300) the family raises
 PoleEncountered, signalling a non-generic parameter point; samplers catch
 this and redraw.  All families are pure values, safe for concurrent use.
@@ -94,13 +98,17 @@ class FullElliptic:
 
 @dataclass(frozen=True)
 class ABq:
-    """The p = 0 degeneration with both parameters a and b kept."""
+    """The p = 0 degeneration with both parameters a and b kept: FullElliptic
+    at p = 0, where theta(x; 0) = 1 - x exactly.  Its four weight methods are
+    FullElliptic's own functions; it is a class of its own, not a subclass,
+    so isinstance(fam, FullElliptic) stays a full-elliptic test."""
 
     a: complex
     b: complex
     q: complex
 
     tag: ClassVar[str] = "abq"
+    p: ClassVar[int] = 0
 
     def scaled(self, a_pow: int = 0, b_pow: int = 0) -> "ABq":
         return ABq(self.a * cpow_int(self.q, a_pow), self.b * cpow_int(self.q, b_pow), self.q)
@@ -108,48 +116,10 @@ class ABq:
     def shifted(self, k: int) -> "ABq":
         return self.scaled(2 * k, k)
 
-    def small_weight(self, k):
-        a, b, q = self.a, self.b, self.q
-        qk = cpow(q, k)
-        q2k = qk * qk
-        num = (1 - a * q2k * q) * (1 - b * qk) * (1 - a * qk / (q * q * b))
-        den = (1 - a * q2k / q) * (1 - b * qk * q * q) * (1 - a * qk / b)
-        return q * num / guard_denominator(den)
-
-    def big_weight(self, k):
-        a, b, q = self.a, self.b, self.q
-        qk = cpow(q, k)
-        q2k = qk * qk
-        num = (1 - a * q * q2k) * (1 - b * q) * (1 - b * q * q) * (1 - a / (q * b)) * (1 - a / b)
-        den = (
-            (1 - a * q)
-            * (1 - b * qk * q)
-            * (1 - b * qk * q * q)
-            * (1 - a * qk / (q * b))
-            * (1 - a * qk / b)
-        )
-        return qk * num / guard_denominator(den)
-
-    def number(self, z):
-        a, b, q = self.a, self.b, self.q
-        qz = cpow(q, z)
-        num = (1 - qz) * (1 - a * qz) * (1 - b * q * q) * (1 - a / b)
-        den = (1 - q) * (1 - a * q) * (1 - b * qz * q) * (1 - a * qz / (q * b))
-        return num / guard_denominator(den)
-
-    def binomial(self, n: int, k: int):
-        if k < 0 or k > n:
-            return 0
-        a, b, q = self.a, self.b, self.q
-        qk = cpow_int(q, k)
-        m = n - k
-        num = 1
-        for x in (q * qk, a * q * qk, b * q * qk, a * q / (qk * b)):
-            num *= q_pochhammer(x, q, m)
-        den = 1
-        for x in (q, a * q, b * q * qk * qk, a * q / b):
-            den *= q_pochhammer(x, q, m)
-        return num / guard_denominator(den)
+    small_weight = FullElliptic.small_weight
+    big_weight = FullElliptic.big_weight
+    number = FullElliptic.number
+    binomial = FullElliptic.binomial
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from ellrook.harness import (
     run_check,
 )
 from ellrook.numeric import cpow
-from ellrook.weights import FrakPQ
+from ellrook.weights import Aq, FrakPQ, PlainQ, ZeroBq
 
 
 def test_reports_are_reproducible():
@@ -64,8 +64,11 @@ def test_bad_board_spec():
         run_check("product-rook", board=None, trials=1)
 
 
+FERRERS_ONLY = ["product-rook", "recursion-rook", "degeneration-q", "max-identity"]
+
 # requests that leave no evidence for their verdict: a board or key the
-# identity does not take, a key given twice, a negative size, no trials
+# identity does not take, a key given twice, a negative size, no trials,
+# a board the identity is not stated for, a tolerance no error is below
 MISUSES = [
     ("closed-form-abel", dict(board="0,2,3")),
     ("closed-form-abel", dict(board="n=4,r=3")),
@@ -82,6 +85,10 @@ MISUSES = [
     ("closed-form-abel-general", dict(board="n=3,m=-1")),
     ("bijection-rg", dict(board="n=3,I=-1,J=2")),
     ("product-jump", dict(board="1,3", jump=-1)),
+    *((name, dict(board="3,2,1")) for name in FERRERS_ONLY),
+    ("product-rook", dict(board="0,2,3", tol=math.nan)),
+    ("product-rook", dict(board="0,2,3", tol=0.0)),
+    ("product-rook", dict(board="0,2,3", tol=-1.0)),
 ]
 
 
@@ -225,6 +232,9 @@ def test_cli_bad_board_is_an_error():
     [
         ("closed-form-abel", "--board", "0,2,3"),
         ("product-rook", "--board", "0,2,3,5,5", "--trials", "0"),
+        *((name, "--board", "3,2,1") for name in FERRERS_ONLY),
+        ("product-rook", "--board", "0,2,3", "--tol", "nan"),
+        ("product-rook", "--board", "0,2,3", "--tol", "-1"),
     ],
 )
 def test_cli_request_without_evidence_is_an_error(args):
@@ -564,19 +574,38 @@ def test_an_ill_conditioned_side_is_resampled(monkeypatch):
     assert report.resamples == 1 and report.passed and len(calls) == 4
 
 
+WEIGHT_METHODS = ("small_weight", "big_weight", "number", "binomial")
+
+
 def test_degeneration_chain_pole_is_resampled(monkeypatch):
-    small_weight = harness.ABq.small_weight
+    # the first call of an ABq method, whichever the first trial draws, hits
+    # a pole; each trial calls the drawn method on three ABq families
     calls = []
 
-    def first_call_hits_a_pole(self, k):
-        calls.append(k)
-        if len(calls) == 1:
-            raise PoleEncountered("planted pole")
-        return small_weight(self, k)
+    def first_call_hits_a_pole(method):
+        def patched(self, *args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise PoleEncountered("planted pole")
+            return method(self, *args)
 
-    monkeypatch.setattr(harness.ABq, "small_weight", first_call_hits_a_pole)
+        return patched
+
+    for name in WEIGHT_METHODS:
+        monkeypatch.setattr(harness.ABq, name, first_call_hits_a_pole(getattr(harness.ABq, name)))
     report = run_check("degeneration-chain", trials=3)
-    assert report.resamples == 1 and report.passed
+    assert report.resamples == 1 and report.passed and len(calls) == 1 + 3 * 3
+
+
+@pytest.mark.parametrize("method", WEIGHT_METHODS)
+@pytest.mark.parametrize("family", [Aq, ZeroBq, PlainQ], ids=lambda cls: cls.__name__)
+def test_degeneration_chain_catches_a_planted_defect(monkeypatch, family, method):
+    # each limit family is checked against its parent at a vanishing
+    # parameter, not against a copy of its own formula
+    original = getattr(family, method)
+    monkeypatch.setattr(family, method, lambda self, *args: original(self, *args) * (1 + 1e-9))
+    report = run_check("degeneration-chain", seed=0)
+    assert not report.passed and report.max_rel_err > 5e-10
 
 
 # each counting bijection-* check at a size where it passes unpatched (see
@@ -629,6 +658,13 @@ BIJECTIONS = {
         rook=(1, 1),
     ),
 }
+
+
+@pytest.mark.parametrize("board", ["n=0,I=0,J=0", "n=1,I=0,J=0", "n=3,I=0,J=0", "n=4,I=1,J=2"])
+@pytest.mark.parametrize("identity", ["bijection-rg", "bijection-rg-weight"])
+def test_rg_bijections_pass_at_offset_and_jump_zero(identity, board):
+    # at I = J = 0 a block-opening letter targets row 0: an empty column
+    assert run_check(identity, board).passed
 
 
 @pytest.mark.parametrize("identity", BIJECTIONS)

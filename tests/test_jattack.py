@@ -214,6 +214,18 @@ def test_rg_word_counts_and_roundtrip():
         assert len(images) == len(words)
 
 
+def test_rg_word_roundtrip_at_offset_and_jump_zero():
+    # B(0, 0, n) has no cells: only the all-blocks word, whose letters
+    # target row 0, maps to the empty placement
+    for n in range(5):
+        for k in range(n + 1):
+            words = enumerate_rg_words(0, 0, n, k)
+            assert len(words) == (k == n)
+            for gamma in words:
+                assert phi(gamma) == ()
+                assert phi_inverse(0, 0, n, ()) == gamma
+
+
 def test_rg_counts_match_classical_stirling():
     for n in range(1, 7):
         for k in range(n + 1):

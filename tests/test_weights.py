@@ -125,17 +125,37 @@ def test_total_ellipticity(rng):
 
 
 def test_degeneration_chain(rng):
-    a, b, q, _ = random_generic_point(rng)
-    full = FullElliptic(a, b, q, 0)
-    flat = ABq(a, b, q)
-    for k in (-2, 0, 3):
-        assert relative_error(full.small_weight(k), flat.small_weight(k)) < 1e-14
-        assert relative_error(full.big_weight(k), flat.big_weight(k)) < 1e-14
-    assert relative_error(full.number(2.3 + 0.4j), flat.number(2.3 + 0.4j)) < 1e-14
-    assert relative_error(full.binomial(5, 2), flat.binomial(5, 2)) < 1e-14
-    zbq = ZeroBq(b, q)
-    qk = q**3
-    assert relative_error(zbq.small_weight(3), q * (1 - b * qk) / (1 - b * qk * q * q)) < 1e-14
+    # each rung of the ladder at a vanishing parameter t against its limit
+    for _ in range(20):
+        a, b, q, p = random_generic_point(rng)
+        t = p * 1e-16
+        rungs = (
+            (FullElliptic(a, b, q, t), ABq(a, b, q)),
+            (ABq(a, t, q), Aq(a, q)),
+            (ABq(t, b, q), ZeroBq(b, q)),
+            (ZeroBq(t, q), PlainQ(q)),
+        )
+        for near, limit in rungs:
+            for k in (-2, 0, 3):
+                assert relative_error(near.small_weight(k), limit.small_weight(k)) < 1e-13
+                assert relative_error(near.big_weight(k), limit.big_weight(k)) < 1e-13
+            assert relative_error(near.number(2.3 + 0.4j), limit.number(2.3 + 0.4j)) < 1e-13
+            assert relative_error(near.binomial(5, 2), limit.binomial(5, 2)) < 1e-13
+
+
+def test_abq_is_full_elliptic_at_p_zero():
+    for method in ("small_weight", "big_weight", "number", "binomial"):
+        assert getattr(ABq, method) is getattr(FullElliptic, method)
+    assert ABq.p == 0
+    assert not isinstance(ABq(1, 2, 0.5), FullElliptic)
+    # theta(x; 0) = 1 - x exactly, so exact parameters give exact values:
+    # those of the a,b;q formulas written out with a factor 1 - x each
+    fam = ABq(Fraction(3, 7), Fraction(5, 11), Fraction(2, 3))
+    assert fam.small_weight(2) == Fraction(33812, 544181)
+    assert fam.big_weight(3) == Fraction(-419436280, 28220781421)
+    assert fam.number(4) == Fraction(355342, 1711353)
+    assert fam.binomial(4, 2) == Fraction(-218546756131, 541713088413)
+    assert fam.shifted(1) == ABq(Fraction(4, 21), Fraction(10, 33), Fraction(2, 3))
 
 
 def test_frak_pq_matches_substituted_base(rng):

@@ -22,8 +22,9 @@ _judge, which guards each side that gives a term scale and keeps the
 worst relative error.  Residuals: the trials of addition-formula and
 matrix-inverse return their own residual over the largest term.
 Counts: the exact counting checks (bijection-*, degeneration-q) return
-their mismatches over the whole run instead of a trial; with tolerance 0.5,
-passed still means max_rel_err < tolerance.  Runner factories serve whole
+their mismatches over the whole run instead of a trial, and the counting
+bijections, which enumerate once, take no trial count but 1; with tolerance
+0.5, passed still means max_rel_err < tolerance.  Runner factories serve whole
 groups: _product, _recursion (special.RECURSIONS), _closed_form (the Lah
 and Abel closed forms) and _bijection (the five counting bijections).
 Parameters that leave no value to compare are a BadBoardSpec, never a PASS.
@@ -526,9 +527,11 @@ def _bijection(domain, forward, inverse, blocks, codomain, count=None):
     the same tuple under inverse, the images must be distinct and make up
     codomain(), and if count is given there must be count(k) of them.
     Every callable but blocks takes the identity's parameters as keywords.
-    The result is the number of mismatches."""
+    The result is the number of mismatches, from one enumeration."""
 
     def run(ctx: _Context) -> float:
+        if ctx.trials != 1:
+            raise BadBoardSpec(f"a counting check runs once: trials must be 1, not {ctx.trials}")
         params = ctx.params
         mismatches = 0
         images = set()

@@ -4,29 +4,33 @@ theta(x; p) = prod_{j>=0} (1 - p^j x)(1 - p^{j+1}/x) for x != 0, |p| < 1.
 
 The truncated product is the definition: it stops at the first j where the
 factor pair is within the tolerance of 1, by the a-priori bound
-|p|^j * max(|x|, |p|/|x|).  It serves exact and float inputs, every nome
-with |p| > 1/2 and theta_product, the product by name; p = 0 takes an
-exact path (theta = 1 - x), so that every q-degeneration is free of
-truncation error.
+|p|^j * max(|x|, |p|/|x|).  theta_product, the product by name, runs it
+for every number type, and theta runs it on exact and float inputs and on
+complex doubles at |p| > 1/2; p = 0 takes an exact path (theta = 1 - x),
+so that every q-degeneration is free of truncation error.
 
 The numbers set the truncation.  Doubles, exact numbers and floats keep
 the product and the series within TOLERANCE, 1e-17; mpmath numbers within
 min(1e-17, 10^-(mp.dps - 5)), which is 1e-30 at 35 digits.  The product
 raises NoConvergence after MAX_TERMS factor pairs, which only a nome near
-the unit circle reaches; the series needs 19 terms at |p| = 1/2 and 60
-digits, and no cap.
+the unit circle reaches; so does the series over mpmath numbers where it
+would need more than MAX_TERMS terms.
 
-Complex and mpmath calls at 0 < |p| <= 1/2 sum the Jacobi triple product
-sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf instead (Gasper-Rahman, Basic
-Hypergeometric Series, section 11.2).  Pairing its terms n and 1 - n gives
-theta(y; p) = (1 - y) (f_0 + sum_{k=1}^N f_k (y^k + y^-k)), with the zero
-at y = 1 an exact factor and f_0..f_N built once per nome.  A call takes
+Complex calls at 0 < |p| <= 1/2, and mpmath calls at every 0 < |p| < 1,
+sum the Jacobi triple product sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf
+instead (Gasper-Rahman, Basic Hypergeometric Series, section 11.2).
+Pairing its terms n and 1 - n gives theta(y; p) =
+(1 - y) (f_0 + sum_{k=1}^N f_k (y^k + y^-k)), with the zero at y = 1 an
+exact factor and f_0..f_N built once per nome.  A call takes
 m = round(log|x| / log|p|) and y = x p^-m, runs one Horner pass in y and
 one in 1/y, and undoes the reduction by quasi-periodicity,
 theta(x; p) = (-1)^m p^{m(m+1)/2} x^-m theta(y; p).  With |y| between
-|p|^{1/2} and |p|^{-1/2} the k-th term is below 7 |p|^{k^2/2}, so N is a
-dozen at most, and (p; p)_inf >= 0.289 keeps the cancellation under 2 bits;
-above |p| = 1/2 it costs more, and the product converges fast enough.
+|p|^{1/2} and |p|^{-1/2} the k-th term is below 7 |p|^{k^2/2} at
+|p| <= 1/2, so N is a dozen at most, and (p; p)_inf >= 0.289 keeps the
+cancellation under 2 bits.  Above 1/2 it grows by up to e^{4e}, with
+e = log (1/2; 1/2)_inf - log (|p|; |p|)_inf: 11 bits at |p| = 0.7 and 71
+at 0.9, more than a double can spare, so complex doubles keep the product
+there; mpmath numbers pay in guard bits and terms (theta_fixed).
 
 theta memoizes values per nome, next to the nome's table: every weight at
 a parameter point is a quotient of theta values at the same p, most
@@ -44,7 +48,7 @@ extended-precision check draws its own nome, keyed by p and by mp.prec,
 which sets their truncation.  The two never share a memo: mpmath numbers
 compare (and mostly hash) equal to the doubles they were built from, so a
 shared memo would answer a 35-digit call with a double, or a 60-digit
-call with a 35-digit value.  Calls on mpmath numbers run in fixed-point
+call with a 35-digit value.  theta on mpmath numbers runs in fixed-point
 Python ints at mp.prec plus guard bits, in ellrook.theta_fixed, which
 theta imports, with mpmath, only on that path.
 
@@ -52,7 +56,8 @@ All functions here are pure and safe for concurrent use: the memos are
 replaced, never cleared or evicted in place (a new complex nome copies the
 dict of nomes and rebinds it), and theta reads them into a local first, so
 a racing thread can only cost a hit or a table, never return another
-nome's value.
+nome's value; but theta_product on mpmath numbers, a reference only tests
+call, raises mpmath's global precision while it runs.
 """
 
 from __future__ import annotations
@@ -84,8 +89,8 @@ _MEMO_NOMES = 32
 # nomes theta was called with, oldest first; the table is None where the
 # product runs
 _memo: dict = {}
-# (p, mp.prec, series table, {x: theta(x; p)}) for the last nome of a call
-# on mpmath numbers
+# (p, mp.prec, series table, {x: theta(x; p)}) for the last nonzero nome of
+# a call on mpmath numbers
 _mp_memo: tuple = (None, None, None, {})
 
 
@@ -127,6 +132,8 @@ def _memo_of(x, p):
     prec = mp.prec
     memo_p, memo_prec, table, values = _mp_memo
     if memo_prec != prec or not (memo_p is p or memo_p == p):
+        if p == 0:
+            return None
         table, values = theta_fixed.nome_table(p), {}
         _mp_memo = (p, prec, table, values)
     return theta_fixed.series, table, values
@@ -138,24 +145,36 @@ def _is_mp(value) -> bool:
 
 
 def theta_product(x, p):
-    """theta(x; p) as its truncated product, unmemoized; over mpmath
-    numbers, theta_fixed.product."""
+    """theta(x; p) as its truncated product, unmemoized, for every number
+    type.  Over mpmath numbers it runs at mp.prec plus theta_fixed's guard
+    bits, and the factors past the cut multiply it by 1 + d with |d| below
+    2 cut / (1 - |p|), so the cut is tolerance() (1 - |p|) / 2."""
     if x == 0:
         raise ZeroArgument("theta argument must be nonzero")
     if p == 0:
         return 1 - x
-    if _is_mp(x) or _is_mp(p):
-        from . import theta_fixed
-
-        return theta_fixed.product(x, p)
     abs_p = abs(_valid_nome(p))
     bound = max(abs(x), abs_p / abs(x))
     if bound == math.inf:
         raise OverflowError(f"theta argument {x} out of range")
+    if not (_is_mp(x) or _is_mp(p)):
+        return _product(x, p, abs_p, bound, TOLERANCE)
+    from mpmath import mp
+
+    from . import theta_fixed
+
+    cut = theta_fixed.tolerance() * (1 - abs_p) / 2
+    with mp.extraprec(theta_fixed.GUARD_BITS):
+        out = _product(x, p, abs_p, bound, cut)
+    return +out
+
+
+def _product(x, p, abs_p, bound, cut):
+    """The factor pairs of theta(x; p) until bound |p|^j falls below cut."""
     out = 1
     pj = 1
     for _ in range(MAX_TERMS):
-        if bound < TOLERANCE:
+        if bound < cut:
             return out
         out *= (1 - pj * x) * (1 - pj * p / x)
         pj *= p
@@ -170,12 +189,13 @@ _LOG_HALF = math.log(0.5)
 _MAX_REDUCTION_LOG = 600.0
 
 
-def _series_size(log_p: float, tolerance: float) -> tuple[int, int]:
-    """(N, K) for the series at a nome of modulus e^log_p <= 1/2.  Its k-th
-    term is below 7 |p|^{k^2/2}, so the terms past N sum to less than
-    32 |p|^{(N+1)^2/2}, kept below tolerance; Euler's series for (p; p)_inf
-    is cut past its K-th term, |p|^{K(3K-1)/2}, on the same rule."""
-    ratio = max(2 * math.log(tolerance / 32) / log_p, 0.0)
+def _series_size(log_p: float, tolerance: float, log_slack: float = 0.0) -> tuple[int, int]:
+    """(N, K) for the series at a nome of modulus e^log_p.  At |p| <= 1/2
+    its k-th term is below 7 |p|^{k^2/2}, so the terms past N sum to less
+    than 32 |p|^{(N+1)^2/2}, kept below tolerance e^-log_slack (which pays
+    for their growth above 1/2); Euler's series for (p; p)_inf is cut past
+    its K-th term, |p|^{K(3K-1)/2}, on the same rule."""
+    ratio = max(2 * (math.log(tolerance / 32) - log_slack) / log_p, 0.0)
     return max(1, int(math.sqrt(ratio))), int((1 + math.sqrt(1 + 12 * ratio)) / 6)
 
 

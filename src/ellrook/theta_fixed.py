@@ -1,11 +1,32 @@
 """theta(x; p) over mpmath numbers, in fixed-point Python ints.
 
 Numbers are (re, im) int pairs with wp fraction bits, wp being mp.prec plus
-guard bits, as in mpmath's own libmp series; each kernel returns an mpc (an
-mpf for real inputs) rounded to mp.prec.  nome_table builds the series
-coefficients of ellrook.theta for one nome in that arithmetic, series sums
-the series at one argument, and product runs the truncated product, for
-nomes with |p| > 1/2; both truncate at tolerance(), which mp.dps sets.
+guard bits, as in mpmath's own libmp series; series returns an mpc (an mpf
+for real inputs) rounded to mp.prec.  nome_table builds the coefficients of
+ellrook.theta's series for one nome with 0 < |p| < 1 in that arithmetic,
+and series sums the series at one argument; the series is truncated at
+tolerance(), which mp.dps sets.  This is the one kernel on mpmath numbers:
+theta_product runs the definition over them, and no user path calls it.
+
+The series is theta(y; p) = (1 - y) T(y), T(y) = f_0 + sum_k f_k (y^k +
+y^-k), on the annulus |p|^{1/2} <= |y| <= |p|^{-1/2}.  With q = |p| its
+terms are |f_k y^{+-k}| <= q^{k^2/2} / ((q; q)_inf (1 - q^{k+1})), since
+|(p; p)_inf| >= (q; q)_inf, and |T(y)| >= (q^{1/2}; q)_inf^2 there, since
+|1 - p^j y| >= 1 - q^{j - 1/2} and |1 - p^{j+1}/y| >= 1 - q^{j + 1/2}.
+The rounding and truncation errors, relative to T, scale with the terms'
+size over that minimum.  Up to q = 1/2, (q; q)_inf >= 0.289 and the terms
+are below 7 q^{k^2/2}.  Above it both grow with the excess
+e = log (1/2; 1/2)_inf - log (q; q)_inf: 1/(q; q)_inf = e^e / 0.289, and
+(q^{1/2}; q)_inf^2 >= e^{-3e} (2^{-1/2}; 1/2)_inf^2, so the ratio grows by
+at most e^{4e} (checked on a grid of q in (1/2, 0.9997), the factors
+1/(1 - q^{k+1}) included; 4 is tight near q = 1/2).  So the table adds
+4e/ln 2 guard bits and cuts the series at tolerance() e^{-4e}; at
+q <= 1/2, e = 0 and neither changes.  e comes from Dedekind's eta:
+log (q; q)_inf = t/24 - pi^2/(6t) + log(2 pi / t)/2 for q = e^-t, up to
+log (r; r)_inf, r = e^{-4 pi^2/t} < 1e-24 at q >= 1/2.  A nome whose
+series needs more than MAX_TERMS terms (|p| > 0.9996 at 35 digits) raises
+NoConvergence.
+
 ellrook.theta imports this module, and with it mpmath, on its first call
 on mpmath numbers, so that neither is compiled or loaded by a process
 that never makes one.
@@ -16,8 +37,7 @@ from __future__ import annotations
 import math
 
 from mpmath import mp
-from mpmath.libmp import fzero, from_man_exp, mpc_div
-from mpmath.libmp import to_fixed, to_float
+from mpmath.libmp import fzero, from_man_exp, to_fixed, to_float
 
 from .errors import NoConvergence, ZeroArgument
 from .theta import _LOG_HALF, MAX_TERMS, TOLERANCE, _series_coefficients, _series_size
@@ -34,21 +54,33 @@ def tolerance() -> float:
     return min(TOLERANCE, float(f"1e{5 - mp.dps}"))
 
 
+def _log_euler(log_p: float) -> float:
+    """log (|p|; |p|)_inf at |p| = e^log_p >= 1/2, by Dedekind's eta."""
+    t = -log_p
+    return t / 24 - math.pi**2 / (6 * t) + math.log(2 * math.pi / t) / 2
+
+
 def nome_table(p):
     """(prec, wp, |p|, p as an mpc value tuple, whether p is real, 1/p,
     f_0, [f_N, ..., f_1]) with 1/p and f_k as (re, im) ints of wp fraction
-    bits, for an mpmath nome p at mp.prec, or None where the product runs,
-    which also validates the nome."""
-    pv = mp.convert(p)
+    bits, for an mpmath nome p with 0 < |p| < 1 at mp.prec, which this
+    validates; NoConvergence where the series needs more than MAX_TERMS
+    terms."""
+    pv = mp.convert(_valid_nome(p))
     real = type(pv) is mp.mpf
     parts = (pv._mpf_, fzero) if real else pv._mpc_
-    abs_p = abs(complex(*map(to_float, parts)))
-    log_p = math.log(abs_p) if abs_p else -math.inf
-    if not -math.inf < log_p <= _LOG_HALF:
-        return None
-    size = _series_size(log_p, tolerance())
-    # an error in f_k is multiplied by |y|^k <= |p|^{-k/2} in the Horner pass
-    wp = mp.prec + GUARD_BITS + int(size[0] * -log_p / (2 * math.log(2)))
+    # |p| < 1, also where it rounds to 1 in doubles
+    abs_p = min(abs(complex(*map(to_float, parts))), math.nextafter(1.0, 0.0))
+    if not abs_p:
+        raise OverflowError(f"theta nome {p} out of range")
+    log_p = math.log(abs_p)
+    excess = _log_euler(_LOG_HALF) - _log_euler(log_p) if log_p > _LOG_HALF else 0.0
+    size = _series_size(log_p, tolerance(), 4 * excess)
+    if size[0] > MAX_TERMS:
+        raise NoConvergence(f"theta series needs {size[0]} > {MAX_TERMS} terms (|p| = {abs_p})")
+    # an error in f_k is multiplied by |y|^k <= |p|^{-k/2} in the Horner pass,
+    # and by e^{4e} relative to the value
+    wp = mp.prec + GUARD_BITS + int((size[0] * -log_p / 2 + 4 * excess) / math.log(2))
     one = 1 << wp
 
     def mul(a, b):
@@ -72,7 +104,7 @@ def nome_table(p):
 
 def series(x, p, table):
     """theta(x; p) over mpmath numbers by the series of table, in wp-bit
-    fixed point, or by product where there is no table.
+    fixed point.
 
     The reduction runs in the same fixed point: with x = p^m y,
     theta(x; p) = (-1)^m p^{-m(m-1)/2} y^{-m} theta(y; p).  y is formed at
@@ -82,8 +114,6 @@ def series(x, p, table):
     x = p^m.  The powers of p, 1/p and y are taken by binary powering over
     block-floating values of wp bits (_power), which keep their relative
     precision at any size, so a reduction costs O(log |m|) products."""
-    if table is None:
-        return product(x, p)
     prec, wp, abs_p, p_parts, real, (qr, qi), f0, coeffs = table
     if type(x) is not mp.mpc:
         x = mp.convert(x)
@@ -91,9 +121,11 @@ def series(x, p, table):
     parts = (x._mpf_, fzero) if type(x) is mp.mpf else x._mpc_
     abs_x = abs(complex(*map(to_float, parts)))
     if not (0 < abs_x < math.inf and abs_p / abs_x < math.inf):
-        # zero, infinite, NaN, or |x| or |p|/|x| beyond the double range,
-        # where the product raises as on the double path
-        return product(x, p)
+        if x == 0:
+            raise ZeroArgument("theta argument must be nonzero")
+        # infinite, NaN, or |x| or |p|/|x| beyond the double range, as on
+        # the double path
+        raise OverflowError(f"theta argument {x} out of range")
     log_p = math.log(abs_p)
     m = round(math.log(abs_x) / log_p)
     one = 1 << wp
@@ -179,59 +211,3 @@ def _fixed(a, bits: int):
     if shift >= 0:
         return re << shift, im << shift
     return re >> -shift, im >> -shift
-
-
-def product(x, p):
-    """The truncated product of theta_product over mpmath numbers, in
-    (re, im) int pairs of wp fraction bits, where wp adds guard bits and
-    log2 max(|x|, 1/|x|) to mp.prec.  With u = p^j x and v = p^{j+1}/x each
-    factor is 1 - s + w for s = u + v, stepped by p, and w = p^{2j+1},
-    stepped by p^2; the accumulator is block-floating, (re + i im) * 2^exp,
-    so a small product keeps its relative precision.  The factors past the
-    cut multiply the product by 1 + d with |d| below 2 bound / (1 - |p|),
-    so the cut is tolerance() (1 - |p|) / 2, and the relative error of the
-    truncation stays within tolerance() at any nome."""
-    if x == 0:
-        raise ZeroArgument("theta argument must be nonzero")
-    if _valid_nome(p) == 0:
-        return 1 - x
-    x, pv = mp.convert(x), mp.convert(p)
-    real = type(x) is mp.mpf and type(pv) is mp.mpf
-    x, pv = mp.mpc(x), mp.mpc(pv)
-    abs_x, abs_p = abs(x), abs(pv)
-    # the bound is a double, as on the double path: an argument beyond its
-    # range is an overflow there too
-    bound = float(max(abs_x, abs_p / abs_x))
-    if bound == math.inf:
-        raise OverflowError(f"theta argument {x} out of range")
-    abs_p = float(abs_p)
-    prec = mp.prec
-    wp = prec + GUARD_BITS + abs(mp.mag(abs_x))
-    one = 1 << wp
-    xr, xi = x._mpc_
-    vr, vi = mpc_div(pv._mpc_, x._mpc_, wp, "n")
-    pr, pi = (to_fixed(part, wp) for part in pv._mpc_)
-    sr = to_fixed(xr, wp) + to_fixed(vr, wp)
-    si = to_fixed(xi, wp) + to_fixed(vi, wp)
-    wr, wi = pr, pi
-    p2r, p2i = (pr * pr - pi * pi) >> wp, (2 * pr * pi) >> wp
-    ar, ai, exp = 1, 0, 0
-    cut = tolerance() * (1 - abs_p) / 2
-    for _ in range(MAX_TERMS):
-        if bound < cut:
-            re = from_man_exp(ar, exp, prec, "n")
-            if real:
-                return mp.make_mpf(re)
-            return mp.make_mpc((re, from_man_exp(ai, exp, prec, "n")))
-        hr, hi = one - sr + wr, wi - si
-        ar, ai = ar * hr - ai * hi, ar * hi + ai * hr
-        exp -= wp
-        shift = max(ar.bit_length(), ai.bit_length()) - wp
-        if shift > 0:
-            ar >>= shift
-            ai >>= shift
-            exp += shift
-        sr, si = (sr * pr - si * pi) >> wp, (sr * pi + si * pr) >> wp
-        wr, wi = (wr * p2r - wi * p2i) >> wp, (wr * p2i + wi * p2r) >> wp
-        bound *= abs_p
-    raise NoConvergence(f"theta product not converged after {MAX_TERMS} terms (|p| = {abs_p})")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ellrook import biject, harness, jattack, rook, special
+from ellrook.cli import main
 from ellrook.errors import BadBoardSpec, PoleEncountered, ResamplesExhausted, UnknownIdentity
 from ellrook.harness import (
     CheckReport,
@@ -16,7 +17,7 @@ from ellrook.harness import (
     run_check,
 )
 from ellrook.numeric import cpow
-from ellrook.weights import Aq, FrakPQ, PlainQ, ZeroBq
+from ellrook.weights import FAMILY_TAGS, Aq, FrakPQ, PlainQ, ZeroBq
 
 
 def test_reports_are_reproducible():
@@ -143,6 +144,7 @@ def test_every_identity_is_runnable():
         "matrix-inverse": dict(board="n=3"),
     }
     few_trials = {
+        **dict.fromkeys(BIJECTIONS, 1),  # a counting check enumerates once
         "degeneration-chain": 5,
         "degeneration-pq": 5,
         "ellipticity": 10,
@@ -235,6 +237,7 @@ def test_cli_bad_board_is_an_error():
         *((name, "--board", "3,2,1") for name in FERRERS_ONLY),
         ("product-rook", "--board", "0,2,3", "--tol", "nan"),
         ("product-rook", "--board", "0,2,3", "--tol", "-1"),
+        ("bijection-partition", "--board", "n=3", "--trials", "7"),
     ],
 )
 def test_cli_request_without_evidence_is_an_error(args):
@@ -282,6 +285,22 @@ def test_cli_demo_bad_input_is_an_error(bijection, text):
     result = _cli("demo", bijection, "--input", text)
     assert result.returncode == 2, (result.stdout, result.stderr)
     assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_cli_demo_forest_prints_roots_edges_and_colors(capsys):
+    assert main(["demo", "forest", "--input", "n=3,m=4|(2,4)"]) == 0
+    assert capsys.readouterr().out == "roots {1, 3}; edges {2<-1}; colors {2:2}\n"
+
+
+@pytest.mark.parametrize(
+    "field, modulus",
+    [("q_modulus", (0.0, 0.5)), ("q_modulus", (0.5, 1.0)), ("q_modulus", (0.6, 0.5))]
+    + [("p_modulus", (-0.1, 0.5)), ("p_modulus", (0.5, 1.0)), ("p_modulus", (0.6, 0.5))],
+)
+def test_sampler_config_rejects_a_modulus_range_out_of_bounds(field, modulus):
+    with pytest.raises(ValueError, match=field.replace("_", " ")):
+        SamplerConfig(**{field: modulus})
+    SamplerConfig(p_modulus=(0.0, 0.0))  # p = 0 is a nome
 
 
 def test_cli_demo_file_placements_share_rows():
@@ -432,6 +451,14 @@ def test_table_rejects_a_parameter_its_family_does_not_take(tmp_path, family, op
     assert result.returncode == 2 and "does not take" in result.stderr and not out.exists()
     with pytest.raises(BadBoardSpec, match="does not take"):
         special.SpecialNumberTable.build(family, 3, harness.PlainQ(1), **{option[2:]: 3})
+
+
+@pytest.mark.parametrize("family", FAMILY_TAGS)
+@pytest.mark.parametrize("identity", ["product-rook", "product-file-above", "max-identity"])
+def test_product_checks_pass_at_every_family_tag(identity, family):
+    # every branch of random_family, and the scaled and shifted families of
+    # ZeroBq and FrakPQ, which the sides take
+    assert run_check(identity, "0,2,3,5,5", family=family, trials=3).passed
 
 
 @pytest.mark.parametrize("family", ["q", "aq", "0bq", "trivial"])
@@ -665,6 +692,15 @@ BIJECTIONS = {
 def test_rg_bijections_pass_at_offset_and_jump_zero(identity, board):
     # at I = J = 0 a block-opening letter targets row 0: an empty column
     assert run_check(identity, board).passed
+
+
+@pytest.mark.parametrize("identity", BIJECTIONS)
+def test_counting_check_takes_one_trial(identity):
+    board = BIJECTIONS[identity]["board"]
+    for trials in (2, 7):
+        with pytest.raises(BadBoardSpec, match="trials must be 1"):
+            run_check(identity, board, trials=trials)
+    assert run_check(identity, board).trials == 1
 
 
 @pytest.mark.parametrize("identity", BIJECTIONS)

@@ -319,6 +319,15 @@ def test_fixed_point_kernel_matches_qp(rng, dps, floor, bound):
             want = _qp_theta(x, p)
             got = _theta_fixed(x, p)
             assert abs(got - want) < bound * abs(want), (x, p)
+        # above |p| = 1/2 the table grows its guard bits and its depth
+        for i, modulus in enumerate((0.6, 0.6, 0.8, 0.8, 0.9, 0.9, 0.97, 0.97)):
+            turn = mp.expj(rng.uniform(0.0, 2 * math.pi)) if i % 2 else rng.choice((1, -1))
+            p = mpf(modulus) * turn
+            x = mp.exp(mpf(rng.uniform(-4.0, 4.0)))
+            x *= mp.expj(rng.uniform(0.0, 2 * math.pi)) if i % 4 < 2 else rng.choice((1, -1))
+            want = _qp_theta(x, p)
+            got = _theta_fixed(x, p)
+            assert abs(got - want) < bound * abs(want), (x, p)
 
 
 @pytest.mark.parametrize("dps, floor, bound", [(35, 1e-33, 1e-30), (60, 1e-58, 1e-55)])
@@ -354,7 +363,7 @@ def test_fixed_point_reduction_far_from_the_unit_circle():
         p = mpc(0.3, 0.35)
         for m in (-200, 200):
             x = p**m * mpc(0.9, 0.2)
-            want = theta_fixed.product(x, p)
+            want = theta_product(x, p)
             assert abs(_theta_fixed(x, p) - want) < 1e-30 * abs(want)
 
 
@@ -394,6 +403,16 @@ def test_fixed_point_kernel_zero_and_out_of_range_arguments():
         with pytest.raises(OverflowError):
             theta(mpc(1e-320), mpc(0, 0.3))  # p/x overflows, as on doubles
         assert theta(mpc(0.5, 0.25), mpc(0)) == 1 - mpc(0.5, 0.25)
+
+
+def test_fixed_point_kernel_nomes_at_the_ends_of_the_double_range():
+    from mpmath import mp, mpf
+
+    with mp.workdps(35):
+        with pytest.raises(NoConvergence):  # |p| rounds to 1 in doubles
+            theta(mpf(0.5), 1 - mpf("1e-20"))
+        with pytest.raises(OverflowError):  # |p| rounds to 0 in doubles
+            theta(mpf(0.5), mpf("1e-400"))
 
 
 def test_fixed_point_kernel_on_real_arguments():
@@ -437,6 +456,7 @@ def test_memos_never_answer_each_other():
 
 
 def test_mpmath_numbers_never_reach_the_double_product(monkeypatch):
+    # theta on mpmath numbers runs the series at every nonzero nome
     product = theta_module.theta_product
 
     def double_only(x, p):
@@ -507,15 +527,17 @@ def test_nomes_above_one_half_keep_the_product(rng):
     for _ in range(20):
         x, p = _random_nonzero(rng), rng.uniform(0.51, 0.9) * cmath.exp(1j * rng.uniform(0, 6.3))
         assert _bits(theta(x, p)) == _bits(theta_product(x, p))
-        with mp.workdps(35):
-            want = theta_fixed.product(mpc(x), mpc(p))
-            assert theta(mpc(x), mpc(p)) == want == theta_product(mpc(x), mpc(p))
         nomes.append(p)
     assert all(theta_module._memo[p][0] is None for p in nomes)
-    assert theta_module._mp_memo[2] is None
+    # mpmath numbers sum the series there, from a table of their own
+    with mp.workdps(35):
+        value = theta(mpc(x), mpc(p))
+        assert theta_module._mp_memo[2] is not None
+        want = theta_product(mpc(x), mpc(p))
+        assert abs(value - want) < 1e-30 * abs(want)
 
 
-def test_fixed_point_product_above_one_half_matches_qp(rng):
+def test_product_and_series_above_one_half_match_qp(rng):
     from mpmath import mp, mpc
 
     with mp.workdps(35):
@@ -524,6 +546,7 @@ def test_fixed_point_product_above_one_half_matches_qp(rng):
             p = mpc(rng.uniform(0.51, 0.8) * cmath.exp(1j * rng.uniform(0, 6.3)))
             want = _qp_theta(x, p)
             assert abs(_theta_fixed(x, p) - want) < 1e-30 * abs(want)
+            assert abs(theta_product(x, p) - want) < 1e-30 * abs(want)
 
 
 def test_nome_is_validated_on_both_paths():

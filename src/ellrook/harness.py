@@ -64,6 +64,7 @@ from .weights import (
     random_family,
     random_z,
 )
+from .wide import digits_prec, wide_type
 
 
 # cancellation cap: doubles resolve ~1e-16 * MAX_CONDITION, well under the
@@ -192,38 +193,34 @@ def _product(check):
     return run
 
 
-def mp_family(fam):
-    """Rebuild a weight family over mpmath complex numbers.
+def wide_family(fam, digits: int = 35):
+    """fam with its parameters converted to the Wide type of `digits`
+    decimal digits.
 
     The weighted sums over deep board extensions cancel catastrophically in
     doubles, so enumeration cross-checks run at extended precision; the
-    generic family code evaluates unchanged over mpc values, whose theta
-    truncates at mp.dps.  A PlainQ at an exact q is returned as it is.
+    generic family code evaluates unchanged over Wide values, whose theta
+    truncates at their precision.  A PlainQ at an exact q is returned as it is.
     """
-    from mpmath import mpc
-
     if isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction)):
         return fam
-    return replace(fam, **{f.name: mpc(getattr(fam, f.name)) for f in fields(fam)})
+    cls = wide_type(digits_prec(digits))
+    return replace(fam, **{f.name: cls(getattr(fam, f.name)) for f in fields(fam)})
 
 
 def _run_product_jump(ctx: _Context):
-    from mpmath import mp
-
     board, jump, z_given = ctx.params["board"], ctx.params["J"], ctx.params["z"]
 
     def sides(fam):
         z = z_given if z_given is not None else random_z(ctx.rng)
         yield jattack.jump_product_check(board, jump, fam, z)
         if isinstance(z, int) and z >= jump * board.n:
-            # the enumeration cross-check; _judge runs while this generator
-            # is suspended in the block, so it judges these sides at 35 digits
-            with mp.workdps(35):
-                precise = mp_family(fam)
-                entry = jattack.jump_product_check(board, jump, precise, z)
-                total = jattack.jump_enumeration_total(board, jump, z, precise)
-                yield total, entry.lhs
-                yield total, entry.rhs
+            # the enumeration cross-check, at 35 digits
+            precise = wide_family(fam)
+            entry = jattack.jump_product_check(board, jump, precise, z)
+            total = jattack.jump_enumeration_total(board, jump, z, precise)
+            yield total, entry.lhs
+            yield total, entry.rhs
 
     return _grid(ctx, sides)
 

@@ -10,13 +10,14 @@ complex doubles at |p| > 1/2; p = 0 takes an exact path (theta = 1 - x),
 so that every q-degeneration is free of truncation error.
 
 The numbers set the truncation.  Doubles, exact numbers and floats keep
-the product and the series within TOLERANCE, 1e-17; mpmath numbers within
-min(1e-17, 10^-(mp.dps - 5)), which is 1e-30 at 35 digits.  The product
-raises NoConvergence after MAX_TERMS factor pairs, which only a nome near
-the unit circle reaches; so does the series over mpmath numbers where it
-would need more than MAX_TERMS terms.
+the product and the series within TOLERANCE, 1e-17; Wide numbers
+(ellrook.wide) of precision prec bits within min(1e-17, 2^(17 - prec)),
+about 1e-31 at 35 digits; mpmath numbers run as the Wide numbers of
+mp.prec.  The product raises NoConvergence after MAX_TERMS factor pairs,
+which only a nome near the unit circle reaches; so does the series over
+Wide numbers where it would need more than MAX_TERMS terms.
 
-Complex calls at 0 < |p| <= 1/2, and mpmath calls at every 0 < |p| < 1,
+Complex calls at 0 < |p| <= 1/2, and Wide calls at every 0 < |p| < 1,
 sum the Jacobi triple product sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf
 instead (Gasper-Rahman, Basic Hypergeometric Series, section 11.2).
 Pairing its terms n and 1 - n gives theta(y; p) =
@@ -30,27 +31,30 @@ theta(x; p) = (-1)^m p^{m(m+1)/2} x^-m theta(y; p).  With |y| between
 cancellation under 2 bits.  Above 1/2 it grows by up to e^{4e}, with
 e = log (1/2; 1/2)_inf - log (|p|; |p|)_inf: 11 bits at |p| = 0.7 and 71
 at 0.9, more than a double can spare, so complex doubles keep the product
-there; mpmath numbers pay in guard bits and terms (theta_fixed).
+there; Wide numbers pay in guard bits and terms (theta_fixed).
 
 theta memoizes values per nome, next to the nome's table: every weight at
 a parameter point is a quotient of theta values at the same p, most
 arguments repeat, and the product checks evaluate many boards at the same
 few points.  theta_multi, which every weight calls, reads the memo once
 per call (_memo_of, the helper theta uses), not once per argument, and
-calls theta only for an argument the memo lacks; where theta keeps no
-memo (exact numbers, and p = 0, where the a,b;q weights run) it calls
-theta_product, which takes p = 0 first.  Complex calls keep the
-memos of the last 32 nomes, in a dict keyed by p (by identity, then ==) in
-the order they were built; a call with a new p builds a new table,
-validating the nome, starts an empty memo and drops the oldest nome past
-32.  Calls on mpmath numbers keep one nome's memo, since each
-extended-precision check draws its own nome, keyed by p and by mp.prec,
-which sets their truncation.  The two never share a memo: mpmath numbers
-compare (and mostly hash) equal to the doubles they were built from, so a
-shared memo would answer a 35-digit call with a double, or a 60-digit
-call with a 35-digit value.  theta on mpmath numbers runs in fixed-point
-Python ints at mp.prec plus guard bits, in ellrook.theta_fixed, which
-theta imports, with mpmath, only on that path.
+calls theta only for an argument the memo lacks, or for mpmath numbers;
+where theta keeps no memo (exact numbers, and p = 0, where the a,b;q
+weights run) it calls theta_product, which takes p = 0 first.  Complex
+calls keep the memos of the last 32 nomes, in a dict keyed by p (by
+identity, then ==) in the order they were built; a call with a new p
+builds a new table, validating the nome, starts an empty memo and drops
+the oldest nome past 32.  Calls on Wide numbers keep one nome's memo,
+since each extended-precision check draws its own nome, keyed by p and its
+type, which sets the precision.  The two never share a memo: a Wide number
+compares and hashes equal to the double it was built from, so a shared
+memo would answer a 35-digit call with a double, or a 60-digit call with a
+35-digit value.  theta on mpmath numbers converts x and p exactly to the
+Wide type of mp.prec, runs there and rounds the value back to mp.prec, so
+one kernel and one memo serve both; mpmath only converts.  The Wide
+kernel, in fixed-point Python ints, is ellrook.theta_fixed, which theta
+imports only on that path, and no module here imports mpmath unless it is
+handed mpmath numbers.
 
 All functions here are pure and safe for concurrent use: the memos are
 replaced, never cleared or evicted in place (a new complex nome copies the
@@ -68,10 +72,12 @@ from itertools import accumulate
 
 from .errors import NoConvergence, ZeroArgument
 from .numeric import POLE_EPS, cpow_int, guard_denominator
+from .wide import GUARD_BITS, Wide, wide_type
 
 
 # the truncation of the product and the series over doubles, exact numbers
-# and floats; mpmath numbers derive theirs from mp.dps (theta_fixed.tolerance)
+# and floats; Wide numbers derive theirs from their precision
+# (theta_fixed.tolerance)
 TOLERANCE = 1e-17
 # the factor pairs the product may take before it raises NoConvergence
 MAX_TERMS = 10000
@@ -89,16 +95,16 @@ _MEMO_NOMES = 32
 # nomes theta was called with, oldest first; the table is None where the
 # product runs
 _memo: dict = {}
-# (p, mp.prec, series table, {x: theta(x; p)}) for the last nonzero nome of
-# a call on mpmath numbers
-_mp_memo: tuple = (None, None, None, {})
+# (p, series kernel, series table, {x: theta(x; p)}) for the last nonzero
+# Wide nome
+_wide_memo: tuple = (None, None, None, {})
 
 
 def theta(x, p):
     """Modified Jacobi theta function theta(x; p), memoized per nome."""
     memo = _memo_of(x, p)
     if memo is None:
-        return theta_product(x, p)
+        return _through_wide(x, p) if _is_mp(x) or _is_mp(p) else theta_product(x, p)
     series, table, values = memo
     value = values.get(x)
     if value is None:
@@ -110,7 +116,7 @@ def _memo_of(x, p):
     """(series, table, {x: theta(x; p)}) of the memo that serves theta(x,
     p), built if missing, with series(x, p, table) its kernel; None where
     theta keeps no memo."""
-    global _memo, _mp_memo
+    global _memo, _wide_memo
     if type(x) is complex and type(p) is complex:
         memo = _memo
         entry = memo.get(p)
@@ -123,20 +129,19 @@ def _memo_of(x, p):
         memo[p] = (table, values)
         _memo = memo
         return _theta_series, table, values
-    if not (_is_mp(x) or _is_mp(p)):
-        return None
-    from mpmath import mp
-
-    from . import theta_fixed
-
-    prec = mp.prec
-    memo_p, memo_prec, table, values = _mp_memo
-    if memo_prec != prec or not (memo_p is p or memo_p == p):
-        if p == 0:
+    if not isinstance(p, Wide):
+        if not isinstance(x, Wide) or not p:
             return None
-        table, values = theta_fixed.nome_table(p), {}
-        _mp_memo = (p, prec, table, values)
-    return theta_fixed.series, table, values
+        p = type(x)(p)
+    memo_p, series, table, values = _wide_memo
+    if memo_p is not p and not (type(memo_p) is type(p) and memo_p == p):
+        if not p:
+            return None
+        from . import theta_fixed
+
+        series, table, values = theta_fixed.series, theta_fixed.nome_table(p), {}
+        _wide_memo = (p, series, table, values)
+    return series, table, values
 
 
 def _is_mp(value) -> bool:
@@ -144,11 +149,26 @@ def _is_mp(value) -> bool:
     return hasattr(value, "_mpc_") or hasattr(value, "_mpf_")
 
 
+def _through_wide(x, p):
+    """theta(x; p) on mpmath numbers: at x and p converted exactly to the
+    Wide type of mp.prec, and back at mp.prec, an mpf where neither x nor p
+    is complex."""
+    from mpmath import mp
+
+    cls = wide_type(mp.prec)
+    value = theta(cls(x), cls(p))
+    real = mp.mpf((value.re, value.exp))
+    if not any(isinstance(v, complex) or hasattr(v, "_mpc_") for v in (x, p)):
+        return real
+    return mp.mpc(real, mp.mpf((value.im, value.exp)))
+
+
 def theta_product(x, p):
     """theta(x; p) as its truncated product, unmemoized, for every number
-    type.  Over mpmath numbers it runs at mp.prec plus theta_fixed's guard
-    bits, and the factors past the cut multiply it by 1 + d with |d| below
-    2 cut / (1 - |p|), so the cut is tolerance() (1 - |p|) / 2."""
+    type.  The factors past the cut multiply it by 1 + d with |d| below
+    2 cut / (1 - |p|), so over Wide and mpmath numbers the cut is
+    tolerance(prec) (1 - |p|) / 2 at their precision; mpmath numbers run it
+    at mp.prec plus the guard bits that a Wide type carries."""
     if x == 0:
         raise ZeroArgument("theta argument must be nonzero")
     if p == 0:
@@ -157,14 +177,17 @@ def theta_product(x, p):
     bound = max(abs(x), abs_p / abs(x))
     if bound == math.inf:
         raise OverflowError(f"theta argument {x} out of range")
-    if not (_is_mp(x) or _is_mp(p)):
+    wide = p if isinstance(p, Wide) else x if isinstance(x, Wide) else None
+    if wide is None and not (_is_mp(x) or _is_mp(p)):
         return _product(x, p, abs_p, bound, TOLERANCE)
-    from mpmath import mp
-
     from . import theta_fixed
 
-    cut = theta_fixed.tolerance() * (1 - abs_p) / 2
-    with mp.extraprec(theta_fixed.GUARD_BITS):
+    if wide is not None:
+        return _product(x, p, abs_p, bound, theta_fixed.tolerance(wide.prec) * (1 - abs_p) / 2)
+    from mpmath import mp
+
+    cut = theta_fixed.tolerance(mp.prec) * (1 - abs_p) / 2
+    with mp.extraprec(GUARD_BITS):
         out = _product(x, p, abs_p, bound, cut)
     return +out
 
@@ -270,15 +293,16 @@ def _theta_series(x, p, table):
 def theta_multi(xs, p):
     """Product of theta over a list of arguments; empty list gives 1.  The
     memo is read once for each run of arguments of one type; theta runs
-    only on a miss, and theta_product where there is no memo (exact
-    numbers, and p = 0, where it is 1 - x)."""
+    only on a miss, and where there is no memo theta_product runs (exact
+    numbers, and p = 0, where it is 1 - x), or theta for mpmath numbers."""
     out = 1
     kind = memo = None
     for x in xs:
         if type(x) is not kind:
             kind, memo = type(x), _memo_of(x, p)
+            unmemoized = theta if memo is None and (_is_mp(x) or _is_mp(p)) else theta_product
         if memo is None:
-            out *= theta_product(x, p)
+            out *= unmemoized(x, p)
         else:
             value = memo[2].get(x)
             out *= theta(x, p) if value is None else value

@@ -1,12 +1,16 @@
-"""theta(x; p) over mpmath numbers, in fixed-point Python ints.
+"""theta(x; p) over Wide numbers, in fixed-point Python ints.
 
-Numbers are (re, im) int pairs with wp fraction bits, wp being mp.prec plus
-guard bits, as in mpmath's own libmp series; series returns an mpc (an mpf
-for real inputs) rounded to mp.prec.  nome_table builds the coefficients of
-ellrook.theta's series for one nome with 0 < |p| < 1 in that arithmetic,
-and series sums the series at one argument; the series is truncated at
-tolerance(), which mp.dps sets.  This is the one kernel on mpmath numbers:
-theta_product runs the definition over them, and no user path calls it.
+This is the one theta kernel of extended precision.  Its numbers are
+(re, im) int pairs with wp fraction bits, wp being the mantissa width of
+the nome's Wide type (its precision plus ellrook.wide.GUARD_BITS) and more
+above |p| = 1/2.  nome_table builds the coefficients of ellrook.theta's
+series for one Wide nome with 0 < |p| < 1 in that arithmetic, and series
+sums the series at one argument and returns a value of the nome's type,
+read straight off the fixed-point result; the series is truncated at
+tolerance(prec), which the type's precision sets.  ellrook.theta keeps one
+memo of these values; mpmath numbers reach the kernel only through it,
+converted to the Wide type of mp.prec and back, and theta_product runs the
+definition over them as a reference that no user path calls.
 
 The series is theta(y; p) = (1 - y) T(y), T(y) = f_0 + sum_k f_k (y^k +
 y^-k), on the annulus |p|^{1/2} <= |y| <= |p|^{-1/2}.  With q = |p| its
@@ -20,38 +24,30 @@ e = log (1/2; 1/2)_inf - log (q; q)_inf: 1/(q; q)_inf = e^e / 0.289, and
 (q^{1/2}; q)_inf^2 >= e^{-3e} (2^{-1/2}; 1/2)_inf^2, so the ratio grows by
 at most e^{4e} (checked on a grid of q in (1/2, 0.9997), the factors
 1/(1 - q^{k+1}) included; 4 is tight near q = 1/2).  So the table adds
-4e/ln 2 guard bits and cuts the series at tolerance() e^{-4e}; at
+4e/ln 2 guard bits and cuts the series at tolerance(prec) e^{-4e}; at
 q <= 1/2, e = 0 and neither changes.  e comes from Dedekind's eta:
 log (q; q)_inf = t/24 - pi^2/(6t) + log(2 pi / t)/2 for q = e^-t, up to
 log (r; r)_inf, r = e^{-4 pi^2/t} < 1e-24 at q >= 1/2.  A nome whose
 series needs more than MAX_TERMS terms (|p| > 0.9996 at 35 digits) raises
 NoConvergence.
 
-ellrook.theta imports this module, and with it mpmath, on its first call
-on mpmath numbers, so that neither is compiled or loaded by a process
-that never makes one.
+ellrook.theta imports this module on its first call on Wide or mpmath
+numbers, so that a process that never makes one never loads it.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath import mp
-from mpmath.libmp import fzero, from_man_exp, to_fixed, to_float
-
 from .errors import NoConvergence, ZeroArgument
 from .theta import _LOG_HALF, MAX_TERMS, TOLERANCE, _series_coefficients, _series_size
-from .theta import _valid_nome
-
-# guard bits over mp.prec: the rounding of a few hundred fixed-point
-# operations costs at most about 10 of them
-GUARD_BITS = 20
+from .wide import fixed, normalize
 
 
-def tolerance() -> float:
-    """The truncation at mp.dps digits, 10^-(mp.dps - 5), and never looser
-    than the doubles' TOLERANCE."""
-    return min(TOLERANCE, float(f"1e{5 - mp.dps}"))
+def tolerance(prec: int) -> float:
+    """The truncation at a precision of prec bits, 2^(17 - prec), five
+    decimal digits above it, and never looser than the doubles' TOLERANCE."""
+    return min(TOLERANCE, 2.0 ** (17 - prec))
 
 
 def _log_euler(log_p: float) -> float:
@@ -61,26 +57,25 @@ def _log_euler(log_p: float) -> float:
 
 
 def nome_table(p):
-    """(prec, wp, |p|, p as an mpc value tuple, whether p is real, 1/p,
-    f_0, [f_N, ..., f_1]) with 1/p and f_k as (re, im) ints of wp fraction
-    bits, for an mpmath nome p with 0 < |p| < 1 at mp.prec, which this
-    validates; NoConvergence where the series needs more than MAX_TERMS
-    terms."""
-    pv = mp.convert(_valid_nome(p))
-    real = type(pv) is mp.mpf
-    parts = (pv._mpf_, fzero) if real else pv._mpc_
-    # |p| < 1, also where it rounds to 1 in doubles
-    abs_p = min(abs(complex(*map(to_float, parts))), math.nextafter(1.0, 0.0))
+    """(type, wp, |p|, p, 1/p, f_0, [f_N, ..., f_1]) with 1/p and f_k as
+    (re, im) ints of wp fraction bits, for a Wide nome p with 0 < |p| < 1,
+    which this validates; NoConvergence where the series needs more than
+    MAX_TERMS terms."""
+    cls = type(p)
+    # |p| < 1 exactly, also where it rounds to 1 in doubles
+    if p.exp >= 0 or p.re * p.re + p.im * p.im >= 1 << -2 * p.exp:
+        raise ValueError(f"nome must satisfy |p| < 1, got |p| = {abs(p)}")
+    abs_p = min(abs(p), math.nextafter(1.0, 0.0))
     if not abs_p:
         raise OverflowError(f"theta nome {p} out of range")
     log_p = math.log(abs_p)
     excess = _log_euler(_LOG_HALF) - _log_euler(log_p) if log_p > _LOG_HALF else 0.0
-    size = _series_size(log_p, tolerance(), 4 * excess)
+    size = _series_size(log_p, tolerance(cls.prec), 4 * excess)
     if size[0] > MAX_TERMS:
         raise NoConvergence(f"theta series needs {size[0]} > {MAX_TERMS} terms (|p| = {abs_p})")
     # an error in f_k is multiplied by |y|^k <= |p|^{-k/2} in the Horner pass,
     # and by e^{4e} relative to the value
-    wp = mp.prec + GUARD_BITS + int((size[0] * -log_p / 2 + 4 * excess) / math.log(2))
+    wp = cls.bits + int((size[0] * -log_p / 2 + 4 * excess) / math.log(2))
     one = 1 << wp
 
     def mul(a, b):
@@ -97,14 +92,14 @@ def nome_table(p):
         norm = a[0] * a[0] + a[1] * a[1]
         return (a[0] << 2 * wp) // norm, (-a[1] << 2 * wp) // norm
 
-    fixed_p = tuple(to_fixed(part, wp) for part in parts)
+    fixed_p = fixed(p, wp)
     coeffs = _series_coefficients(fixed_p, size, (one, 0), mul, add, neg, reciprocal)
-    return mp.prec, wp, abs_p, parts, real, reciprocal(fixed_p), coeffs[0], coeffs[:0:-1]
+    return cls, wp, abs_p, p, reciprocal(fixed_p), coeffs[0], coeffs[:0:-1]
 
 
 def series(x, p, table):
-    """theta(x; p) over mpmath numbers by the series of table, in wp-bit
-    fixed point.
+    """theta(x; p) for a Wide nome p by the series of table, in wp-bit
+    fixed point, as a value of p's type; x is converted to it.
 
     The reduction runs in the same fixed point: with x = p^m y,
     theta(x; p) = (-1)^m p^{-m(m-1)/2} y^{-m} theta(y; p).  y is formed at
@@ -114,17 +109,14 @@ def series(x, p, table):
     x = p^m.  The powers of p, 1/p and y are taken by binary powering over
     block-floating values of wp bits (_power), which keep their relative
     precision at any size, so a reduction costs O(log |m|) products."""
-    prec, wp, abs_p, p_parts, real, (qr, qi), f0, coeffs = table
-    if type(x) is not mp.mpc:
-        x = mp.convert(x)
-    real = real and type(x) is mp.mpf
-    parts = (x._mpf_, fzero) if type(x) is mp.mpf else x._mpc_
-    abs_x = abs(complex(*map(to_float, parts)))
+    cls, wp, abs_p, p, (qr, qi), f0, coeffs = table
+    if type(x) is not cls:
+        x = cls(x)
+    abs_x = abs(x)
     if not (0 < abs_x < math.inf and abs_p / abs_x < math.inf):
-        if x == 0:
+        if not x:
             raise ZeroArgument("theta argument must be nonzero")
-        # infinite, NaN, or |x| or |p|/|x| beyond the double range, as on
-        # the double path
+        # |x| or |p|/|x| beyond the double range, as on the double path
         raise OverflowError(f"theta argument {x} out of range")
     log_p = math.log(abs_p)
     m = round(math.log(abs_x) / log_p)
@@ -132,21 +124,21 @@ def series(x, p, table):
     if m:
         n = abs(m)
         e = wp + int(n * -log_p / math.log(2)) + 1
-        pe = tuple(to_fixed(part, e) for part in p_parts)
-        sr, si = _fixed(_power((*pe, e), n, wp), e)  # p^n at e fraction bits
+        sr, si = _fixed(_power((*fixed(p, e), e), n, wp), e)  # p^n at e fraction bits
         if m > 0:
             # 1 - y = (p^m - x) p^-m, from e to wp fraction bits
-            dr, di = sr - to_fixed(parts[0], e), si - to_fixed(parts[1], e)
+            xr, xi = fixed(x, e)
+            dr, di = sr - xr, si - xi
             hr, hi, hbits = _power((qr, qi, wp), n, wp)
             shift = e + hbits - wp
             dr, di = (dr * hr - di * hi) >> shift, (dr * hi + di * hr) >> shift
             yr, yi = one - dr, -di
         else:
-            xr, xi = to_fixed(parts[0], wp), to_fixed(parts[1], wp)
+            xr, xi = fixed(x, wp)
             yr, yi = (xr * sr - xi * si) >> e, (xr * si + xi * sr) >> e
             dr, di = one - yr, -yi
     else:
-        yr, yi = to_fixed(parts[0], wp), to_fixed(parts[1], wp)
+        yr, yi = fixed(x, wp)
         dr, di = one - yr, -yi
     norm = yr * yr + yi * yi
     wr, wi = (yr << 2 * wp) // norm, (-yi << 2 * wp) // norm
@@ -174,10 +166,7 @@ def series(x, p, table):
             sr, si = -sr, -si
         vr, vi = vr * sr - vi * si, vr * si + vi * sr
         bits += sbits
-    re = from_man_exp(vr, -bits, prec, "n")
-    if real:
-        return mp.make_mpf(re)
-    return mp.make_mpc((re, from_man_exp(vi, -bits, prec, "n")))
+    return normalize(cls, vr, vi, -bits)
 
 
 def _mul(a, b, cap: int):

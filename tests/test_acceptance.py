@@ -12,7 +12,7 @@ from ellrook import special
 from ellrook.boards import SkylineBoard, file_placements, j_rook_placements
 from ellrook.errors import IllConditioned, PoleEncountered
 from ellrook.files import file_number
-from ellrook.harness import mp_family, run_check
+from ellrook.harness import run_check, wide_family
 from ellrook.jattack import (
     b_board,
     enumerate_rg_words,
@@ -426,8 +426,6 @@ def test_criterion_06_closed_forms():
 
 
 def test_criterion_07_jump_product_formula():
-    from mpmath import mp
-
     rng = random.Random(107)
     worst_enum, worst_formula = 0.0, 0.0
     for offset in range(3):
@@ -437,16 +435,15 @@ def test_criterion_07_jump_product_formula():
                 # integer z = jump * n: three-way check at extended precision
                 fam = _elliptic(rng)
                 z_int = jump * n
-                with mp.workdps(35):
-                    precise = mp_family(fam)
-                    entry = jump_product_check(board, jump, precise, z_int)
-                    total = jump_enumeration_total(board, jump, z_int, precise)
-                    worst_enum = worst_error(
-                        worst_enum,
-                        float(relative_error(total, entry.lhs)),
-                        float(relative_error(total, entry.rhs)),
-                        float(entry.rel_err),
-                    )
+                precise = wide_family(fam)
+                entry = jump_product_check(board, jump, precise, z_int)
+                total = jump_enumeration_total(board, jump, z_int, precise)
+                worst_enum = worst_error(
+                    worst_enum,
+                    float(relative_error(total, entry.lhs)),
+                    float(relative_error(total, entry.rhs)),
+                    float(entry.rel_err),
+                )
                 # 25 random complex z on the formula sides
                 for _ in range(25):
                     def attempt(fam2, z):

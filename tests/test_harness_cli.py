@@ -461,6 +461,15 @@ def test_product_checks_pass_at_every_family_tag(identity, family):
     assert run_check(identity, "0,2,3,5,5", family=family, trials=3).passed
 
 
+@pytest.mark.parametrize("family", FAMILY_TAGS)
+def test_jump_cross_check_passes_at_every_family_tag(family, capsys):
+    # the 35-digit cross-check over each family: ABq's p is the int 0, pq
+    # is FrakPQ, and trivial's exact PlainQ passes through unconverted
+    args = ["check", "product-jump", "--board", "2,5,8", "--J", "3", "--z", "9"]
+    assert main([*args, "--family", family]) == 0
+    assert capsys.readouterr().out.startswith(f"PASS product-jump board=2,5,8 family={family} ")
+
+
 @pytest.mark.parametrize("family", ["q", "aq", "0bq", "trivial"])
 def test_degeneration_pq_rejects_families_without_a_and_b(family):
     with pytest.raises(BadBoardSpec, match="degeneration-pq needs"):
@@ -556,18 +565,21 @@ OWN_ERROR = {"degeneration-q", "addition-formula", "matrix-inverse", *harness._B
 
 
 def test_every_sides_runner_goes_through_the_judge(monkeypatch):
-    from mpmath import mp
     from test_golden_reports import BOARDS  # the README sizes
 
     judge = harness._judge
-    judged = {}  # identity -> the precision (mp.dps) of each side judged
+    judged = {}  # identity -> the precision in bits of each side judged
+
+    def precision(side):
+        """A Wide type's precision, or a double's 53 bits, at the side's values."""
+        return max(getattr(type(value), "prec", 53) for value in tuple(side)[:2])
 
     def recorder(sides):
         seen = judged.setdefault(name, [])
 
         def recorded():
             for side in sides:
-                seen.append(mp.dps)
+                seen.append(precision(side))
                 yield side
 
         return judge(recorded())
@@ -578,9 +590,9 @@ def test_every_sides_runner_goes_through_the_judge(monkeypatch):
         run_check(name, BOARDS.get(name), trials=1, **extra)
     assert set(judged) == set(identity_names()) - OWN_ERROR
     assert all(judged.values())
-    # the double side, then the two 35-digit cross-check sides, each judged
-    # while its precision holds
-    assert judged["product-jump"] == [15, 35, 35]
+    # the double side, then the two 35-digit cross-check sides, at the
+    # precision mpmath gives 35 digits
+    assert judged["product-jump"] == [53, 120, 120]
 
 
 def test_an_ill_conditioned_side_is_resampled(monkeypatch):

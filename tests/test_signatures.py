@@ -16,7 +16,6 @@ from functools import cache, partial
 
 import pytest
 from conftest import exact_bits
-from mpmath import mp
 
 from ellrook import rook as rook_module
 from ellrook.boards import (
@@ -41,7 +40,7 @@ from ellrook.rook import (
     signature_row,
     transfer_row,
 )
-from ellrook.harness import mp_family
+from ellrook.harness import wide_family
 from ellrook.weights import ABq, FullElliptic, PlainQ, WeightTable
 
 
@@ -315,11 +314,11 @@ def _elliptic():
     return FullElliptic(0.61 + 0.23j, 0.38 - 0.52j, 0.41 + 0.33j, 0.12 - 0.07j)
 
 
-def _mp_elliptic():
-    return mp_family(_elliptic())
+def _wide_elliptic():
+    return wide_family(_elliptic())
 
 
-REPLAY_FAMILIES = {"elliptic": _elliptic, "mp-35-digits": _mp_elliptic, "exact-abq": lambda: EXACT}
+REPLAY_FAMILIES = {"elliptic": _elliptic, "mp-35-digits": _wide_elliptic, "exact-abq": lambda: EXACT}
 
 
 def _row_bits(row: dict):
@@ -374,13 +373,12 @@ def replay_mismatches():
     slow, so those families take the thin cases only, and the replay
     without magnitudes is checked only at doubles."""
     wrong = {family: [] for family in REPLAY_FAMILIES}
-    with mp.workdps(35):
-        fams = {family: _WeightsOnce(make()) for family, make in REPLAY_FAMILIES.items()}
-        for kernel, args, rows, thin in _replay_cases():
-            for family, fam in fams.items():
-                doubles = family == "elliptic"
-                if (doubles or thin) and not _replay_matches(kernel, args, fam, rows, doubles):
-                    wrong[family].append(args)
+    fams = {family: _WeightsOnce(make()) for family, make in REPLAY_FAMILIES.items()}
+    for kernel, args, rows, thin in _replay_cases():
+        for family, fam in fams.items():
+            doubles = family == "elliptic"
+            if (doubles or thin) and not _replay_matches(kernel, args, fam, rows, doubles):
+                wrong[family].append(args)
     return wrong
 
 

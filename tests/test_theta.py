@@ -14,6 +14,7 @@ from ellrook.errors import NoConvergence, ZeroArgument
 from ellrook.harness import run_check
 from ellrook.numeric import cpow_int, relative_error
 from ellrook.theta import qp_shifted_factorial, theta, theta_multi, theta_product
+from ellrook.wide import digits_prec, wide_type
 
 # the submodule; the package attribute ellrook.theta is the function
 theta_module = importlib.import_module("ellrook.theta")
@@ -165,8 +166,13 @@ def _bits(value: complex) -> tuple[str, str]:
 
 
 def _theta_fixed(x, p):
-    """theta(x; p) over mpmath numbers, unmemoized, rounded to mp.prec."""
-    return theta_fixed.series(x, p, theta_fixed.nome_table(p))
+    """theta(x; p) over mpmath numbers by the fixed-point kernel at their
+    Wide type, unmemoized, rounded to an mpc at mp.prec."""
+    from mpmath import mp
+
+    cls = wide_type(mp.prec)
+    value = theta_fixed.series(cls(x), cls(p), theta_fixed.nome_table(cls(p)))
+    return mp.mpc(mp.mpf((value.re, value.exp)), mp.mpf((value.im, value.exp)))
 
 
 def _unmemoized(x, p):
@@ -304,7 +310,7 @@ def test_fixed_point_kernel_matches_qp(rng, dps, floor, bound):
     from mpmath import mp, mpc, mpf
 
     with mp.workdps(dps):
-        assert floor < theta_fixed.tolerance() <= bound
+        assert floor < theta_fixed.tolerance(mp.prec) <= bound
         for i in range(120):
             modulus = mp.exp(mpf(rng.uniform(-6.0, 6.0))) * rng.choice((1, -1))
             if i % 3 == 0:
@@ -336,7 +342,7 @@ def test_fixed_point_reduction_matches_qp(rng, dps, floor, bound, m):
     from mpmath import mp, mpc, mpf
 
     with mp.workdps(dps):
-        assert floor < theta_fixed.tolerance() <= bound
+        assert floor < theta_fixed.tolerance(mp.prec) <= bound
         for i in range(20):
             # down to |p| = 1e-8, where x or p^-m is about 2^{-80 |m|}
             log_p = mpf(rng.uniform(math.log(1e-8), math.log(0.45)))
@@ -437,8 +443,8 @@ def test_extended_precision_memo_is_keyed_by_precision():
         want = _qp_theta(mpc(x), mpc(p))
         assert abs(high - want) < 1e-55 * abs(want)
         assert abs(low - want) > 1e-45 * abs(want)
-        memo_p, memo_prec, _, values = theta_module._mp_memo
-        assert memo_prec == mp.prec and list(values) == [x]
+        memo_p, _, _, values = theta_module._wide_memo
+        assert type(memo_p).prec == mp.prec and list(values) == [x]
 
 
 def test_memos_never_answer_each_other():
@@ -451,8 +457,11 @@ def test_memos_never_answer_each_other():
         assert type(value) is complex
         assert _bits(value) == _bits(_unmemoized(x, p))
         assert list(theta_module._memo)[-1] == p and theta_module._memo[p][1][x] is value
-        assert list(theta_module._mp_memo[3].values()) == [precise]
-        assert theta(mpc(x), mpc(p)) is precise
+        assert theta(mpc(x), mpc(p)) == precise
+        # the Wide memo holds the one extended-precision value
+        memo_p, _, _, values = theta_module._wide_memo
+        assert memo_p == p and list(values) == [x]
+        assert all(type(value) is wide_type(mp.prec) for value in values.values())
 
 
 def test_mpmath_numbers_never_reach_the_double_product(monkeypatch):
@@ -471,6 +480,10 @@ def test_mpmath_numbers_never_reach_the_double_product(monkeypatch):
 def test_import_leaves_mpmath_unloaded():
     loaded = "{'mpmath', 'ellrook.theta_fixed'} & set(sys.modules)"
     code = f"import sys, ellrook; sys.exit(bool({loaded}))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    # the 35-digit cross-check runs on Wide numbers, without mpmath
+    check = 'ellrook.run_check("product-jump", "1,3", jump=2, z=4, trials=3)'
+    code = f"import sys, ellrook; sys.exit(not {check}.passed or 'mpmath' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
@@ -532,7 +545,7 @@ def test_nomes_above_one_half_keep_the_product(rng):
     # mpmath numbers sum the series there, from a table of their own
     with mp.workdps(35):
         value = theta(mpc(x), mpc(p))
-        assert theta_module._mp_memo[2] is not None
+        assert theta_module._wide_memo[2] is not None
         want = theta_product(mpc(x), mpc(p))
         assert abs(value - want) < 1e-30 * abs(want)
 
@@ -547,6 +560,15 @@ def test_product_and_series_above_one_half_match_qp(rng):
             want = _qp_theta(x, p)
             assert abs(_theta_fixed(x, p) - want) < 1e-30 * abs(want)
             assert abs(theta_product(x, p) - want) < 1e-30 * abs(want)
+
+
+def test_theta_product_over_wide_numbers_truncates_at_their_precision(rng):
+    wide = wide_type(digits_prec(35))
+    for modulus in (0.3, 0.7):
+        x = wide(_random_nonzero(rng))
+        p = wide(modulus * cmath.exp(1j * rng.uniform(0, 6.3)))
+        got, want = theta_product(x, p), theta(x, p)
+        assert type(got) is wide and abs(got - want) < 1e-30 * abs(want)
 
 
 def test_nome_is_validated_on_both_paths():

@@ -193,9 +193,13 @@ def _product(check):
     return run
 
 
-def wide_family(fam, digits: int = 35):
-    """fam with its parameters converted to the Wide type of `digits`
-    decimal digits.
+# the precision of enumeration cross-checks, 35 decimal digits
+_PRECISE = wide_type(digits_prec(35))
+
+
+def wide_family(fam):
+    """fam with its parameters converted to the Wide type of 35 decimal
+    digits.
 
     The weighted sums over deep board extensions cancel catastrophically in
     doubles, so enumeration cross-checks run at extended precision; the
@@ -204,8 +208,7 @@ def wide_family(fam, digits: int = 35):
     """
     if isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction)):
         return fam
-    cls = wide_type(digits_prec(digits))
-    return replace(fam, **{f.name: cls(getattr(fam, f.name)) for f in fields(fam)})
+    return replace(fam, **{f.name: _PRECISE(getattr(fam, f.name)) for f in fields(fam)})
 
 
 def _run_product_jump(ctx: _Context):

@@ -154,13 +154,19 @@ class Wide:
         return out
 
     def __abs__(self) -> float:
+        re, im, exp = self.re, self.im, self.exp
+        # a double holds 64 bits of the larger part, and an int of over 1024 bits
+        # converts to no double at all
+        shift = ((re if re >= 0 else -re) | (im if im >= 0 else -im)).bit_length() - 64
+        if shift > 0:
+            re, im, exp = re >> shift, im >> shift, exp + shift
         try:
-            return math.ldexp(math.hypot(self.re, self.im), self.exp)
+            return math.ldexp(math.hypot(re, im), exp)
         except OverflowError:
             return math.inf
 
     def __complex__(self) -> complex:
-        return complex(math.ldexp(self.re, self.exp), math.ldexp(self.im, self.exp))
+        return complex(_float(self.re, self.exp), _float(self.im, self.exp))
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
@@ -238,6 +244,16 @@ def fixed(value: Wide, bits: int) -> tuple[int, int]:
     if shift >= 0:
         return value.re << shift, value.im << shift
     return value.re >> -shift, value.im >> -shift
+
+
+def _float(m: int, exp: int) -> float:
+    """m 2^exp as a float, from the 64 leading bits of m (an int of over
+    1024 bits converts to no double at all)."""
+    shift = (m if m >= 0 else -m).bit_length() - 64
+    if shift > 0:
+        m >>= shift
+        exp += shift
+    return math.ldexp(m, exp)
 
 
 def _coerce(cls, value):

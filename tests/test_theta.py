@@ -411,6 +411,18 @@ def test_fixed_point_kernel_zero_and_out_of_range_arguments():
         assert theta(mpc(0.5, 0.25), mpc(0)) == 1 - mpc(0.5, 0.25)
 
 
+def test_fixed_point_kernel_above_the_double_exponent_range():
+    # at 320 digits the mantissas have over 1024 bits, more than a double's
+    # exponent reaches; |x| and |p| are still read off them
+    from mpmath import mp, mpc
+
+    with mp.workdps(320):
+        for x, p in ((mpc(0.7, 0.3), mpc(0.35, -0.1)), (mpc(2.5, -1.0), mpc(-0.8, 0.3))):
+            value = theta(x, p)
+            want = _qp_theta(x, p)
+            assert abs(value - want) < 1e-313 * abs(want)
+
+
 def test_fixed_point_kernel_nomes_at_the_ends_of_the_double_range():
     from mpmath import mp, mpf
 
@@ -453,11 +465,15 @@ def test_memos_never_answer_each_other():
     x, p = 0.6 - 0.45j, 0.3 + 0.2j
     with mp.workdps(35):
         precise = theta(mpc(x), mpc(p))
+        before = theta_module._wide_memo
+        stored = before[3][x]
         value = theta(x, p)
         assert type(value) is complex
         assert _bits(value) == _bits(_unmemoized(x, p))
         assert list(theta_module._memo)[-1] == p and theta_module._memo[p][1][x] is value
+        # a repeated call is answered from the Wide memo, as a new mpc
         assert theta(mpc(x), mpc(p)) == precise
+        assert theta_module._wide_memo is before and theta_module._wide_memo[3][x] is stored
         # the Wide memo holds the one extended-precision value
         memo_p, _, _, values = theta_module._wide_memo
         assert memo_p == p and list(values) == [x]

@@ -115,6 +115,17 @@ def test_negligible_addend_and_large_exponent_gaps():
                 complex(huge)
 
 
+def test_abs_and_complex_of_mantissas_beyond_the_double_range():
+    # a 320-digit type carries mantissas of over 1024 bits
+    wide = wide_type(digits_prec(320))
+    assert wide.bits > 1024
+    with mp.workdps(320):
+        for c in (0.6 + 0.8j, -1e-300 + 3e-301j, 2.5e300 - 1j):
+            x = wide(mpc(c) / 3) * 3
+            assert max(abs(x.re), abs(x.im)).bit_length() > 1024
+            assert complex(x) == c and abs(abs(x) - abs(c)) <= 1e-15 * abs(c)
+
+
 def test_a_value_below_the_double_range_is_a_pole_as_in_mpmath():
     # guard_denominator compares abs(value) with POLE_EPS: a Wide value
     # whose modulus rounds to 0.0 is a pole, as an mpc of that size is

@@ -85,12 +85,12 @@ def j_rook_placements(heights, jump: int, k: int, depth: int = 0) -> Iterator[tu
     A caller that needs a placement's attack map calls j_attack_rows.
     """
     if 0 <= k <= len(heights):
-        yield from _add_j_rooks(heights, jump, 1 - depth, 1, k, [], {})
+        yield from _add_j_rooks(heights, jump, 1 - depth, 1, k, [], 0)
 
 
-def _add_j_rooks(heights, jump, bottom, col, remaining, cells: list, attacked: dict):
+def _add_j_rooks(heights, jump, bottom, col, remaining, cells: list, attacked: int):
     """Every way to add `remaining` jump rooks in columns col.. to cells,
-    whose attack map is attacked."""
+    whose attacked rows are the mask attacked (see _rook_attack_rows)."""
     if remaining == 0:
         yield tuple(cells)
         return
@@ -98,16 +98,12 @@ def _add_j_rooks(heights, jump, bottom, col, remaining, cells: list, attacked: d
         return
     yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining, cells, attacked)
     for row in range(heights[col - 1], bottom - 1, -1):
-        if row in attacked:
+        if attacked >> (row - bottom) & 1:
             continue
-        rows = _rook_attack_rows(row, jump, attacked, bottom)
-        for r in rows:
-            attacked[r] = col
+        hit = attacked | _rook_attack_rows(row, jump, attacked, bottom)
         cells.append((col, row))
-        yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining - 1, cells, attacked)
+        yield from _add_j_rooks(heights, jump, bottom, col + 1, remaining - 1, cells, hit)
         cells.pop()
-        for r in rows:
-            del attacked[r]
 
 
 def rook_placements(heights, k: int, depth: int = 0) -> Iterator[tuple[Cell, ...]]:
@@ -121,34 +117,43 @@ def file_placements(heights, k: int) -> Iterator[tuple[Cell, ...]]:
     return j_rook_placements(heights, 0, k)
 
 
-def _rook_attack_rows(row: int, jump: int, attacked: dict[int, int], bottom: int) -> list[int]:
-    """The first `jump` unattacked rows weakly above row.  Below the ground
-    the upward scan stops at row 0 and the attack wraps to the unattacked
-    rows below row, down to the bottom row."""
-    rows = []
-    j = row
-    while len(rows) < jump and (row >= 1 or j <= 0):
-        if j not in attacked:
-            rows.append(j)
-        j += 1
-    j = row - 1
-    while len(rows) < jump and j >= bottom:
-        if j not in attacked:
-            rows.append(j)
-        j -= 1
-    if len(rows) < jump:
-        raise ValueError("extension too shallow for the below-ground attack rule")
-    return rows
+def _rook_attack_rows(row: int, jump: int, attacked: int, bottom: int) -> int:
+    """The rows a rook in row attacks, given the attacked rows, as masks
+    whose bit r - bottom stands for row r: the first `jump` unattacked rows
+    weakly above row, lowest first.  Below the ground the upward scan stops
+    at row 0 and the attack wraps to the unattacked rows below row, highest
+    first, down to the bottom row."""
+    bit = row - bottom
+    up = ~attacked >> bit << bit
+    if row < 1:
+        up &= (1 << 1 - bottom) - 1
+    down = ~attacked & (1 << bit) - 1
+    hit = 0
+    for _ in range(jump):
+        if up:
+            low = up & -up
+            up ^= low
+        elif down:
+            low = 1 << down.bit_length() - 1
+            down ^= low
+        else:
+            raise ValueError("extension too shallow for the below-ground attack rule")
+        hit |= low
+    return hit
 
 
 def j_attack_rows(cells, jump: int, depth: int = 0) -> dict[int, int]:
     """Map row -> attacking column for a left-to-right placed rook set on a
     board extended by depth rows below the ground."""
-    attacked: dict[int, int] = {}
+    bottom, attacked, out = 1 - depth, 0, {}
     for i, j in sorted(cells):
-        for row in _rook_attack_rows(j, jump, attacked, 1 - depth):
-            attacked[row] = i
-    return attacked
+        hit = _rook_attack_rows(j, jump, attacked, bottom)
+        attacked |= hit
+        while hit:
+            low = hit & -hit
+            out[low.bit_length() - 1 + bottom] = i
+            hit ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------

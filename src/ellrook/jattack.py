@@ -249,15 +249,14 @@ def _extend_rg_words(offset, jump, n, k, word, colors, seen_max, out) -> None:
 def phi(gamma: RGWord) -> tuple[tuple[int, int], ...]:
     """The word-to-placement bijection onto jump placements of the model board."""
     board = b_board(gamma.offset, gamma.jump, gamma.n)
-    attacked: dict[int, int] = {}
+    attacked = 0  # bit row - 1 for an attacked row
     cells: list[tuple[int, int]] = []
     for s in range(1, gamma.n + 1):
         target = gamma.offset + gamma.word[s] * gamma.jump - gamma.colors[s - 1]
-        avail = [row for row in range(1, board.height(s) + 1) if row not in attacked]
+        avail = [row for row in range(1, board.height(s) + 1) if not attacked >> row - 1 & 1]
         if 1 <= target <= len(avail):
             row = avail[target - 1]
-            for r in _rook_attack_rows(row, gamma.jump, attacked, 1):
-                attacked[r] = s
+            attacked |= _rook_attack_rows(row, gamma.jump, attacked, 1)
             cells.append((s, row))
     return tuple(cells)
 
@@ -266,12 +265,12 @@ def phi_inverse(offset: int, jump: int, n: int, cells) -> RGWord:
     """Recover the colored word from a jump placement of the model board."""
     board = b_board(offset, jump, n)
     col_rook = dict(cells)
-    attacked: dict[int, int] = {}
+    attacked = 0  # bit row - 1 for an attacked row
     word = [0]
     colors: list[int] = []
     seen_max = 0
     for s in range(1, n + 1):
-        avail = [row for row in range(1, board.height(s) + 1) if row not in attacked]
+        avail = [row for row in range(1, board.height(s) + 1) if not attacked >> row - 1 & 1]
         row = col_rook.get(s)
         if row is None:
             word.append(seen_max + 1)
@@ -287,8 +286,7 @@ def phi_inverse(offset: int, jump: int, n: int, cells) -> RGWord:
         word.append(w)
         colors.append(e)
         seen_max = max(seen_max, w)
-        for r in _rook_attack_rows(row, jump, attacked, 1):
-            attacked[r] = s
+        attacked |= _rook_attack_rows(row, jump, attacked, 1)
     return RGWord(offset, jump, tuple(word), tuple(colors))
 
 

@@ -372,7 +372,7 @@ def _j_rook_transfer(heights, jump, depth, k, weight) -> dict:
                         # rule always finds its rows: nothing to work out
                         hit = attacked
                     else:
-                        hit = _attack(attacked, bit + bottom, jump, bottom)
+                        hit = attacked | _rook_attack_rows(bit + bottom, jump, attacked, bottom)
                     key = (hit, rook_rows | 1 << bit, rooks + 1)
                     new[key] = new.get(key, 0) + value
                 if not (free or keep):
@@ -386,15 +386,6 @@ def _j_rook_transfer(heights, jump, depth, k, weight) -> dict:
     for (_, _, rooks), value in states.items():
         sums[rooks] = sums.get(rooks, 0) + value
     return sums
-
-
-def _attack(attacked: int, row: int, jump: int, bottom: int) -> int:
-    """The attacked rows after a rook in row, as masks whose bit row - bottom
-    stands for a row."""
-    rows = {bit + bottom for bit in range(attacked.bit_length()) if attacked >> bit & 1}
-    for r in _rook_attack_rows(row, jump, rows, bottom):
-        attacked |= 1 << (r - bottom)
-    return attacked
 
 
 def _require_ferrers(board: SkylineBoard, statement: str) -> None:

@@ -37,16 +37,18 @@ theta memoizes values per nome, next to the nome's table: every weight at
 a parameter point is a quotient of theta values at the same p, most
 arguments repeat, and the product checks evaluate many boards at the same
 few points.  theta_multi, which every weight calls, reads the memo once
-per call (_memo_of, the helper theta uses), not once per argument, and
-calls theta only for an argument the memo lacks, or for mpmath numbers;
-where theta keeps no memo (exact numbers, and p = 0, where the a,b;q
-weights run) it calls theta_product, which takes p = 0 first.  Complex
-calls keep the memos of the last 32 nomes, in a dict keyed by p (by
-identity, then ==) in the order they were built; a call with a new p
-builds a new table, validating the nome, starts an empty memo and drops
-the oldest nome past 32.  Calls on Wide numbers keep one nome's memo,
-since each extended-precision check draws its own nome, keyed by p and its
-type, which sets the precision.  The two never share a memo: a Wide number
+per call (_memo_of, the helper theta uses), not once per argument, and on
+a miss stores the kernel's value itself, as theta does; it calls theta
+only for mpmath numbers, and where theta keeps no memo (exact numbers,
+and p = 0, where the a,b;q weights run) it calls theta_product, which
+takes p = 0 first.  Complex calls keep the memos of the last 32 nomes, in
+a dict keyed by p (by identity, then ==) in the order they were built; a
+call with a new p builds a new table, validating the nome, starts an
+empty memo and drops the oldest nome past 32.  Calls on Wide numbers keep
+one nome's memo, since each extended-precision check draws its own nome,
+selected by p and its type, which sets the precision, and keyed by the
+argument's mantissa triple (re, im, exp), which hashes in C, where
+Wide.__hash__ is Python code.  The two never share a memo: a Wide number
 compares and hashes equal to the double it was built from, so a shared
 memo would answer a 35-digit call with a double, or a 60-digit call with a
 35-digit value.  theta on mpmath numbers converts x and p exactly to the
@@ -76,9 +78,10 @@ from .wide import GUARD_BITS, Wide, wide_type
 
 
 # the truncation of the product and the series over doubles, exact numbers
-# and floats; Wide numbers derive theirs from their precision
-# (theta_fixed.tolerance)
+# and floats, and its log2; Wide numbers derive theirs from their precision
+# (theta_fixed.log2_tolerance)
 TOLERANCE = 1e-17
+LOG2_TOLERANCE = math.log2(TOLERANCE)
 # the factor pairs the product may take before it raises NoConvergence
 MAX_TERMS = 10000
 
@@ -106,9 +109,10 @@ def theta(x, p):
     if memo is None:
         return _through_wide(x, p) if _is_mp(x) or _is_mp(p) else theta_product(x, p)
     series, table, values = memo
-    value = values.get(x)
+    key = x if series is _theta_series or not isinstance(x, Wide) else (x.re, x.im, x.exp)
+    value = values.get(key)
     if value is None:
-        value = values[x] = series(x, p, table)
+        value = values[key] = series(x, p, table)
     return value
 
 
@@ -167,7 +171,8 @@ def theta_product(x, p):
     """theta(x; p) as its truncated product, unmemoized, for every number
     type.  The factors past the cut multiply it by 1 + d with |d| below
     2 cut / (1 - |p|), so over Wide and mpmath numbers the cut is
-    tolerance(prec) (1 - |p|) / 2 at their precision; mpmath numbers run it
+    2^log2_tolerance(prec) (1 - |p|) / 2 at their precision, carried as its
+    log2, which stays finite past the double range; mpmath numbers run it
     at mp.prec plus the guard bits that a Wide type carries."""
     if x == 0:
         raise ZeroArgument("theta argument must be nonzero")
@@ -177,32 +182,35 @@ def theta_product(x, p):
     bound = max(abs(x), abs_p / abs(x))
     if bound == math.inf:
         raise OverflowError(f"theta argument {x} out of range")
+    logs = math.log2(abs_p) if abs_p else -math.inf, math.log2(bound)
     wide = p if isinstance(p, Wide) else x if isinstance(x, Wide) else None
     if wide is None and not (_is_mp(x) or _is_mp(p)):
-        return _product(x, p, abs_p, bound, TOLERANCE)
+        return _product(x, p, *logs, LOG2_TOLERANCE)
     from . import theta_fixed
 
+    slack = math.log2((1 - abs_p) / 2)
     if wide is not None:
-        return _product(x, p, abs_p, bound, theta_fixed.tolerance(wide.prec) * (1 - abs_p) / 2)
+        return _product(x, p, *logs, theta_fixed.log2_tolerance(wide.prec) + slack)
     from mpmath import mp
 
-    cut = theta_fixed.tolerance(mp.prec) * (1 - abs_p) / 2
+    log_cut = theta_fixed.log2_tolerance(mp.prec) + slack
     with mp.extraprec(GUARD_BITS):
-        out = _product(x, p, abs_p, bound, cut)
+        out = _product(x, p, *logs, log_cut)
     return +out
 
 
-def _product(x, p, abs_p, bound, cut):
-    """The factor pairs of theta(x; p) until bound |p|^j falls below cut."""
+def _product(x, p, log_p, log_bound, log_cut):
+    """The factor pairs of theta(x; p) until bound |p|^j falls below the
+    cut, from the log2 of each."""
     out = 1
     pj = 1
     for _ in range(MAX_TERMS):
-        if bound < cut:
+        if log_bound < log_cut:
             return out
         out *= (1 - pj * x) * (1 - pj * p / x)
         pj *= p
-        bound *= abs_p
-    raise NoConvergence(f"theta product not converged after {MAX_TERMS} terms (|p| = {abs_p})")
+        log_bound += log_p
+    raise NoConvergence(f"theta product not converged after {MAX_TERMS} terms (|p| = {2**log_p})")
 
 
 # the series serves nomes with 0 < |p| <= 1/2
@@ -212,13 +220,13 @@ _LOG_HALF = math.log(0.5)
 _MAX_REDUCTION_LOG = 600.0
 
 
-def _series_size(log_p: float, tolerance: float, log_slack: float = 0.0) -> tuple[int, int]:
+def _series_size(log_p: float, log2_tolerance: float, log_slack: float = 0.0) -> tuple[int, int]:
     """(N, K) for the series at a nome of modulus e^log_p.  At |p| <= 1/2
     its k-th term is below 7 |p|^{k^2/2}, so the terms past N sum to less
-    than 32 |p|^{(N+1)^2/2}, kept below tolerance e^-log_slack (which pays
-    for their growth above 1/2); Euler's series for (p; p)_inf is cut past
-    its K-th term, |p|^{K(3K-1)/2}, on the same rule."""
-    ratio = max(2 * (math.log(tolerance / 32) - log_slack) / log_p, 0.0)
+    than 32 |p|^{(N+1)^2/2}, kept below 2^log2_tolerance e^-log_slack (which
+    pays for their growth above 1/2); Euler's series for (p; p)_inf is cut
+    past its K-th term, |p|^{K(3K-1)/2}, on the same rule."""
+    ratio = max(2 * ((log2_tolerance - 5) * math.log(2) - log_slack) / log_p, 0.0)
     return max(1, int(math.sqrt(ratio))), int((1 + math.sqrt(1 + 12 * ratio)) / 6)
 
 
@@ -251,7 +259,7 @@ def _series_table(p):
     log_p = math.log(abs(p)) if _valid_nome(p) else -math.inf
     if not -math.inf < log_p <= _LOG_HALF:
         return None
-    size = _series_size(log_p, TOLERANCE)
+    size = _series_size(log_p, LOG2_TOLERANCE)
     coeffs = _series_coefficients(
         p, size, 1, operator.mul, operator.add, operator.neg, lambda z: 1 / z
     )
@@ -292,20 +300,28 @@ def _theta_series(x, p, table):
 
 def theta_multi(xs, p):
     """Product of theta over a list of arguments; empty list gives 1.  The
-    memo is read once for each run of arguments of one type; theta runs
-    only on a miss, and where there is no memo theta_product runs (exact
-    numbers, and p = 0, where it is 1 - x), or theta for mpmath numbers."""
+    memo is read once for each run of arguments of one type, and a miss
+    stores the kernel's value under theta's key; where there is no memo
+    theta_product runs (exact numbers, and p = 0, where it is 1 - x), or
+    theta for mpmath numbers."""
     out = 1
     kind = memo = None
     for x in xs:
         if type(x) is not kind:
             kind, memo = type(x), _memo_of(x, p)
-            unmemoized = theta if memo is None and (_is_mp(x) or _is_mp(p)) else theta_product
+            if memo is None:
+                unmemoized = theta if _is_mp(x) or _is_mp(p) else theta_product
+            else:
+                series, table, values = memo
+                wide = series is not _theta_series and isinstance(x, Wide)
         if memo is None:
             out *= unmemoized(x, p)
-        else:
-            value = memo[2].get(x)
-            out *= theta(x, p) if value is None else value
+            continue
+        key = (x.re, x.im, x.exp) if wide else x
+        value = values.get(key)
+        if value is None:
+            value = values[key] = series(x, p, table)
+        out *= value
     return out
 
 

@@ -7,10 +7,11 @@ above |p| = 1/2.  nome_table builds the coefficients of ellrook.theta's
 series for one Wide nome with 0 < |p| < 1 in that arithmetic, and series
 sums the series at one argument and returns a value of the nome's type,
 read straight off the fixed-point result; the series is truncated at
-tolerance(prec), which the type's precision sets.  ellrook.theta keeps one
-memo of these values; mpmath numbers reach the kernel only through it,
-converted to the Wide type of mp.prec and back, and theta_product runs the
-definition over them as a reference that no user path calls.
+2^log2_tolerance(prec), which the type's precision sets, carried as its
+log2 so that it never underflows.  ellrook.theta keeps one memo of these
+values; mpmath numbers reach the kernel only through it, converted to the
+Wide type of mp.prec and back, and theta_product runs the definition over
+them as a reference that no user path calls.
 
 The series is theta(y; p) = (1 - y) T(y), T(y) = f_0 + sum_k f_k (y^k +
 y^-k), on the annulus |p|^{1/2} <= |y| <= |p|^{-1/2}.  With q = |p| its
@@ -24,7 +25,7 @@ e = log (1/2; 1/2)_inf - log (q; q)_inf: 1/(q; q)_inf = e^e / 0.289, and
 (q^{1/2}; q)_inf^2 >= e^{-3e} (2^{-1/2}; 1/2)_inf^2, so the ratio grows by
 at most e^{4e} (checked on a grid of q in (1/2, 0.9997), the factors
 1/(1 - q^{k+1}) included; 4 is tight near q = 1/2).  So the table adds
-4e/ln 2 guard bits and cuts the series at tolerance(prec) e^{-4e}; at
+4e/ln 2 guard bits and cuts the series at 2^log2_tolerance(prec) e^{-4e}; at
 q <= 1/2, e = 0 and neither changes.  e comes from Dedekind's eta:
 log (q; q)_inf = t/24 - pi^2/(6t) + log(2 pi / t)/2 for q = e^-t, up to
 log (r; r)_inf, r = e^{-4 pi^2/t} < 1e-24 at q >= 1/2.  A nome whose
@@ -40,14 +41,15 @@ from __future__ import annotations
 import math
 
 from .errors import NoConvergence, ZeroArgument
-from .theta import _LOG_HALF, MAX_TERMS, TOLERANCE, _series_coefficients, _series_size
+from .theta import _LOG_HALF, LOG2_TOLERANCE, MAX_TERMS, _series_coefficients, _series_size
 from .wide import fixed, normalize
 
 
-def tolerance(prec: int) -> float:
-    """The truncation at a precision of prec bits, 2^(17 - prec), five
-    decimal digits above it, and never looser than the doubles' TOLERANCE."""
-    return min(TOLERANCE, 2.0 ** (17 - prec))
+def log2_tolerance(prec: int) -> float:
+    """log2 of the truncation at a precision of prec bits, 17 - prec: five
+    decimal digits above it, and never looser than the doubles' TOLERANCE.
+    A log, since 2^(17 - prec) underflows past about 1,090 bits."""
+    return min(LOG2_TOLERANCE, 17 - prec)
 
 
 def _log_euler(log_p: float) -> float:
@@ -70,7 +72,7 @@ def nome_table(p):
         raise OverflowError(f"theta nome {p} out of range")
     log_p = math.log(abs_p)
     excess = _log_euler(_LOG_HALF) - _log_euler(log_p) if log_p > _LOG_HALF else 0.0
-    size = _series_size(log_p, tolerance(cls.prec), 4 * excess)
+    size = _series_size(log_p, log2_tolerance(cls.prec), 4 * excess)
     if size[0] > MAX_TERMS:
         raise NoConvergence(f"theta series needs {size[0]} > {MAX_TERMS} terms (|p| = {abs_p})")
     # an error in f_k is multiplied by |y|^k <= |p|^{-k/2} in the Horner pass,

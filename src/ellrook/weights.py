@@ -20,6 +20,15 @@ each rung of the ladder has an independent side to be checked against
 denominator factor vanishes (modulus below 1e-300) the family raises
 PoleEncountered, signalling a non-generic parameter point; samplers catch
 this and redraw.  All families are pure values, safe for concurrent use.
+
+WeightTable(fam) memoizes fam's small weights in one dict per family
+object, shared by every transfer pass and placement weight on it, so a
+35-digit cross-check's product check and enumeration total evaluate each
+weight once.  The dict sits in the object's __dict__, outside its
+dataclass fields (==, hash, fields() and replace() never see it), and
+refers to nothing, so it makes no reference cycle.  It is keyed by the
+object, not its value: a family over Wide numbers equals, and hashes as,
+the family over the doubles it came from.
 """
 
 from __future__ import annotations
@@ -429,11 +438,14 @@ def random_family(
 
 
 class WeightTable:
-    """Memoized small weights w(l) for one family; keyed by integer l."""
+    """The small weights w(l) of one family object, keyed by integer l, in
+    the dict that every table of that object shares (see the module)."""
+
+    __slots__ = ("fam", "_cache")
 
     def __init__(self, fam: WeightFamily):
         self.fam = fam
-        self._cache: dict = {}
+        self._cache = vars(fam).setdefault("_small_weights", {})
 
     def __getitem__(self, ell: int):
         try:

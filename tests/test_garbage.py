@@ -9,7 +9,7 @@ import pytest
 from ellrook import biject, boards, files, jattack, rook
 from ellrook.boards import SkylineBoard
 from ellrook.harness import identity_names, run_check
-from ellrook.weights import PlainQ
+from ellrook.weights import FullElliptic, PlainQ, WeightTable
 
 CALLS = {
     "set_partitions": lambda: list(biject.set_partitions(5)),
@@ -38,6 +38,11 @@ CALLS = {
     ),
     "j_rook_row, below ground": lambda: jattack.j_rook_row(
         SkylineBoard((1, 3, 5)), 2, PlainQ(2), 7, magnitude=True
+    ),
+    # a family's small-weight table, which the family holds and which refers to it
+    "WeightTable": lambda: WeightTable(FullElliptic(0.5 + 0.1j, 1.3, 0.7j, 0.2))[3],
+    "rook_row, elliptic": lambda: rook.rook_row(
+        SkylineBoard((1, 2, 3)), FullElliptic(0.5 + 0.1j, 1.3, 0.7j, 0.2), magnitude=True
     ),
     # the transfer kernels over formal sums, below the lru cache
     "rook_signature": lambda: rook.rook_signature.__wrapped__((1, 2, 3), 2, 1),

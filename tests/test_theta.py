@@ -310,7 +310,7 @@ def test_fixed_point_kernel_matches_qp(rng, dps, floor, bound):
     from mpmath import mp, mpc, mpf
 
     with mp.workdps(dps):
-        assert floor < theta_fixed.tolerance(mp.prec) <= bound
+        assert floor < 2.0 ** theta_fixed.log2_tolerance(mp.prec) <= bound
         for i in range(120):
             modulus = mp.exp(mpf(rng.uniform(-6.0, 6.0))) * rng.choice((1, -1))
             if i % 3 == 0:
@@ -342,7 +342,7 @@ def test_fixed_point_reduction_matches_qp(rng, dps, floor, bound, m):
     from mpmath import mp, mpc, mpf
 
     with mp.workdps(dps):
-        assert floor < theta_fixed.tolerance(mp.prec) <= bound
+        assert floor < 2.0 ** theta_fixed.log2_tolerance(mp.prec) <= bound
         for i in range(20):
             # down to |p| = 1e-8, where x or p^-m is about 2^{-80 |m|}
             log_p = mpf(rng.uniform(math.log(1e-8), math.log(0.45)))
@@ -423,6 +423,22 @@ def test_fixed_point_kernel_above_the_double_exponent_range():
             assert abs(value - want) < 1e-313 * abs(want)
 
 
+def test_theta_at_400_digits_matches_qp():
+    # past about 1,090 bits the truncation 2^(17 - prec) underflows in
+    # doubles; theta and theta_product carry it as its log2
+    from mpmath import mp, mpc, mpf
+
+    wide = wide_type(digits_prec(400))
+    for x, p in ((0.7 + 0.3j, 0.35 - 0.1j), (2.5 - 1.0j, -0.6 + 0.3j)):
+        with mp.workdps(400):
+            want = _qp_theta(mpc(x), mpc(p))
+            bound = mpf(2) ** theta_fixed.log2_tolerance(wide.prec) * abs(want)
+            for got in (theta(wide(x), wide(p)), theta_product(wide(x), wide(p))):
+                assert type(got) is wide
+                assert abs(mpc(mpf((got.re, got.exp)), mpf((got.im, got.exp))) - want) < bound
+            assert abs(theta(mpc(x), mpc(p)) - want) < bound
+
+
 def test_fixed_point_kernel_nomes_at_the_ends_of_the_double_range():
     from mpmath import mp, mpf
 
@@ -444,6 +460,11 @@ def test_fixed_point_kernel_on_real_arguments():
         assert theta(mpf(0.3), mpf(0.3)) == 0 == theta(mpf(1), mpf(0.3))
 
 
+def _wide_key(value):
+    """The Wide memo's key of a Wide value: its mantissa triple."""
+    return value.re, value.im, value.exp
+
+
 def test_extended_precision_memo_is_keyed_by_precision():
     from mpmath import mp, mpc
 
@@ -456,7 +477,7 @@ def test_extended_precision_memo_is_keyed_by_precision():
         assert abs(high - want) < 1e-55 * abs(want)
         assert abs(low - want) > 1e-45 * abs(want)
         memo_p, _, _, values = theta_module._wide_memo
-        assert type(memo_p).prec == mp.prec and list(values) == [x]
+        assert type(memo_p).prec == mp.prec and list(values) == [_wide_key(type(memo_p)(x))]
 
 
 def test_memos_never_answer_each_other():
@@ -466,17 +487,18 @@ def test_memos_never_answer_each_other():
     with mp.workdps(35):
         precise = theta(mpc(x), mpc(p))
         before = theta_module._wide_memo
-        stored = before[3][x]
+        key = _wide_key(wide_type(mp.prec)(x))
+        stored = before[3][key]
         value = theta(x, p)
         assert type(value) is complex
         assert _bits(value) == _bits(_unmemoized(x, p))
         assert list(theta_module._memo)[-1] == p and theta_module._memo[p][1][x] is value
         # a repeated call is answered from the Wide memo, as a new mpc
         assert theta(mpc(x), mpc(p)) == precise
-        assert theta_module._wide_memo is before and theta_module._wide_memo[3][x] is stored
+        assert theta_module._wide_memo is before and theta_module._wide_memo[3][key] is stored
         # the Wide memo holds the one extended-precision value
         memo_p, _, _, values = theta_module._wide_memo
-        assert memo_p == p and list(values) == [x]
+        assert memo_p == p and list(values) == [key]
         assert all(type(value) is wide_type(mp.prec) for value in values.values())
 
 

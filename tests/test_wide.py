@@ -6,10 +6,10 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from ellrook.errors import PoleEncountered
-from ellrook.harness import wide_family
+from ellrook.harness import run_check, wide_family
 from ellrook.jattack import b_board, jump_enumeration_total, jump_product_check
 from ellrook.numeric import guard_denominator
-from ellrook.weights import FullElliptic, random_family
+from ellrook.weights import FullElliptic, WeightTable, random_family
 from ellrook.wide import GUARD_BITS, ZERO_EXP, Wide, digits_prec, wide_type
 
 WIDE = wide_type(digits_prec(35))
@@ -209,3 +209,44 @@ def test_cross_check_sides_match_a_70_digit_evaluation(p_modulus):
                 got = _mp(WIDE(got))  # an int where no weight enters
                 worst = max(worst, float(abs(got - value) / abs(value)))
     assert worst <= 1e-26, worst
+
+
+def test_wide_family_after_its_double_family_keeps_its_digits():
+    # evaluated right after the double family at the same point; a memo
+    # keyed by value would hand the 35-digit family the doubles' values,
+    # since a Wide value equals, and hashes as, the double it came from
+    rng = random.Random(26)
+    for _ in range(4):
+        fam = random_family(rng, "elliptic")
+        ks, zs = range(-2, 5), (2, 3, 5)
+        doubles = WeightTable(fam)
+        assert [doubles[k] for k in ks] == [fam.small_weight(k) for k in ks]
+        assert all(type(fam.number(z)) is complex for z in zs)
+        precise = wide_family(fam)
+        table = WeightTable(precise)
+        got = [table[k] for k in ks] + [precise.number(z) for z in zs]
+        with mp.workdps(70):
+            reference = FullElliptic(*(mpc(v) for v in (fam.a, fam.b, fam.q, fam.p)))
+            wants = [reference.small_weight(k) for k in ks] + [reference.number(z) for z in zs]
+            for value, want in zip(got, wants):
+                assert type(value) is WIDE
+                assert abs(_mp(value) - want) <= 1e-30 * abs(want)
+
+
+def test_a_35_digit_cross_check_hashes_no_wide_value(monkeypatch):
+    # the extended-precision memo is keyed by mantissas: Wide.__hash__ is
+    # Python code, and a trial would call it thousands of times
+    calls = []
+    original = Wide.__hash__
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Wide, "__hash__", spy)
+    hash(WIDE(0.5))
+    assert len(calls) == 1  # the spy sees the hash of every Wide type
+    calls.clear()
+    # integer z at or above J*n runs the 35-digit enumeration cross-check
+    assert run_check("product-jump", "1,3", jump=2, z=4, trials=1).passed
+    assert len(calls) == 0

@@ -5,17 +5,19 @@ theta(x; p) = prod_{j>=0} (1 - p^j x)(1 - p^{j+1}/x) for x != 0, |p| < 1.
 The truncated product is the definition: it stops at the first j where the
 factor pair is within the tolerance of 1, by the a-priori bound
 |p|^j * max(|x|, |p|/|x|).  theta_product, the product by name, runs it
-for every number type, and theta runs it on exact and float inputs and on
-complex doubles at |p| > 1/2; p = 0 takes an exact path (theta = 1 - x),
-so that every q-degeneration is free of truncation error.
+for every number type theta takes, and theta runs it on exact and float
+inputs and on complex doubles at |p| > 1/2; p = 0 takes an exact path
+(theta = 1 - x), so that every q-degeneration is free of truncation error.
 
 The numbers set the truncation.  Doubles, exact numbers and floats keep
 the product and the series within TOLERANCE, 1e-17; Wide numbers
 (ellrook.wide) of precision prec bits within min(1e-17, 2^(17 - prec)),
-about 1e-31 at 35 digits; mpmath numbers run as the Wide numbers of
-mp.prec.  The product raises NoConvergence after MAX_TERMS factor pairs,
-which only a nome near the unit circle reaches; so does the series over
-Wide numbers where it would need more than MAX_TERMS terms.
+about 1e-31 at 35 digits.  These are the only types theta takes: at
+p != 0 the product raises TypeError on any other, an mpmath number
+included, rather than cut it at the doubles' tolerance.  The product
+raises NoConvergence after MAX_TERMS factor pairs, which only a nome near
+the unit circle reaches; so does the series over Wide numbers where it
+would need more than MAX_TERMS terms.
 
 Complex calls at 0 < |p| <= 1/2, and Wide calls at every 0 < |p| < 1,
 sum the Jacobi triple product sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf
@@ -38,43 +40,38 @@ a parameter point is a quotient of theta values at the same p, most
 arguments repeat, and the product checks evaluate many boards at the same
 few points.  theta_multi, which every weight calls, reads the memo once
 per call (_memo_of, the helper theta uses), not once per argument, and on
-a miss stores the kernel's value itself, as theta does; it calls theta
-only for mpmath numbers, and where theta keeps no memo (exact numbers,
-and p = 0, where the a,b;q weights run) it calls theta_product, which
-takes p = 0 first.  Complex calls keep the memos of the last 32 nomes, in
-a dict keyed by p (by identity, then ==) in the order they were built; a
-call with a new p builds a new table, validating the nome, starts an
-empty memo and drops the oldest nome past 32.  Calls on Wide numbers keep
-one nome's memo, since each extended-precision check draws its own nome,
-selected by p and its type, which sets the precision, and keyed by the
-argument's mantissa triple (re, im, exp), which hashes in C, where
-Wide.__hash__ is Python code.  The two never share a memo: a Wide number
-compares and hashes equal to the double it was built from, so a shared
-memo would answer a 35-digit call with a double, or a 60-digit call with a
-35-digit value.  theta on mpmath numbers converts x and p exactly to the
-Wide type of mp.prec, runs there and rounds the value back to mp.prec, so
-one kernel and one memo serve both; mpmath only converts.  The Wide
-kernel, in fixed-point Python ints, is ellrook.theta_fixed, which theta
-imports only on that path, and no module here imports mpmath unless it is
-handed mpmath numbers.
+a miss stores the kernel's value itself, as theta does; where theta keeps
+no memo (exact numbers, and p = 0, where the a,b;q weights run) it calls
+theta_product, which takes p = 0 first.  Complex calls keep the memos of
+the last 32 nomes, in a dict keyed by p (by identity, then ==) in the
+order they were built; a call with a new p builds a new table, validating
+the nome, starts an empty memo and drops the oldest nome past 32.  Calls
+on Wide numbers keep one nome's memo, since each extended-precision check
+draws its own nome, selected by p and its type, which sets the precision,
+and keyed by the argument's mantissa triple (re, im, exp), which hashes in
+C, where Wide.__hash__ is Python code.  The two never share a memo: a Wide
+number compares and hashes equal to the double it was built from, so a
+shared memo would answer a 35-digit call with a double, or a 60-digit call
+with a 35-digit value.  The Wide kernel, in fixed-point Python ints, is
+ellrook.theta_fixed, which theta imports only on that path.
 
 All functions here are pure and safe for concurrent use: the memos are
 replaced, never cleared or evicted in place (a new complex nome copies the
 dict of nomes and rebinds it), and theta reads them into a local first, so
 a racing thread can only cost a hit or a table, never return another
-nome's value; but theta_product on mpmath numbers, a reference only tests
-call, raises mpmath's global precision while it runs.
+nome's value.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from itertools import accumulate
 
 from .errors import NoConvergence, ZeroArgument
 from .numeric import POLE_EPS, cpow_int, guard_denominator
-from .wide import GUARD_BITS, Wide, wide_type
+from .wide import Wide
 
 
 # the truncation of the product and the series over doubles, exact numbers
@@ -84,6 +81,8 @@ TOLERANCE = 1e-17
 LOG2_TOLERANCE = math.log2(TOLERANCE)
 # the factor pairs the product may take before it raises NoConvergence
 MAX_TERMS = 10000
+# the types the product runs on at TOLERANCE
+_PRODUCT_TYPES = (int, float, complex, Fraction)
 
 
 def _valid_nome(p):
@@ -107,7 +106,7 @@ def theta(x, p):
     """Modified Jacobi theta function theta(x; p), memoized per nome."""
     memo = _memo_of(x, p)
     if memo is None:
-        return _through_wide(x, p) if _is_mp(x) or _is_mp(p) else theta_product(x, p)
+        return theta_product(x, p)
     series, table, values = memo
     key = x if series is _theta_series or not isinstance(x, Wide) else (x.re, x.im, x.exp)
     value = values.get(key)
@@ -148,55 +147,31 @@ def _memo_of(x, p):
     return series, table, values
 
 
-def _is_mp(value) -> bool:
-    """Whether value is an mpmath real or complex number."""
-    return hasattr(value, "_mpc_") or hasattr(value, "_mpf_")
-
-
-def _through_wide(x, p):
-    """theta(x; p) on mpmath numbers: at x and p converted exactly to the
-    Wide type of mp.prec, and back at mp.prec, an mpf where neither x nor p
-    is complex."""
-    from mpmath import mp
-
-    cls = wide_type(mp.prec)
-    value = theta(cls(x), cls(p))
-    real = mp.mpf((value.re, value.exp))
-    if not any(isinstance(v, complex) or hasattr(v, "_mpc_") for v in (x, p)):
-        return real
-    return mp.mpc(real, mp.mpf((value.im, value.exp)))
-
-
 def theta_product(x, p):
-    """theta(x; p) as its truncated product, unmemoized, for every number
-    type.  The factors past the cut multiply it by 1 + d with |d| below
-    2 cut / (1 - |p|), so over Wide and mpmath numbers the cut is
+    """theta(x; p) as its truncated product, unmemoized, for ints, floats,
+    complex numbers, Fractions and Wide numbers; TypeError for another
+    type, once p is nonzero.  The factors past the cut multiply it by 1 + d
+    with |d| below 2 cut / (1 - |p|), so over Wide numbers the cut is
     2^log2_tolerance(prec) (1 - |p|) / 2 at their precision, carried as its
-    log2, which stays finite past the double range; mpmath numbers run it
-    at mp.prec plus the guard bits that a Wide type carries."""
+    log2, which stays finite past the double range."""
     if x == 0:
         raise ZeroArgument("theta argument must be nonzero")
     if p == 0:
         return 1 - x
+    wide = p if isinstance(p, Wide) else x if isinstance(x, Wide) else None
+    if wide is None and not (isinstance(x, _PRODUCT_TYPES) and isinstance(p, _PRODUCT_TYPES)):
+        raise TypeError(f"theta takes no ({type(x).__name__}, {type(p).__name__}) arguments")
     abs_p = abs(_valid_nome(p))
     bound = max(abs(x), abs_p / abs(x))
     if bound == math.inf:
         raise OverflowError(f"theta argument {x} out of range")
     logs = math.log2(abs_p) if abs_p else -math.inf, math.log2(bound)
-    wide = p if isinstance(p, Wide) else x if isinstance(x, Wide) else None
-    if wide is None and not (_is_mp(x) or _is_mp(p)):
+    if wide is None:
         return _product(x, p, *logs, LOG2_TOLERANCE)
     from . import theta_fixed
 
     slack = math.log2((1 - abs_p) / 2)
-    if wide is not None:
-        return _product(x, p, *logs, theta_fixed.log2_tolerance(wide.prec) + slack)
-    from mpmath import mp
-
-    log_cut = theta_fixed.log2_tolerance(mp.prec) + slack
-    with mp.extraprec(GUARD_BITS):
-        out = _product(x, p, *logs, log_cut)
-    return +out
+    return _product(x, p, *logs, theta_fixed.log2_tolerance(wide.prec) + slack)
 
 
 def _product(x, p, log_p, log_bound, log_cut):
@@ -302,20 +277,17 @@ def theta_multi(xs, p):
     """Product of theta over a list of arguments; empty list gives 1.  The
     memo is read once for each run of arguments of one type, and a miss
     stores the kernel's value under theta's key; where there is no memo
-    theta_product runs (exact numbers, and p = 0, where it is 1 - x), or
-    theta for mpmath numbers."""
+    theta_product runs (exact numbers, and p = 0, where it is 1 - x)."""
     out = 1
     kind = memo = None
     for x in xs:
         if type(x) is not kind:
             kind, memo = type(x), _memo_of(x, p)
-            if memo is None:
-                unmemoized = theta if _is_mp(x) or _is_mp(p) else theta_product
-            else:
+            if memo is not None:
                 series, table, values = memo
                 wide = series is not _theta_series and isinstance(x, Wide)
         if memo is None:
-            out *= unmemoized(x, p)
+            out *= theta_product(x, p)
             continue
         key = (x.re, x.im, x.exp) if wide else x
         value = values.get(key)

@@ -9,9 +9,8 @@ sums the series at one argument and returns a value of the nome's type,
 read straight off the fixed-point result; the series is truncated at
 2^log2_tolerance(prec), which the type's precision sets, carried as its
 log2 so that it never underflows.  ellrook.theta keeps one memo of these
-values; mpmath numbers reach the kernel only through it, converted to the
-Wide type of mp.prec and back, and theta_product runs the definition over
-them as a reference that no user path calls.
+values, and its theta_product runs the definition over Wide numbers as a
+reference that no user path calls.
 
 The series is theta(y; p) = (1 - y) T(y), T(y) = f_0 + sum_k f_k (y^k +
 y^-k), on the annulus |p|^{1/2} <= |y| <= |p|^{-1/2}.  With q = |p| its
@@ -32,8 +31,8 @@ log (r; r)_inf, r = e^{-4 pi^2/t} < 1e-24 at q >= 1/2.  A nome whose
 series needs more than MAX_TERMS terms (|p| > 0.9996 at 35 digits) raises
 NoConvergence.
 
-ellrook.theta imports this module on its first call on Wide or mpmath
-numbers, so that a process that never makes one never loads it.
+ellrook.theta imports this module on its first call on Wide numbers, so
+that a process that never makes one never loads it.
 """
 
 from __future__ import annotations

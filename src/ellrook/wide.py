@@ -18,8 +18,8 @@ Wide values (a double converts exactly), unary -, ** with an int
 exponent, abs (a float: 0.0 below the double range, inf above it),
 complex(), and == and hash as Python's numbers define them, so a Wide
 value equals, and hashes as, the complex, float or int of the same value.
-The constructor also converts mpmath numbers, exactly, without importing
-mpmath.  Values are immutable and safe to share between threads.
+The constructor takes the same types, and raises TypeError on any other.
+Values are immutable and safe to share between threads.
 
 ellrook.theta sends Wide arguments to the fixed-point series of
 ellrook.theta_fixed, which works on the mantissas, and the weight families,
@@ -263,9 +263,9 @@ def _coerce(cls, value):
 
 
 def _parts(value):
-    """The exact (re, im, exp) of an int, float, complex, Wide or mpmath
-    number, or None for another type; OverflowError (or ValueError)
-    for an infinity (or a NaN)."""
+    """The exact (re, im, exp) of an int, float, complex or Wide number, or
+    None for another type; OverflowError (or ValueError) for an infinity
+    (or a NaN)."""
     if isinstance(value, int):
         return value, 0, 0
     if isinstance(value, float):
@@ -276,11 +276,6 @@ def _parts(value):
         return _join(int(mr * _DOUBLE), er - 53, int(mi * _DOUBLE), ei - 53)
     if isinstance(value, Wide):
         return value.re, value.im, value.exp
-    if hasattr(value, "_mpc_"):
-        return _join(*_mpf_parts(value._mpc_[0]), *_mpf_parts(value._mpc_[1]))
-    if hasattr(value, "_mpf_"):
-        m, e = _mpf_parts(value._mpf_)
-        return m, 0, e
     return None
 
 
@@ -292,14 +287,6 @@ def _join(mr: int, er: int, mi: int, ei: int) -> tuple[int, int, int]:
         er = ei
     low = min(er, ei)
     return mr << er - low, mi << ei - low, low
-
-
-def _mpf_parts(mpf_tuple) -> tuple[int, int]:
-    """The (mantissa, exponent) of an mpmath real's (sign, man, exp, bc)."""
-    sign, man, exp, bc = mpf_tuple
-    if not man and bc:  # mpmath's inf, -inf and nan have man 0 and bc != 0
-        raise OverflowError("mpmath infinity or NaN has no Wide value")
-    return -man if sign else man, exp
 
 
 def _hash_part(m: int, e: int) -> int:

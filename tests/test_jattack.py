@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sample_elliptic
+from conftest import sample_elliptic, to_wide
 from ellrook.boards import SkylineBoard, j_rook_placements
 from ellrook.errors import NotJAttackingBoard
 from ellrook.jattack import (
@@ -120,7 +120,7 @@ def test_jump_product_with_enumeration_high_precision(rng):
 
     a, b, q, p = random_generic_point(rng)
     with mp.workdps(35):
-        fam = FullElliptic(mpc(a), mpc(b), mpc(q), mpc(p))
+        fam = FullElliptic(*(to_wide(mpc(v)) for v in (a, b, q, p)))
         board = b_board(2, 3, 3)
         entry = jump_product_check(board, 3, fam, 9)
         total = jump_enumeration_total(board, 3, 9, fam)

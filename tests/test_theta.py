@@ -8,13 +8,14 @@ import threading
 from fractions import Fraction
 
 import pytest
-from conftest import exact_bits
+from conftest import exact_bits, from_wide, to_wide
 
 from ellrook.errors import NoConvergence, ZeroArgument
 from ellrook.harness import run_check
 from ellrook.numeric import cpow_int, relative_error
 from ellrook.theta import qp_shifted_factorial, theta, theta_multi, theta_product
-from ellrook.wide import digits_prec, wide_type
+from ellrook.weights import FullElliptic, random_generic_point
+from ellrook.wide import Wide, digits_prec, wide_type
 
 # the submodule; the package attribute ellrook.theta is the function
 theta_module = importlib.import_module("ellrook.theta")
@@ -121,12 +122,13 @@ def test_theta_multi_over_mpmath_numbers(rng):
     from mpmath import mp, mpc, mpf
 
     with mp.workdps(35):
-        xs = [mpc(_random_nonzero(rng)) for _ in range(4)]
-        for p in (mpc(_random_nome(rng)), mpf(0.3)):
-            for args in (xs, xs[:2] + [mpf(1.5)], [mpf(0.5), mpc(2, 1)]):
+        xs = [to_wide(mpc(_random_nonzero(rng))) for _ in range(4)]
+        for p in (to_wide(mpc(_random_nome(rng))), to_wide(mpf(0.3))):
+            real, more = to_wide(mpf(1.5)), [to_wide(mpf(0.5)), to_wide(mpc(2, 1))]
+            for args in (xs, xs[:2] + [real], more):
                 got = theta_multi(args, p)
                 assert exact_bits(got) == exact_bits(_theta_product_of(args, p))
-        # complex arguments at an mpmath nome, and the reverse
+        # complex arguments at a Wide nome, and the reverse
         assert exact_bits(theta_multi([0.5 + 0.1j], xs[0] / 4)) == exact_bits(
             theta(0.5 + 0.1j, xs[0] / 4)
         )
@@ -151,7 +153,7 @@ def test_no_convergence_when_terms_exhausted():
     with pytest.raises(NoConvergence):
         theta(1.5, 0.9999)
     with mp.workdps(35), pytest.raises(NoConvergence):
-        theta(mpc(1.5), mpc(0.9999))
+        theta(to_wide(mpc(1.5)), to_wide(mpc(0.9999)))
 
 
 def test_non_finite_argument_is_an_overflow():
@@ -165,14 +167,21 @@ def _bits(value: complex) -> tuple[str, str]:
     return value.real.hex(), value.imag.hex()
 
 
-def _theta_fixed(x, p):
-    """theta(x; p) over mpmath numbers by the fixed-point kernel at their
-    Wide type, unmemoized, rounded to an mpc at mp.prec."""
-    from mpmath import mp
+def _series_fixed(x, p):
+    """theta(x; p) over Wide numbers by the fixed-point kernel, unmemoized."""
+    return theta_fixed.series(x, p, theta_fixed.nome_table(p))
 
-    cls = wide_type(mp.prec)
-    value = theta_fixed.series(cls(x), cls(p), theta_fixed.nome_table(cls(p)))
-    return mp.mpc(mp.mpf((value.re, value.exp)), mp.mpf((value.im, value.exp)))
+
+def _theta_fixed(x, p):
+    """theta(x; p) over mpmath numbers by the fixed-point kernel at the Wide
+    type of mp.prec, unmemoized, rounded to an mpc at mp.prec."""
+    return from_wide(_series_fixed(to_wide(x), to_wide(p)))
+
+
+def _product_fixed(x, p):
+    """theta_product over mpmath numbers at the Wide type of mp.prec,
+    rounded to an mpc at mp.prec."""
+    return from_wide(theta_product(to_wide(x), to_wide(p)))
 
 
 def _unmemoized(x, p):
@@ -202,9 +211,10 @@ def test_memo_never_answers_extended_precision_calls():
     theta(x, p)
     with mp.workdps(35):
         xm, pm = mpc(x), mpc(p)
-        assert xm == x and pm == p and hash(xm) == hash(x)
+        xw, pw = to_wide(xm), to_wide(pm)
+        assert xw == x and pw == p and hash(xw) == hash(x)
         want = qp(xm, pm) * qp(pm / xm, pm)
-        assert abs(theta(xm, pm) - want) / abs(want) < 1e-30
+        assert abs(from_wide(theta(xw, pw)) - want) / abs(want) < 1e-30
 
 
 def _memo_races(xs, nomes, reference, rounds):
@@ -293,9 +303,9 @@ def test_mp_memo_under_two_threads_alternating_nomes(rng):
     from mpmath import mp, mpc
 
     with mp.workdps(35):
-        xs = [mpc(_random_nonzero(rng)) for _ in range(30)]
-        nomes = [mpc(_random_nome(rng)), mpc(_random_nome(rng))]
-        assert not _memo_races(xs, nomes, _theta_fixed, 40)
+        xs = [to_wide(mpc(_random_nonzero(rng))) for _ in range(30)]
+        nomes = [to_wide(mpc(_random_nome(rng))), to_wide(mpc(_random_nome(rng)))]
+        assert not _memo_races(xs, nomes, _series_fixed, 40)
 
 
 def _qp_theta(x, p):
@@ -369,7 +379,7 @@ def test_fixed_point_reduction_far_from_the_unit_circle():
         p = mpc(0.3, 0.35)
         for m in (-200, 200):
             x = p**m * mpc(0.9, 0.2)
-            want = theta_product(x, p)
+            want = _product_fixed(x, p)
             assert abs(_theta_fixed(x, p) - want) < 1e-30 * abs(want)
 
 
@@ -403,12 +413,14 @@ def test_fixed_point_kernel_zero_and_out_of_range_arguments():
 
     with mp.workdps(35):
         with pytest.raises(ZeroArgument):
-            theta(mpc(0), mpc(0.2, 0.1))
+            theta(to_wide(mpc(0)), to_wide(mpc(0.2, 0.1)))
         with pytest.raises(OverflowError):
-            theta(mpc(inf, 1.0), mpc(0.2, 0.1))
+            theta(to_wide(mpc(inf, 1.0)), to_wide(mpc(0.2, 0.1)))
         with pytest.raises(OverflowError):
-            theta(mpc(1e-320), mpc(0, 0.3))  # p/x overflows, as on doubles
-        assert theta(mpc(0.5, 0.25), mpc(0)) == 1 - mpc(0.5, 0.25)
+            # p/x overflows, as on doubles
+            theta(to_wide(mpc(1e-320)), to_wide(mpc(0, 0.3)))
+        x = to_wide(mpc(0.5, 0.25))
+        assert theta(x, to_wide(mpc(0))) == 1 - x
 
 
 def test_fixed_point_kernel_above_the_double_exponent_range():
@@ -418,7 +430,7 @@ def test_fixed_point_kernel_above_the_double_exponent_range():
 
     with mp.workdps(320):
         for x, p in ((mpc(0.7, 0.3), mpc(0.35, -0.1)), (mpc(2.5, -1.0), mpc(-0.8, 0.3))):
-            value = theta(x, p)
+            value = from_wide(theta(to_wide(x), to_wide(p)))
             want = _qp_theta(x, p)
             assert abs(value - want) < 1e-313 * abs(want)
 
@@ -435,18 +447,18 @@ def test_theta_at_400_digits_matches_qp():
             bound = mpf(2) ** theta_fixed.log2_tolerance(wide.prec) * abs(want)
             for got in (theta(wide(x), wide(p)), theta_product(wide(x), wide(p))):
                 assert type(got) is wide
-                assert abs(mpc(mpf((got.re, got.exp)), mpf((got.im, got.exp))) - want) < bound
-            assert abs(theta(mpc(x), mpc(p)) - want) < bound
+                assert abs(from_wide(got) - want) < bound
 
 
 def test_fixed_point_kernel_nomes_at_the_ends_of_the_double_range():
     from mpmath import mp, mpf
 
     with mp.workdps(35):
+        x = to_wide(mpf(0.5))
         with pytest.raises(NoConvergence):  # |p| rounds to 1 in doubles
-            theta(mpf(0.5), 1 - mpf("1e-20"))
+            theta(x, to_wide(1 - mpf("1e-20")))
         with pytest.raises(OverflowError):  # |p| rounds to 0 in doubles
-            theta(mpf(0.5), mpf("1e-400"))
+            theta(x, to_wide(mpf("1e-400")))
 
 
 def test_fixed_point_kernel_on_real_arguments():
@@ -454,10 +466,12 @@ def test_fixed_point_kernel_on_real_arguments():
 
     with mp.workdps(35):
         for x, p in ((mpf(0.5), mpf(0.3)), (mpf(-2.5), mpf(-0.2)), (3, mpf("0.1"))):
-            value = theta(x, p)
-            assert isinstance(value, mp.mpf)
+            value = theta(to_wide(x), to_wide(p))
+            assert value.im == 0
+            value = from_wide(value)
             assert abs(value - _qp_theta(mp.mpc(x), mp.mpc(p))) < 1e-30 * abs(value)
-        assert theta(mpf(0.3), mpf(0.3)) == 0 == theta(mpf(1), mpf(0.3))
+        p = to_wide(mpf(0.3))
+        assert theta(p, p) == 0 == theta(to_wide(mpf(1)), p)
 
 
 def _wide_key(value):
@@ -470,9 +484,9 @@ def test_extended_precision_memo_is_keyed_by_precision():
 
     x, p = 0.7 + 0.3j, 0.35 - 0.1j
     with mp.workdps(35):
-        low = theta(mpc(x), mpc(p))
+        low = from_wide(theta(to_wide(mpc(x)), to_wide(mpc(p))))
     with mp.workdps(60):
-        high = theta(mpc(x), mpc(p))
+        high = from_wide(theta(to_wide(mpc(x)), to_wide(mpc(p))))
         want = _qp_theta(mpc(x), mpc(p))
         assert abs(high - want) < 1e-55 * abs(want)
         assert abs(low - want) > 1e-45 * abs(want)
@@ -485,7 +499,7 @@ def test_memos_never_answer_each_other():
 
     x, p = 0.6 - 0.45j, 0.3 + 0.2j
     with mp.workdps(35):
-        precise = theta(mpc(x), mpc(p))
+        precise = theta(to_wide(mpc(x)), to_wide(mpc(p)))
         before = theta_module._wide_memo
         key = _wide_key(wide_type(mp.prec)(x))
         stored = before[3][key]
@@ -493,8 +507,8 @@ def test_memos_never_answer_each_other():
         assert type(value) is complex
         assert _bits(value) == _bits(_unmemoized(x, p))
         assert list(theta_module._memo)[-1] == p and theta_module._memo[p][1][x] is value
-        # a repeated call is answered from the Wide memo, as a new mpc
-        assert theta(mpc(x), mpc(p)) == precise
+        # a repeated call is answered from the Wide memo
+        assert theta(to_wide(mpc(x)), to_wide(mpc(p))) is precise
         assert theta_module._wide_memo is before and theta_module._wide_memo[3][key] is stored
         # the Wide memo holds the one extended-precision value
         memo_p, _, _, values = theta_module._wide_memo
@@ -502,12 +516,12 @@ def test_memos_never_answer_each_other():
         assert all(type(value) is wide_type(mp.prec) for value in values.values())
 
 
-def test_mpmath_numbers_never_reach_the_double_product(monkeypatch):
-    # theta on mpmath numbers runs the series at every nonzero nome
+def test_cross_check_never_runs_the_product_on_wide_numbers(monkeypatch):
+    # theta on Wide numbers runs the series at every nonzero nome
     product = theta_module.theta_product
 
     def double_only(x, p):
-        assert not theta_module._is_mp(x) and not theta_module._is_mp(p)
+        assert not isinstance(x, Wide) and not isinstance(p, Wide)
         return product(x, p)
 
     monkeypatch.setattr(theta_module, "theta_product", double_only)
@@ -523,6 +537,36 @@ def test_import_leaves_mpmath_unloaded():
     check = 'ellrook.run_check("product-jump", "1,3", jump=2, z=4, trials=3)'
     code = f"import sys, ellrook; sys.exit(not {check}.passed or 'mpmath' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    # and runs where mpmath cannot be imported at all
+    blocked = "import sys; sys.modules['mpmath'] = None; import ellrook.cli; "
+    for argv in (
+        ["check", "product-jump", "--board", "2,5,8", "--J", "3", "--z", "9", "--seed", "7"],
+        ["check", "theta-inversion", "--trials", "20", "--seed", "1"],
+    ):
+        code = blocked + f"sys.exit(ellrook.cli.main({argv!r}))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0 and run.stdout.startswith("PASS"), (argv, run)
+
+
+@pytest.mark.parametrize("call", ["theta", "theta_multi", "theta_product", "small_weight", "Wide"])
+def test_mpmath_numbers_are_a_type_error(rng, call):
+    # no mpmath number reaches the doubles' truncation unseen
+    from mpmath import mp, mpc, mpf
+
+    with mp.workdps(35):
+        x, p = mpc(0.7, 0.3), mpc(0.35, -0.1)
+        point = random_generic_point(rng)
+        calls = {
+            "theta": lambda: theta(x, p),
+            "theta_multi": lambda: theta_multi([x], p),
+            "theta_product": lambda: theta_product(mpf(0.7), mpf(0.35)),
+            "small_weight": lambda: FullElliptic(*map(mpc, point)).small_weight(2),
+            "Wide": lambda: wide_type(mp.prec)(x),
+        }
+        with pytest.raises(TypeError):
+            calls[call]()
+        # p = 0 is exact for every number type
+        assert theta(x, 0) == 1 - x
 
 
 def _qp_double(x: complex, p: complex) -> complex:
@@ -568,7 +612,8 @@ def test_exact_zeros_on_both_paths(rng):
         p = _random_nome(rng)
         assert theta(1 + 0j, p) == 0 and theta(p, p) == 0
         with mp.workdps(35):
-            assert theta(mpc(1), mpc(p)) == 0 and theta(mpc(p), mpc(p)) == 0
+            pw = to_wide(mpc(p))
+            assert theta(to_wide(mpc(1)), pw) == 0 and theta(pw, pw) == 0
 
 
 def test_nomes_above_one_half_keep_the_product(rng):
@@ -580,11 +625,12 @@ def test_nomes_above_one_half_keep_the_product(rng):
         assert _bits(theta(x, p)) == _bits(theta_product(x, p))
         nomes.append(p)
     assert all(theta_module._memo[p][0] is None for p in nomes)
-    # mpmath numbers sum the series there, from a table of their own
+    # Wide numbers sum the series there, from a table of their own
     with mp.workdps(35):
-        value = theta(mpc(x), mpc(p))
+        x, p = to_wide(mpc(x)), to_wide(mpc(p))
+        value = theta(x, p)
         assert theta_module._wide_memo[2] is not None
-        want = theta_product(mpc(x), mpc(p))
+        want = theta_product(x, p)
         assert abs(value - want) < 1e-30 * abs(want)
 
 
@@ -597,7 +643,7 @@ def test_product_and_series_above_one_half_match_qp(rng):
             p = mpc(rng.uniform(0.51, 0.8) * cmath.exp(1j * rng.uniform(0, 6.3)))
             want = _qp_theta(x, p)
             assert abs(_theta_fixed(x, p) - want) < 1e-30 * abs(want)
-            assert abs(theta_product(x, p) - want) < 1e-30 * abs(want)
+            assert abs(_product_fixed(x, p) - want) < 1e-30 * abs(want)
 
 
 def test_theta_product_over_wide_numbers_truncates_at_their_precision(rng):
@@ -615,7 +661,7 @@ def test_nome_is_validated_on_both_paths():
     with pytest.raises(ValueError):
         theta(0.5 + 0j, 1.2 + 0j)
     with mp.workdps(35), pytest.raises(ValueError):
-        theta(mpc(0.5), mpc(0, 1.2))
+        theta(to_wide(mpc(0.5)), to_wide(mpc(0, 1.2)))
 
 
 def test_planted_coefficient_defect_fails_every_theta_identity(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sample_elliptic
+from conftest import from_wide, sample_elliptic, to_wide
 from ellrook import weights
 from ellrook.errors import PoleEncountered
 from ellrook.numeric import cpow, relative_error
@@ -219,17 +219,17 @@ def test_full_elliptic_over_mpmath_numbers_truncates_at_their_precision(rng, mon
     def qp_theta_multi(xs, p):
         return mp.fprod(qp_theta(x, p) for x in xs)
 
-    def values(point):
-        fam = FullElliptic(*map(mpc, point))
+    def values(fam):
         return [fam.small_weight(3), fam.big_weight(2), fam.number(4), fam.binomial(5, 2)]
 
     for _ in range(5):
         point = random_generic_point(rng)
         with mp.workdps(35):
-            got = values(point)
+            fam = FullElliptic(*(to_wide(mpc(v)) for v in point))
+            got = [from_wide(value) for value in values(fam)]
         with mp.workdps(60), monkeypatch.context() as patch:
             patch.setattr(weights, "theta_multi", qp_theta_multi)
             patch.setattr(theta_module, "theta", qp_theta)
-            want = values(point)
+            want = values(FullElliptic(*map(mpc, point)))
         for name, g, w in zip(("small_weight", "big_weight", "number", "binomial"), got, want):
             assert abs(g - w) < 1e-30 * abs(w), (name, point)

@@ -3,6 +3,7 @@ import operator
 import random
 
 import pytest
+from conftest import from_wide, to_wide
 from mpmath import mp, mpc, mpf
 
 from ellrook.errors import PoleEncountered
@@ -13,11 +14,6 @@ from ellrook.weights import FullElliptic, WeightTable, random_family
 from ellrook.wide import GUARD_BITS, ZERO_EXP, Wide, digits_prec, wide_type
 
 WIDE = wide_type(digits_prec(35))
-
-
-def _mp(value):
-    """A Wide value as an mpc, exactly at the precision in force."""
-    return mpc(mpf((value.re, value.exp)), mpf((value.im, value.exp)))
 
 
 def _random_wide(rng, scale=1.0):
@@ -37,13 +33,13 @@ def _operands(rng):
         yield x, rng.choice((1, -1, 2, 3))
         yield x, rng.uniform(-3, 3)
         yield x, complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        yield x, wide_type(digits_prec(60))(_mp(_random_wide(rng)))
+        yield x, to_wide(from_wide(_random_wide(rng)))  # at 60 digits
 
 
 def _close(got, want, ulps=8):
     """got within a few units in the last place of the 35-digit type."""
     assert isinstance(got, WIDE)
-    assert abs(_mp(got) - want) <= ulps * mpf(2) ** -WIDE.bits * abs(want), (got, want)
+    assert abs(from_wide(got) - want) <= ulps * mpf(2) ** -WIDE.bits * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
@@ -52,12 +48,12 @@ def test_arithmetic_matches_mpmath_at_60_digits(op):
     rng = random.Random(op)
     with mp.workdps(60):
         for x, y in _operands(rng):
-            y_mp = _mp(y) if isinstance(y, Wide) else mpc(y)
-            _close(fn(x, y), fn(_mp(x), y_mp))
+            y_mp = from_wide(y) if isinstance(y, Wide) else mpc(y)
+            _close(fn(x, y), fn(from_wide(x), y_mp))
             # y on the left: Wide's reflected methods, or the 60-digit type's own
             got = fn(y, x)
             assert isinstance(got, Wide)
-            _close(WIDE(got), fn(y_mp, _mp(x)), ulps=16)
+            _close(WIDE(got), fn(y_mp, from_wide(x)), ulps=16)
 
 
 def test_powers_negation_and_conversions():
@@ -66,11 +62,11 @@ def test_powers_negation_and_conversions():
         for _ in range(20):
             x = _random_wide(rng)
             for n in (0, 1, 2, 5, -1, -3):
-                _close(x**n, _mp(x) ** n, ulps=32)
+                _close(x**n, from_wide(x) ** n, ulps=32)
             assert x**0 == 1 and type(x**0) is WIDE
-            assert -x == -_mp(x) and -(-x) == x
-            assert complex(x) == complex(_mp(x))
-            assert abs(abs(x) - float(abs(_mp(x)))) <= 1e-15 * abs(x)
+            assert -x == to_wide(-from_wide(x)) and -(-x) == x
+            assert complex(x) == complex(from_wide(x))
+            assert abs(abs(x) - float(abs(from_wide(x)))) <= 1e-15 * abs(x)
 
 
 def test_zero():
@@ -98,18 +94,18 @@ def test_negligible_addend_and_large_exponent_gaps():
             for gap in (WIDE.bits - 4, WIDE.bits + 2, WIDE.bits + 40, 3000):
                 small = _random_wide(rng) * WIDE(2.0) ** -gap
                 for got, want in (
-                    (x + small, _mp(x) + _mp(small)),
-                    (small + x, _mp(x) + _mp(small)),
-                    (x - small, _mp(x) - _mp(small)),
-                    (small - x, _mp(small) - _mp(x)),
+                    (x + small, from_wide(x) + from_wide(small)),
+                    (small + x, from_wide(x) + from_wide(small)),
+                    (x - small, from_wide(x) - from_wide(small)),
+                    (small - x, from_wide(small) - from_wide(x)),
                 ):
                     _close(got, want)
                 if gap >= WIDE.bits + 40:
                     assert x + small == x  # below the mantissa, the sum is x
             # beyond the double range either way, the values stay exact
             huge, tiny = x * WIDE(2.0) ** 3000, x * WIDE(2.0) ** -3000
-            _close(huge * tiny, _mp(x) ** 2)
-            _close(huge / (tiny * 7), _mp(x) * mpf(2) ** 6000 / (_mp(x) * 7))
+            _close(huge * tiny, from_wide(x) ** 2)
+            _close(huge / (tiny * 7), from_wide(x) * mpf(2) ** 6000 / (from_wide(x) * 7))
             assert abs(huge) == math.inf and abs(tiny) == 0.0 and "* 2**" in repr(huge)
             with pytest.raises(OverflowError):
                 complex(huge)
@@ -121,7 +117,8 @@ def test_abs_and_complex_of_mantissas_beyond_the_double_range():
     assert wide.bits > 1024
     with mp.workdps(320):
         for c in (0.6 + 0.8j, -1e-300 + 3e-301j, 2.5e300 - 1j):
-            x = wide(mpc(c) / 3) * 3
+            x = to_wide(mpc(c) / 3) * 3
+            assert type(x) is wide
             assert max(abs(x.re), abs(x.im)).bit_length() > 1024
             assert complex(x) == c and abs(abs(x) - abs(c)) <= 1e-15 * abs(c)
 
@@ -134,7 +131,7 @@ def test_a_value_below_the_double_range_is_a_pole_as_in_mpmath():
     with pytest.raises(PoleEncountered):
         guard_denominator(x)
     with mp.workdps(35), pytest.raises(PoleEncountered):
-        guard_denominator(_mp(x))
+        guard_denominator(from_wide(x))
     assert guard_denominator(x * WIDE(2.0) ** 200) is not None
 
 
@@ -164,11 +161,14 @@ def test_conversions_are_exact():
     with mp.workdps(60):
         for _ in range(100):
             c = complex(rng.uniform(-3, 3), rng.uniform(-1e-12, 1e-12))
-            assert _mp(WIDE(c)) == mpc(c)
+            assert from_wide(WIDE(c)) == mpc(c)
             value = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) / 7
-            assert _mp(wide_type(mp.prec)(value)) == value
+            assert from_wide(to_wide(value)) == value
         assert WIDE(2.0**-1074) == 2.0**-1074  # the least subnormal
-    for bad in (float("inf"), complex(1, float("inf")), mpf("inf")):
+        for bad in (mpf("inf"), mpc(1, mpf("nan"))):
+            with pytest.raises(OverflowError):
+                to_wide(bad)
+    for bad in (float("inf"), complex(1, float("inf"))):
         with pytest.raises(OverflowError):
             WIDE(bad)
     with pytest.raises(TypeError):
@@ -192,7 +192,7 @@ CROSS_CHECK_SHAPES = [
 @pytest.mark.parametrize("p_modulus", [(0.05, 0.4), (0.55, 0.9)])
 def test_cross_check_sides_match_a_70_digit_evaluation(p_modulus):
     # the 35-digit lhs, rhs and enumeration total of the jump cross-check
-    # against the same family evaluated over mpmath numbers at 70 digits;
+    # against the same family evaluated over Wide numbers at 70 digits;
     # the judge compares them at 1e-8 and cannot see an error this small
     rng = random.Random(25)
     worst = 0.0
@@ -202,11 +202,12 @@ def test_cross_check_sides_match_a_70_digit_evaluation(p_modulus):
         entry = jump_product_check(board, jump, precise, z)
         sides = (entry.lhs, entry.rhs, jump_enumeration_total(board, jump, z, precise))
         with mp.workdps(70):
-            reference = FullElliptic(*(mpc(v) for v in (fam.a, fam.b, fam.q, fam.p)))
+            reference = FullElliptic(*(to_wide(mpc(v)) for v in (fam.a, fam.b, fam.q, fam.p)))
             want = jump_product_check(board, jump, reference, z)
             wants = (want.lhs, want.rhs, jump_enumeration_total(board, jump, z, reference))
             for got, value in zip(sides, wants):
-                got = _mp(WIDE(got))  # an int where no weight enters
+                # ints where no weight enters
+                got, value = from_wide(WIDE(got)), from_wide(to_wide(value))
                 worst = max(worst, float(abs(got - value) / abs(value)))
     assert worst <= 1e-26, worst
 
@@ -226,11 +227,12 @@ def test_wide_family_after_its_double_family_keeps_its_digits():
         table = WeightTable(precise)
         got = [table[k] for k in ks] + [precise.number(z) for z in zs]
         with mp.workdps(70):
-            reference = FullElliptic(*(mpc(v) for v in (fam.a, fam.b, fam.q, fam.p)))
+            reference = FullElliptic(*(to_wide(mpc(v)) for v in (fam.a, fam.b, fam.q, fam.p)))
             wants = [reference.small_weight(k) for k in ks] + [reference.number(z) for z in zs]
             for value, want in zip(got, wants):
                 assert type(value) is WIDE
-                assert abs(_mp(value) - want) <= 1e-30 * abs(want)
+                want = from_wide(want)
+                assert abs(from_wide(value) - want) <= 1e-30 * abs(want)
 
 
 def test_a_35_digit_cross_check_hashes_no_wide_value(monkeypatch):

@@ -17,7 +17,8 @@ its row and strictly below it in its column), jump 0 the file placements
 its column).
 
 One column-major backtracker, j_rook_placements, enumerates all three
-kinds; placements are emitted exactly once each.  Boards are immutable.
+kinds, and one rule, j_uncancelled, finds their uncancelled cells;
+placements are emitted exactly once each.  Boards are immutable.
 """
 
 from __future__ import annotations
@@ -157,58 +158,19 @@ def j_attack_rows(cells, jump: int, depth: int = 0) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# cancellation geometry, placement by placement: the definition that the
-# transfer kernels rook._j_rook_transfer and files._file_transfer apply
-# column by column
+# cancellation geometry, placement by placement: one rule for every jump
+# (rook placements at jump 1, file placements at jump 0), the definition
+# that the transfer kernels rook._j_rook_transfer and files._file_transfer
+# apply column by column
 # ---------------------------------------------------------------------------
 
 
-def northwest_count(cells, col: int, row: int) -> int:
-    """Number of rooks strictly west and strictly north of (col, row)."""
-    return sum(1 for i, j in cells if i < col and j > row)
-
-
-def rook_uncancelled(heights, cells, depth: int = 0) -> dict[Cell, int]:
-    """Uncancelled cells of a nonattacking placement, with northwest counts."""
-    col_rook = dict(cells)
-    row_rook = {j: i for i, j in cells}
-    out: dict[Cell, int] = {}
-    for i in range(1, len(heights) + 1):
-        own = col_rook.get(i)
-        for j in range(1 - depth, heights[i - 1] + 1):
-            if own is not None and j <= own:
-                continue  # occupied or below the rook in this column
-            rc = row_rook.get(j)
-            if rc is not None and rc < i:
-                continue  # cancelled rightward along the row
-            out[(i, j)] = northwest_count(cells, i, j)
-    return out
-
-
-def file_uncancelled(heights, cells) -> set[Cell]:
-    """Cells neither occupied nor below a rook (file cancellation)."""
-    col_rook = dict(cells)
-    out = set()
-    for i in range(1, len(heights) + 1):
-        own = col_rook.get(i)
-        for j in range(1, heights[i - 1] + 1):
-            if own is not None and j <= own:
-                continue
-            out.add((i, j))
-    return out
-
-
-def file_above_cells(heights, cells) -> set[Cell]:
-    """Cells lying strictly above some rook in its column."""
-    out = set()
-    for i, j in cells:
-        for row in range(j + 1, heights[i - 1] + 1):
-            out.add((i, row))
-    return out
-
-
-def j_uncancelled(heights, cells, attacked: dict[int, int], depth: int = 0) -> dict[Cell, int]:
-    """Uncancelled cells of a jump-nonattacking placement, with NW counts."""
+def j_uncancelled(heights, cells, jump: int, depth: int = 0) -> dict[Cell, int]:
+    """Uncancelled cells of a jump-nonattacking placement on the board
+    extended by depth rows, each with its number of rooks strictly west and
+    strictly north.  A cell is cancelled if it holds a rook, lies below one
+    in its column, or lies in a row that a rook further left attacks."""
+    attacked = j_attack_rows(cells, jump, depth)
     col_rook = dict(cells)
     out: dict[Cell, int] = {}
     for i in range(1, len(heights) + 1):
@@ -219,6 +181,14 @@ def j_uncancelled(heights, cells, attacked: dict[int, int], depth: int = 0) -> d
             col = attacked.get(j)
             if col is not None and col < i:
                 continue
-            out[(i, j)] = northwest_count(cells, i, j)
+            out[(i, j)] = sum(1 for c, r in cells if c < i and r > j)
     return out
 
+
+def file_above_cells(heights, cells) -> set[Cell]:
+    """Cells lying strictly above some rook in its column."""
+    out = set()
+    for i, j in cells:
+        for row in range(j + 1, heights[i - 1] + 1):
+            out.add((i, row))
+    return out

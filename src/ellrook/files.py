@@ -9,8 +9,8 @@ polynomial E_c + R_c t per column: E_c weighs the empty column and R_c
 sums its rook positions, each with the cells above the rook.  file_row
 multiplies them out, through rook.transfer_row, which records the product
 once per (board, weighting, k) and replays it at each point.  The
-placement-level definitions are `boards.file_uncancelled` and
-`boards.file_above_cells`.
+placement-level definitions are `boards.j_uncancelled` at jump 0
+(row-only) and `boards.file_above_cells` (above-rook).
 
 _file_signatures is the family-free form of the same sums, both
 weightings per (board, k): the multisets of small-weight arguments, one

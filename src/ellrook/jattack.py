@@ -10,10 +10,12 @@ At a parameter point the weighted sums of all k come from one pass over
 the columns, `rook.j_rook_row`, whose state is the pair of the attacked
 rows and the rook rows: a column's factor depends only on that pair and
 on its own rook.  The placement-level definition is
-`boards.j_uncancelled`.  j_rook_signature is the family-free form of
-the same sums per (board, jump, k, depth): the same pass over
-rook.FormalSum, with no cache (lru_cache with maxsize 0, as
-rook.rook_signature); no numeric path uses it.
+`boards.j_uncancelled`, the one cancellation rule of all three kinds of
+placement (rook placements at jump 1, file placements at jump 0).
+j_rook_signature is the family-free form of the same sums per (board,
+jump, k, depth): the same pass over rook.FormalSum, with no cache
+(lru_cache with maxsize 0, as rook.rook_signature); no numeric path uses
+it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .boards import SkylineBoard, _rook_attack_rows, j_attack_rows, j_uncancelled
+from .boards import SkylineBoard, _rook_attack_rows, j_uncancelled
 from .errors import BadBoardSpec, NotJAttackingBoard
 from .files import ABOVE_ROOK, file_row
 from .numeric import CheckEntry, factor_sum
@@ -61,10 +63,9 @@ def rook_number_j(board: SkylineBoard, k: int, jump: int, fam: WeightFamily):
 def j_placement_weight(board: SkylineBoard, cells, jump: int, fam: WeightFamily):
     """The weight of one jump-nonattacking placement."""
     _require_j_attacking(board, jump)
-    attacked = j_attack_rows(cells, jump)
     table = WeightTable(fam)
     prod = 1
-    for (i, j), nw in j_uncancelled(board.heights, cells, attacked).items():
+    for (i, j), nw in j_uncancelled(board.heights, cells, jump).items():
         prod = prod * table[jump * (i - 1) + 1 - j - jump * nw]
     return prod
 

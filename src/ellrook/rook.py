@@ -9,7 +9,7 @@ the attacked rows and the rook rows; one pass gives every k, and a pass
 for one k drops the states that cannot end with k rooks.  It is written
 for the jump-attacking model, whose jump 1 is the rook model: rook_row is
 j_rook_row at jump 1, and jattack uses it at every jump.  The
-placement-level definition is `boards.rook_uncancelled`.
+placement-level definition is `boards.j_uncancelled` at jump 1.
 
 The kernel's operations depend on the board, never on the point, so
 transfer_row records them once per (kernel, heights, jump or weighting,

@@ -48,11 +48,11 @@ order they were built; a call with a new p builds a new table, validating
 the nome, starts an empty memo and drops the oldest nome past 32.  Calls
 on Wide numbers keep one nome's memo, since each extended-precision check
 draws its own nome, selected by p and its type, which sets the precision,
-and keyed by the argument's mantissa triple (re, im, exp), which hashes in
-C, where Wide.__hash__ is Python code.  The two never share a memo: a Wide
-number compares and hashes equal to the double it was built from, so a
-shared memo would answer a 35-digit call with a double, or a 60-digit call
-with a 35-digit value.  The Wide kernel, in fixed-point Python ints, is
+and keyed by the argument's mantissa triple (re, im, exp), since Wide
+numbers are unhashable.  The two never share a memo: a Wide number
+compares equal to the double it was built from, so a memo keyed by value
+would answer a 35-digit call with a double, or a 60-digit call with a
+35-digit value.  The Wide kernel, in fixed-point Python ints, is
 ellrook.theta_fixed, which theta imports only on that path.
 
 All functions here are pure and safe for concurrent use: the memos are

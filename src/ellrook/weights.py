@@ -27,8 +27,8 @@ object, shared by every transfer pass and placement weight on it, so a
 weight once.  The dict sits in the object's __dict__, outside its
 dataclass fields (==, hash, fields() and replace() never see it), and
 refers to nothing, so it makes no reference cycle.  It is keyed by the
-object, not its value: a family over Wide numbers equals, and hashes as,
-the family over the doubles it came from.
+object, not its value: a family over Wide numbers equals the family over
+the doubles it came from, and is unhashable, as its Wide fields are.
 """
 
 from __future__ import annotations

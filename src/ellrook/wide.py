@@ -16,8 +16,10 @@ by two.
 The type takes +, -, *, / with ints, floats, complex numbers and other
 Wide values (a double converts exactly), unary -, ** with an int
 exponent, abs (a float: 0.0 below the double range, inf above it),
-complex(), and == and hash as Python's numbers define them, so a Wide
-value equals, and hashes as, the complex, float or int of the same value.
+complex(), and == as Python's numbers define it, so a Wide value equals
+the complex, float or int of the same value.  It is unhashable: a value
+that equals a double yet carries more digits would make a dict or cache
+keyed by value answer one precision with the other's entry.
 The constructor takes the same types, and raises TypeError on any other.
 Values are immutable and safe to share between threads.
 
@@ -29,7 +31,6 @@ the transfer replay and the harness run over the type as over complex.
 from __future__ import annotations
 
 import math
-import sys
 from functools import cache
 
 # the bits a Wide type carries beyond its precision: the rounding of a few
@@ -41,10 +42,6 @@ ZERO_EXP = -(1 << 62)
 _new = object.__new__
 # a double's mantissa as an int: frexp's fraction times 2^53
 _DOUBLE = float(1 << 53)
-_HASH_P = sys.hash_info.modulus
-_HASH_BITS = _HASH_P.bit_length()  # 2^_HASH_BITS = 1 modulo _HASH_P
-_HASH_HALF = 1 << sys.hash_info.width - 1
-_HASH_IMAG = sys.hash_info.imag
 
 
 class Wide:
@@ -188,16 +185,6 @@ class Wide:
             return self.re << gap == re and self.im << gap == im
         return self.re == re << -gap and self.im == im << -gap
 
-    def __hash__(self) -> int:
-        # Python's hash of the complex number (re + i im) 2^exp
-        e = self.exp % _HASH_BITS
-        hr = _hash_part(self.re, e)
-        if not self.im:
-            return hr
-        # the sum wraps as a C integer of sys.hash_info.width bits
-        h = (hr + _HASH_IMAG * _hash_part(self.im, e) + _HASH_HALF) % (2 * _HASH_HALF) - _HASH_HALF
-        return -2 if h == -1 else h
-
     def __repr__(self) -> str:
         try:
             return f"{type(self).__name__}({complex(self)!r})"
@@ -287,18 +274,3 @@ def _join(mr: int, er: int, mi: int, ei: int) -> tuple[int, int, int]:
         er = ei
     low = min(er, ei)
     return mr << er - low, mi << ei - low, low
-
-
-def _hash_part(m: int, e: int) -> int:
-    """Python's hash of the rational m 2^e, given e modulo _HASH_BITS:
-    sign(m) (|m| 2^e mod P) for P = 2^_HASH_BITS - 1, -1 taken to -2.
-    hash(m) is sign(m) (|m| mod P) but for that -1, and times 2^e modulo P
-    the residue turns by e bits."""
-    h = hash(m)
-    if h == -2:  # m < 0, and |m| mod P is 1 or 2
-        h = -(-m % _HASH_P)
-    r = -h if h < 0 else h
-    r = (r << e & _HASH_P) | r >> _HASH_BITS - e
-    if h >= 0:
-        return r
-    return -2 if r == 1 else -r

@@ -6,11 +6,10 @@ import pytest
 from ellrook.boards import (
     SkylineBoard,
     file_placements,
-    file_uncancelled,
     j_attack_rows,
     j_rook_placements,
+    j_uncancelled,
     rook_placements,
-    rook_uncancelled,
 )
 from ellrook.errors import BadBoardSpec
 
@@ -87,24 +86,25 @@ def test_enumerator_equals_brute_force_filter(jump, depth):
 
 def test_rook_cancellation_figure():
     # the worked four-rook cancellation on B(0,2,3,5,5)
-    unc = rook_uncancelled((0, 2, 3, 5, 5), ((2, 2), (3, 1), (4, 4), (5, 3)))
+    unc = j_uncancelled((0, 2, 3, 5, 5), ((2, 2), (3, 1), (4, 4), (5, 3)), 1)
     assert set(unc) == {(3, 3), (4, 5), (5, 5)}
     assert 15 - 4 - 8 == len(unc)
 
 
 def test_rook_cancellation_square_example():
-    unc = rook_uncancelled((3, 3, 3), ((1, 3), (3, 1)))
+    unc = j_uncancelled((3, 3, 3), ((1, 3), (3, 1)), 1)
     assert unc == {(2, 1): 1, (2, 2): 1, (3, 2): 1}
 
 
 def test_empty_placement_single_cell():
-    assert rook_uncancelled((1, 1), ()) == {(1, 1): 0, (2, 1): 0}
+    assert j_uncancelled((1, 1), (), 1) == {(1, 1): 0, (2, 1): 0}
 
 
 def test_file_cancellation_examples():
-    assert file_uncancelled((2, 2), ((1, 2), (2, 1))) == {(2, 2)}
-    assert file_uncancelled((2,), ((1, 1),)) == {(1, 2)}
-    assert file_uncancelled((2, 2), ()) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    # row-only file cancellation is the jump-0 rule
+    assert set(j_uncancelled((2, 2), ((1, 2), (2, 1)), 0)) == {(2, 2)}
+    assert set(j_uncancelled((2,), ((1, 1),), 0)) == {(1, 2)}
+    assert set(j_uncancelled((2, 2), (), 0)) == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_j_attack_figure():

@@ -302,24 +302,3 @@ def test_rg_counts_match_placements_full_grid():
                         1 for _ in j_rook_placements(board.heights, jump, n - k)
                     )
                     assert len(words) == count, (offset, jump, n, k)
-
-
-def test_jump_one_signatures_identical_on_all_small_ferrers():
-    # placement by placement, the uncancelled cells and their arguments
-    # coincide exactly: jump-1 attack is row cancellation and the weight
-    # argument collapses to the rook one
-    from itertools import combinations_with_replacement
-
-    from ellrook.boards import j_attack_rows, j_uncancelled, rook_placements, rook_uncancelled
-
-    jump = 1
-    for n in range(1, 5):
-        for heights in combinations_with_replacement(range(5), n):
-            for k in range(n + 1):
-                for cells in rook_placements(heights, k):
-                    attacked = j_attack_rows(cells, jump)
-                    j_cells = j_uncancelled(heights, cells, attacked)
-                    j_args = [jump * (i - 1) + 1 - j - jump * nw for (i, j), nw in j_cells.items()]
-                    r_cells = rook_uncancelled(heights, cells)
-                    rook_args = [i - j - nw for (i, j), nw in r_cells.items()]
-                    assert sorted(j_args) == sorted(rook_args), (heights, cells)

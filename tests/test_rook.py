@@ -150,10 +150,10 @@ def test_rook_equivalent_boards(rng):
 
 def test_single_placement_weight_example(rng):
     # the worked two-rook placement on the 3x3 board
-    from ellrook.boards import rook_uncancelled
+    from ellrook.boards import j_uncancelled
 
     fam = sample_elliptic(rng)
-    unc = rook_uncancelled((3, 3, 3), ((1, 3), (3, 1)))
+    unc = j_uncancelled((3, 3, 3), ((1, 3), (3, 1)), 1)
     weight = 1
     for (i, j), nw in unc.items():
         weight *= fam.small_weight(i - j - nw)

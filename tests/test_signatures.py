@@ -1,11 +1,13 @@
 """The transfer kernels against signatures rebuilt placement by placement
-from the public enumerators and the cancellation helpers in boards.py,
-which state the geometry cell by cell: over formal sums, where the
-kernels' signatures (rook_signature, _file_signatures, j_rook_signature,
-and the unpruned pass of each) must equal the placement-level multisets
-exactly, and at an exact point, where rook_row, file_row and j_rook_row
-must equal those multisets evaluated.  Also the enumerators against a
-brute force over cell subsets."""
+from the public enumerators and the geometry that boards.py states cell
+by cell: j_uncancelled, the one cancellation rule (rook placements at
+jump 1, row-only file placements at jump 0), and file_above_cells for the
+above-rook weighting.  Over formal sums, the kernels' signatures
+(rook_signature, _file_signatures, j_rook_signature, and the unpruned
+pass of each) must equal the placement-level multisets exactly; at an
+exact point, rook_row, file_row and j_rook_row must equal those multisets
+evaluated.  Also the enumerators against a brute force over cell
+subsets."""
 
 import itertools
 import sys
@@ -22,12 +24,9 @@ from ellrook.boards import (
     SkylineBoard,
     file_above_cells,
     file_placements,
-    file_uncancelled,
-    j_attack_rows,
     j_rook_placements,
     j_uncancelled,
     rook_placements,
-    rook_uncancelled,
 )
 from ellrook.errors import PoleEncountered
 from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_signatures, _file_transfer, file_row
@@ -67,29 +66,23 @@ def _signature(terms):
 # the placement-level signatures, computed once per board, k and depth for
 # both the formal and the exact comparison
 @cache
-def _rook_reference(heights, k, depth):
-    return _signature(
-        [i - j - nw for (i, j), nw in rook_uncancelled(heights, cells, depth).items()]
-        for cells in rook_placements(heights, k, depth)
-    )
+def _jump_reference(heights, jump, k, depth=0):
+    # at jump 1 the arguments are the rook ones, i - j - nw, and at jump 0
+    # the row-only file ones, 1 - j
+    terms = []
+    for cells in j_rook_placements(heights, jump, k, depth):
+        uncancelled = j_uncancelled(heights, cells, jump, depth)
+        terms.append([jump * (i - 1) + 1 - j - jump * nw for (i, j), nw in uncancelled.items()])
+    return _signature(terms)
 
 
 @cache
 def _file_reference(heights, k):
-    placements = list(file_placements(heights, k))
-    row = [[1 - j for _, j in file_uncancelled(heights, cells)] for cells in placements]
-    above = [[i - j for i, j in file_above_cells(heights, cells)] for cells in placements]
-    return _signature(row), _signature(above)
-
-
-@cache
-def _jump_reference(heights, jump, k, depth=0):
-    terms = []
-    for cells in j_rook_placements(heights, jump, k, depth):
-        attacked = j_attack_rows(cells, jump, depth)
-        uncancelled = j_uncancelled(heights, cells, attacked, depth)
-        terms.append([jump * (i - 1) + 1 - j - jump * nw for (i, j), nw in uncancelled.items()])
-    return _signature(terms)
+    above = [
+        [i - j for i, j in file_above_cells(heights, cells)]
+        for cells in file_placements(heights, k)
+    ]
+    return _jump_reference(heights, 0, k), _signature(above)
 
 
 def _ks(heights):
@@ -110,7 +103,7 @@ def test_rook_signature_matches_placements(name, depth):
     for heights in BOARD_SETS[name]:
         unpruned = signature_row(partial(_j_rook_transfer, heights, 1, depth, None))
         for k in _ks(heights):
-            expected = _rook_reference(heights, k, depth)
+            expected = _jump_reference(heights, 1, k, depth)
             assert rook_signature.__wrapped__(heights, k, depth) == expected, (heights, k)
             assert unpruned.get(k, ()) == expected, (heights, k)
 
@@ -253,7 +246,7 @@ def test_rook_row_matches_signatures(name, depth):
         board = SkylineBoard(heights)
         _check_kernel(
             lambda k, magnitude: rook_row(board, EXACT, depth, k, magnitude),
-            lambda k: _rook_reference(heights, k, depth),
+            lambda k: _jump_reference(heights, 1, k, depth),
             heights,
             depth,
         )

@@ -24,9 +24,13 @@ their program in themselves, so threads may record at once.
 
 At an exact q (a PlainQ over an int or a Fraction, Garsia and Remmel's
 classical point) each sum is an integer polynomial in q: transfer_row runs
-the kernel once over ints, unrecorded, q being a power of two wide enough
-to hold each coefficient in its own bit field, and reads the sums at q
-off them.
+the kernel once over ints, unrecorded, q being a power of two 2^S wide
+enough to hold each coefficient in its own bit field, and reads the sums
+at q off them.  For rook and jump placements that run is _j_rook_exact,
+the transfer at the constant weight 2^S: with every cell weighing the
+same, its state is only (attacked rows, rook count), and a run of free
+cells weighs a shift of the value, with no weight looked up and no
+argument worked out.
 
 rook_signature is the family-free form of the same sum per (board, k,
 depth): the multiset of small-weight arguments, one entry per placement,
@@ -178,20 +182,25 @@ def transfer_row(kernel, args: tuple, fam: WeightFamily, magnitude: bool, rows):
     is an int or a Fraction) every small weight is q, so each sum is
     sum_i c_i q^i with c_i counting placements.  The kernel then runs once
     on ints, unrecorded, every weight being 2^S with S =
-    prod(r + 1).bit_length(): each coefficient of a sum, or of a partial
-    sum in the kernel, counts placements on some of the columns, at most
-    prod(r + 1) < 2^S, so the S-bit fields of a packed sum never carry
-    (Kronecker substitution), and _unpack reads the c_i off it.
+    prod(r + 1).bit_length(); for _j_rook_transfer it is _j_rook_exact,
+    which shifts by S instead of calling the weight.  Each coefficient of
+    a sum, or of a partial sum in the kernel, counts partial placements of
+    the columns so far, at most prod(r + 1) < 2^S.  That holds too where
+    _j_rook_exact merges the states that differ only in their rook rows:
+    the merged value's fields count the placements of all of them, still
+    distinct partial placements.  So the S-bit fields of a packed sum never
+    carry (Kronecker substitution), and _unpack reads the c_i off it.
     """
     exact = isinstance(fam, PlainQ) and isinstance(fam.q, (int, Fraction))
     if exact:
         shift = math.prod(r + 1 for r in rows).bit_length()
-        packed = 1 << shift
-        q = fam.q
-        values = {
-            k: _unpack(value, shift, q.numerator, q.denominator)
-            for k, value in kernel(*args, lambda ell: packed).items()
-        }
+        if kernel is _j_rook_transfer:
+            sums = _j_rook_exact(*args, shift)
+        else:
+            packed = 1 << shift
+            sums = kernel(*args, lambda ell: packed)
+        u, v = fam.q.numerator, fam.q.denominator
+        values = {k: _unpack(value, shift, u, v) for k, value in sums.items()}
         if not magnitude:
             return values
     plan = _plan(kernel, args)
@@ -384,6 +393,53 @@ def _j_rook_transfer(heights, jump, depth, k, weight) -> dict:
         states = new
     sums: dict = {}
     for (_, _, rooks), value in states.items():
+        sums[rooks] = sums.get(rooks, 0) + value
+    return sums
+
+
+def _j_rook_exact(heights, jump, depth, k, shift) -> dict:
+    """_j_rook_transfer at the constant weight 2^shift, over ints.
+
+    Every cell weighs the same, so a placement's weight depends only on
+    its number of uncancelled cells, and the state after a column is
+    (attacked rows, rook count): the rook rows served only the north-west
+    count inside an argument.  A rook below i free cells of its column
+    weighs value << shift * i, and an empty column value << shift * (its
+    free cells).  States that differ only in their rook rows merge, in the
+    order in which _j_rook_transfer first reaches them.
+    """
+    n = len(heights)
+    if k is not None and not 0 <= k <= n:
+        return {}
+    bottom = 1 - depth
+    states = {(0, 0): 1}
+    for col, height in enumerate(heights, 1):
+        rows = (1 << (height - bottom + 1)) - 1  # this column's rows
+        left = n - col  # columns after this one
+        new: dict = {}
+        for state, value in states.items():
+            attacked, rooks = state
+            free = rows & ~attacked
+            if k is None or rooks < k:
+                # unattacked rows top down: a rook in one has the free cells above it
+                above, cells = free, 0
+                while above:
+                    bit = above.bit_length() - 1
+                    above ^= 1 << bit
+                    if jump == 1:  # a rook attacks its own row
+                        hit = attacked | 1 << bit
+                    elif col == n and bit >= depth:
+                        hit = attacked  # no column follows: nothing to work out
+                    else:
+                        hit = attacked | _rook_attack_rows(bit + bottom, jump, attacked, bottom)
+                    key = (hit, rooks + 1)
+                    new[key] = new.get(key, 0) + (value << cells)
+                    cells += shift
+            if k is None or rooks + left >= k:  # an empty column: every free cell
+                new[state] = new.get(state, 0) + (value << shift * free.bit_count())
+        states = new
+    sums: dict = {}
+    for (_, rooks), value in states.items():
         sums[rooks] = sums.get(rooks, 0) + value
     return sums
 

@@ -39,6 +39,13 @@ CALLS = {
     "j_rook_row, below ground": lambda: jattack.j_rook_row(
         SkylineBoard((1, 3, 5)), 2, PlainQ(2), 7, magnitude=True
     ),
+    # the packed path's kernel at the constant weight 2^shift, shift being
+    # the bit length of the extended board's file placement count, as in transfer_row
+    "_j_rook_exact": lambda: rook._j_rook_exact((1, 2, 3), 1, 0, None, 5),
+    "_j_rook_exact, B(2,3,3)": lambda: rook._j_rook_exact(
+        jattack.b_board(2, 3, 3).heights, 3, 0, None, 8
+    ),
+    "_j_rook_exact, below ground": lambda: rook._j_rook_exact((1, 3, 5), 2, 7, None, 11),
     # a family's small-weight table, which the family holds and which refers to it
     "WeightTable": lambda: WeightTable(FullElliptic(0.5 + 0.1j, 1.3, 0.7j, 0.2))[3],
     "rook_row, elliptic": lambda: rook.rook_row(

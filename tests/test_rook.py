@@ -5,11 +5,13 @@ from itertools import product
 import pytest
 
 from conftest import sample_elliptic
+from ellrook import rook as rook_module
 from ellrook.boards import SkylineBoard
-from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_transfer, file_row
-from ellrook.jattack import b_board
+from ellrook.files import ABOVE_ROOK, ROW_ONLY, _file_transfer, file_number, file_row
+from ellrook.jattack import b_board, rook_number_j
 from ellrook.numeric import relative_error
 from ellrook.rook import (
+    _j_rook_exact,
     _j_rook_transfer,
     j_rook_row,
     max_identity_check,
@@ -213,3 +215,49 @@ def test_packed_fields_do_not_carry_on_the_8x8_square():
     # fields would change
     row = rook_row(rectangle(8, 8), PlainQ(1))
     assert row == {k: math.comb(8, k) ** 2 * math.factorial(k) for k in range(9)}
+
+
+def _outcome(call):
+    """call()'s dict as a list of items, in order, or its ValueError."""
+    try:
+        return list(call().items())
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_exact_kernel_equals_weighted_kernel_at_the_packed_weight():
+    # every skyline with <= 4 columns and heights <= 3, at jumps 0-3 and
+    # depths 0-2: the same sums in the same order, or the same ValueError
+    # where the extension is too shallow for the below-ground attack rule
+    for columns in range(5):
+        for heights in product(range(4), repeat=columns):
+            for jump, depth in product(range(4), range(3)):
+                shift = math.prod(h + depth + 1 for h in heights).bit_length()
+                packed = 1 << shift
+                for k in (None, *range(-1, columns + 2)):
+                    want = _outcome(
+                        lambda: _j_rook_transfer(heights, jump, depth, k, lambda ell: packed)
+                    )
+                    got = _outcome(lambda: _j_rook_exact(heights, jump, depth, k, shift))
+                    assert got == want, (heights, jump, depth, k)
+
+
+@pytest.mark.parametrize("q", [Fraction(7, 5), 1], ids=["7/5", "1"])
+def test_packed_path_records_no_plan(q):
+    # the exact sums come from _j_rook_exact and _file_transfer run
+    # unrecorded: no plan is looked up or kept, so no call is warmed by another
+    fam = PlainQ(q)
+    caches = (rook_module._plan, rook_module.rook_signature)
+    before = [cache.cache_info() for cache in caches]
+    for heights in ((0, 2, 3, 5, 5), (3, 3, 3)):
+        board = SkylineBoard(heights)
+        for k in range(board.n + 1):
+            rook_number(board, k, fam)
+            q_rook_number(board, k, q)
+            for weighting in (ROW_ONLY, ABOVE_ROOK):
+                file_number(board, k, fam, weighting)
+    for offset, jump, n in ((1, 2, 3), (0, 3, 2)):
+        board = b_board(offset, jump, n)
+        for k in range(n + 1):
+            rook_number_j(board, k, jump, fam)
+    assert [cache.cache_info() for cache in caches] == before
